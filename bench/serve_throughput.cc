@@ -30,11 +30,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -452,11 +454,19 @@ int main(int argc, char** argv) {
   std::atomic<long> failures{0};
   for (long p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      // Wait in windows of in-flight futures so memory stays bounded
+      // Wait in windows of in-flight requests so memory stays bounded
       // without serializing on each request.
-      constexpr std::size_t kWindow = 8192;
-      std::vector<std::future<spe::ScoreResult>> inflight;
-      inflight.reserve(kWindow);
+      constexpr long kWindow = 8192;
+      struct Window {
+        std::mutex mu;
+        std::condition_variable cv;
+        long inflight = 0;
+        long failed = 0;
+      } window;
+      const auto wait_window = [&window] {
+        std::unique_lock<std::mutex> lock(window.mu);
+        window.cv.wait(lock, [&window] { return window.inflight == 0; });
+      };
       const auto t0 = std::chrono::steady_clock::now();
       for (long i = 0; i < rows_per_producer; ++i) {
         if (per_producer_rate > 0) {
@@ -472,25 +482,22 @@ int main(int argc, char** argv) {
             test.num_rows();
         std::vector<double> features(test.num_features());
         test.CopyRowTo(row, features);
-        inflight.push_back(scorer.Submit(std::move(features)));
-        if (inflight.size() == kWindow) {
-          for (auto& f : inflight) {
-            try {
-              (void)f.get();
-            } catch (const std::exception&) {
-              ++failures;
-            }
-          }
-          inflight.clear();
+        {
+          std::lock_guard<std::mutex> lock(window.mu);
+          ++window.inflight;
         }
+        scorer.SubmitCallback(
+            std::move(features), spe::BatchScorer::kNoDeadline,
+            [&window](spe::ScoreResult, std::exception_ptr error,
+                      std::vector<double>) {
+              std::lock_guard<std::mutex> lock(window.mu);
+              if (error != nullptr) ++window.failed;
+              if (--window.inflight == 0) window.cv.notify_all();
+            });
+        if ((i + 1) % kWindow == 0) wait_window();
       }
-      for (auto& f : inflight) {
-        try {
-          (void)f.get();
-        } catch (const std::exception&) {
-          ++failures;
-        }
-      }
+      wait_window();
+      failures += window.failed;
     });
   }
   for (auto& t : threads) t.join();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <utility>
 
 #include "spe/common/check.h"
@@ -25,6 +27,33 @@ std::shared_ptr<lifecycle::ModelRegistry> PrivateRegistry(
   SPE_CHECK(error.empty()) << error;
   return registry;
 }
+
+/// Parks a synchronous caller until `remaining` completions arrived;
+/// keeps the first error to rethrow.
+class CompletionLatch {
+ public:
+  explicit CompletionLatch(std::size_t remaining) : remaining_(remaining) {}
+
+  void Done(std::exception_ptr error) {
+    // Notified under the lock: the waiter owns the latch and may return
+    // (destroying it) the moment it observes zero.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (error != nullptr && error_ == nullptr) error_ = std::move(error);
+    if (--remaining_ == 0) cv_.notify_all();
+  }
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return remaining_ == 0; });
+    if (error_ != nullptr) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t remaining_;
+  std::exception_ptr error_;
+};
 
 }  // namespace
 
@@ -96,33 +125,6 @@ BatchScorer::BatchScorer(std::shared_ptr<lifecycle::ModelRegistry> registry,
 
 BatchScorer::~BatchScorer() { Shutdown(); }
 
-std::future<ScoreResult> BatchScorer::Submit(
-    std::vector<double> features,
-    std::chrono::steady_clock::time_point deadline) {
-  SPE_CHECK_EQ(features.size(), num_features_)
-      << "submitted row width does not match the model schema";
-  Request req;
-  req.features = std::move(features);
-  req.enqueued = std::chrono::steady_clock::now();
-  req.deadline = deadline;
-  std::future<ScoreResult> future = req.promise.emplace().get_future();
-  const bool accepted = config_.overflow == OverflowPolicy::kBlock
-                            ? queue_.Push(std::move(req))
-                            : queue_.TryPush(std::move(req));
-  if (!accepted) {
-    // Push/TryPush moved-from only on success; on failure the request
-    // (and its promise) is destroyed inside the call, so re-create the
-    // rejection here through a fresh promise.
-    const bool closed = queue_.closed();
-    if (!closed) stats_.RecordShed();
-    std::promise<ScoreResult> rejected;
-    rejected.set_exception(std::make_exception_ptr(ScorerOverloaded(
-        closed ? "scorer is shut down" : "request queue full")));
-    return rejected.get_future();
-  }
-  return future;
-}
-
 void BatchScorer::SubmitCallback(std::vector<double> features,
                                  std::chrono::steady_clock::time_point deadline,
                                  ScoreCallback done) {
@@ -149,40 +151,41 @@ void BatchScorer::SubmitCallback(std::vector<double> features,
   }
 }
 
-void BatchScorer::Complete(Request& r, ScoreResult result,
-                           std::exception_ptr error) {
-  if (r.done) {
-    r.done(result, std::move(error), std::move(r.features));
-  } else if (error != nullptr) {
-    r.promise->set_exception(std::move(error));
-  } else {
-    r.promise->set_value(result);
-  }
-}
-
 double BatchScorer::Score(std::vector<double> features) {
-  return Submit(std::move(features)).get().proba;
+  CompletionLatch latch(1);
+  double proba = 0.0;
+  SubmitCallback(std::move(features), kNoDeadline,
+                 [&latch, &proba](ScoreResult result, std::exception_ptr error,
+                                  std::vector<double>) {
+                   proba = result.proba;
+                   latch.Done(std::move(error));
+                 });
+  latch.Wait();
+  return proba;
 }
 
 std::vector<double> BatchScorer::ScoreBatch(const DatasetView& rows) {
   SPE_CHECK_EQ(rows.num_features(), num_features_);
   rows.CheckAlive();
-  std::vector<std::future<ScoreResult>> futures;
-  futures.reserve(rows.num_rows());
+  std::vector<double> probs(rows.num_rows());
+  CompletionLatch latch(rows.num_rows());
   for (std::size_t i = 0; i < rows.num_rows(); ++i) {
     Request req;
     req.features.resize(num_features_);
     rows.CopyRowTo(i, req.features);
+    // Two pointers: fits std::function's inline buffer, no allocation.
+    double* slot = &probs[i];
+    req.done = [slot, &latch](ScoreResult result, std::exception_ptr error,
+                              std::vector<double>) {
+      *slot = result.proba;
+      latch.Done(std::move(error));
+    };
     req.enqueued = std::chrono::steady_clock::now();
-    futures.push_back(req.promise.emplace().get_future());
     // Offline scoring always blocks: shedding rows out of a file-scoring
     // run would silently truncate the output.
     SPE_CHECK(queue_.Push(std::move(req))) << "scorer is shut down";
   }
-  std::vector<double> probs(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    probs[i] = futures[i].get().proba;
-  }
+  latch.Wait();
   return probs;
 }
 
@@ -269,7 +272,8 @@ void BatchScorer::WorkerLoop() {
     for (Request& r : batch) {
       if (r.deadline != kNoDeadline && r.deadline < now) {
         stats_.RecordDeadlineExpired();
-        Complete(r, {}, std::make_exception_ptr(DeadlineExceeded()));
+        r.done({}, std::make_exception_ptr(DeadlineExceeded()),
+               std::move(r.features));
       } else {
         live.push_back(&r);
       }
@@ -278,9 +282,9 @@ void BatchScorer::WorkerLoop() {
 
     try {
       // Batch granularity keeps tracing out of the per-row path. The
-      // span closes before any promise is fulfilled, so a client that
-      // has seen its response (and then scrapes !stats) also sees the
-      // span that scored it.
+      // span closes before any request completes, so a client that has
+      // seen its response (and then scrapes !stats) also sees the span
+      // that scored it.
       std::vector<double> probs;
       row_block.resize(live.size() * num_features_);
       row_labels.assign(live.size(), 0);
@@ -316,13 +320,14 @@ void BatchScorer::WorkerLoop() {
         stats_.RecordRequest(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(waited)
                 .count()));
-        Complete(*live[i], {probs[i], degraded}, nullptr);
+        live[i]->done({probs[i], degraded}, nullptr,
+                      std::move(live[i]->features));
       }
     } catch (...) {
       // A model that throws poisons only the requests in this batch —
       // the worker and every other queued request keep going.
       const std::exception_ptr error = std::current_exception();
-      for (Request* r : live) Complete(*r, {}, error);
+      for (Request* r : live) r->done({}, error, std::move(r->features));
     }
   }
 }

@@ -4,10 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -22,8 +21,8 @@ namespace spe {
 
 /// What a producer experiences when the request queue is full.
 enum class OverflowPolicy {
-  kBlock,  // Submit blocks until a worker frees queue space
-  kShed,   // Submit returns immediately; the future holds ScorerOverloaded
+  kBlock,  // SubmitCallback blocks until a worker frees queue space
+  kShed,   // SubmitCallback completes at once with ScorerOverloaded
 };
 
 struct BatchScorerConfig {
@@ -59,16 +58,16 @@ struct BatchScorerConfig {
   std::size_t shadow_every = 8;
 };
 
-/// Thrown (via the returned future) when a request is shed under
+/// Delivered (as the completion's error) when a request is shed under
 /// OverflowPolicy::kShed or submitted after Shutdown.
 class ScorerOverloaded : public std::runtime_error {
  public:
   explicit ScorerOverloaded(const char* what) : std::runtime_error(what) {}
 };
 
-/// Thrown (via the returned future) when a request's deadline expired
-/// while it was still queued. The request was never scored. what() is
-/// the wire-stable token clients match on.
+/// Delivered (as the completion's error) when a request's deadline
+/// expired while it was still queued. The request was never scored.
+/// what() is the wire-stable token clients match on.
 class DeadlineExceeded : public std::runtime_error {
  public:
   DeadlineExceeded() : std::runtime_error("DEADLINE_EXCEEDED") {}
@@ -103,15 +102,15 @@ struct ScoreResult {
 /// bundles), live scores feed its drift detector.
 ///
 /// Robustness contract: a request may carry a deadline — if it expires
-/// while the request is still queued, the future fails fast with
+/// while the request is still queued, it completes at once with
 /// DeadlineExceeded and the model never sees the row. Under sustained
 /// overload (see BatchScorerConfig watermarks) batches are scored with
 /// an ensemble prefix and their results are marked `degraded`.
 ///
-/// Lifecycle: construct (workers start immediately), Submit/Score from
-/// any thread, Shutdown (or destroy) to drain. Shutdown refuses new
-/// work but completes every accepted request — no future is ever
-/// abandoned.
+/// Lifecycle: construct (workers start immediately), SubmitCallback /
+/// Score / ScoreBatch from any thread, Shutdown (or destroy) to drain.
+/// Shutdown refuses new work but completes every accepted request — no
+/// completion is ever abandoned.
 class BatchScorer {
  public:
   /// Sentinel for "no deadline".
@@ -137,46 +136,38 @@ class BatchScorer {
   BatchScorer(const BatchScorer&) = delete;
   BatchScorer& operator=(const BatchScorer&) = delete;
 
-  /// Enqueues one row; the future resolves to {P(y=1 | x), degraded}.
-  /// Under kBlock this blocks while the queue is full; under kShed it
-  /// returns immediately with a ScorerOverloaded future when full. After
-  /// Shutdown the future always holds ScorerOverloaded. A `deadline`
-  /// other than kNoDeadline fails the future with DeadlineExceeded if it
-  /// passes before the request is dispatched.
-  std::future<ScoreResult> Submit(
-      std::vector<double> features,
-      std::chrono::steady_clock::time_point deadline = kNoDeadline);
-
   /// Completion signature for SubmitCallback. Exactly one of
   /// result/error is meaningful: `error` is null on success, else it
-  /// holds what the future path would have thrown (ScorerOverloaded,
-  /// DeadlineExceeded, or a model exception). `features` is the
-  /// submitted vector handed back so the caller can pool it — its
-  /// contents are unspecified, its capacity is intact.
+  /// holds ScorerOverloaded, DeadlineExceeded, or a model exception.
+  /// `features` is the submitted vector handed back so the caller can
+  /// pool it — its contents are unspecified, its capacity is intact.
   using ScoreCallback = std::function<void(
       ScoreResult result, std::exception_ptr error,
       std::vector<double> features)>;
 
-  /// Future-free submission for event-loop transports: instead of
-  /// parking a thread on a future, `done` is invoked exactly once when
-  /// the request completes — on a worker thread normally, or inline on
-  /// the submitting thread when the request is shed (queue full under
-  /// kShed, or after Shutdown). Same queueing, batching, deadline and
-  /// degradation semantics as Submit; the two paths differ only in how
-  /// the result leaves the scorer. `done` must not block: it runs on
-  /// the scoring workers, so a slow callback stalls batch dispatch.
+  /// Enqueues one row; `done` is invoked exactly once with
+  /// {P(y=1 | x), degraded} when the request completes — on a worker
+  /// thread normally, or inline on the submitting thread when the
+  /// request is shed. Under kBlock this blocks while the queue is full;
+  /// under kShed a full queue completes it at once with
+  /// ScorerOverloaded, as does any submission after Shutdown. A
+  /// `deadline` other than kNoDeadline completes it with
+  /// DeadlineExceeded if it passes before the request is dispatched.
+  /// `done` must not block: it runs on the scoring workers, so a slow
+  /// callback stalls batch dispatch.
   void SubmitCallback(std::vector<double> features,
                       std::chrono::steady_clock::time_point deadline,
                       ScoreCallback done);
 
-  /// Convenience: Submit + wait, probability only. Propagates
-  /// ScorerOverloaded / DeadlineExceeded.
+  /// Convenience: SubmitCallback + wait, probability only. Throws
+  /// ScorerOverloaded / DeadlineExceeded / the model's exception.
   double Score(std::vector<double> features);
 
   /// Scores every row of `rows` through the batching engine and returns
   /// probabilities in row order. Always blocks for queue space (even
   /// under kShed — offline scoring must not drop rows), so the offline
-  /// CLI path and the online path share one dispatch code path.
+  /// CLI path and the online path share one dispatch code path. Throws
+  /// the model's exception if a batch fails.
   std::vector<double> ScoreBatch(const DatasetView& rows);
 
   /// Refuses new submissions, waits for workers to drain every queued
@@ -205,18 +196,10 @@ class BatchScorer {
  private:
   struct Request {
     std::vector<double> features;
-    /// Engaged on the future path only; the callback path skips the
-    /// promise's shared-state allocation entirely.
-    std::optional<std::promise<ScoreResult>> promise;
-    ScoreCallback done;  // engaged on the callback path only
+    ScoreCallback done;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline = kNoDeadline;
   };
-
-  /// Resolves `r` through whichever channel it carries (promise or
-  /// callback). `error` null means success.
-  static void Complete(Request& r, ScoreResult result,
-                       std::exception_ptr error);
 
   void WorkerLoop();
   void ShadowScore(const DatasetView& rows, std::span<const double> active_probs,

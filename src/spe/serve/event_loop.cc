@@ -1,13 +1,17 @@
 #include "spe/serve/event_loop.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <exception>
 #include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -22,23 +26,48 @@ namespace {
 
 constexpr std::uint64_t kListenerToken = 0;
 constexpr std::uint64_t kWakeToken = 1;
+/// Set on the epoll token of an adopted session's output descriptor,
+/// which is registered apart from its input.
+constexpr std::uint64_t kOutputToken = std::uint64_t{1} << 63;
 
-/// The capacity refusal line, byte-identical to the old server's.
 constexpr char kCapacityRefusal[] = "ERR server at connection capacity\n";
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+/// write(2) to a blocking descriptor without blocking the loop. A
+/// pollable one is written only when poll(2) reports room, and then at
+/// most PIPE_BUF bytes (`want` shrinks to match): what a writable pipe
+/// takes whole. A full descriptor reports EAGAIN, like a nonblocking
+/// one; a pipe whose reader is gone (POLLERR) reports EPIPE without
+/// writing, so the loop never raises SIGPIPE on it.
+ssize_t WriteAdopted(int fd, bool pollable, const char* data,
+                     std::size_t& want) {
+  if (pollable) {
+    pollfd p{fd, POLLOUT, 0};
+    if (poll(&p, 1, 0) < 0) return -1;
+    if ((p.revents & (POLLERR | POLLNVAL)) != 0) {
+      errno = EPIPE;
+      return -1;
+    }
+    if ((p.revents & POLLOUT) == 0) {
+      errno = EAGAIN;
+      return -1;
+    }
+    want = std::min<std::size_t>(want, PIPE_BUF);
+  }
+  return write(fd, data, want);
+}
+
 }  // namespace
 
 /// One queued response slot. Responses are written strictly in deque
-/// order per connection; a slot is written once `ready` (kScore and
+/// order per session; a slot is written once `ready` (kScore and
 /// kReload resolve asynchronously) or, for the snapshot kinds, rendered
 /// lazily the moment the slot reaches the head — after every earlier
 /// response has been formatted into the output buffer, so the snapshot
-/// covers the same completed requests the old writer thread's
-/// render-at-write saw.
+/// covers every request answered before it.
 struct EventLoop::Pending {
   enum class Kind : unsigned char {
     kImmediate,  // response already formatted (parse errors, width errors)
@@ -105,14 +134,21 @@ struct EventLoop::Shared {
   std::atomic<bool> drain_requested{false};
 };
 
-/// Per-connection state machine.
+/// Per-session state machine: an accepted socket, or an adopted
+/// descriptor pair.
 struct EventLoop::Conn {
   enum class Proto : unsigned char { kUnknown, kText, kBinary };
 
-  int fd = -1;
+  int fd = -1;              // the socket, or the adopted input
+  int out_fd = -1;          // == fd for a socket
   std::uint64_t token = 0;
   Proto proto = Proto::kUnknown;
-  std::uint32_t armed = 0;  // epoll interest currently registered
+  std::uint32_t armed = 0;  // interest in force (EPOLLIN / EPOLLOUT)
+  // Adopted descriptors are blocking and owned by the caller; one that
+  // epoll refuses (regular file, /dev/null) is always ready instead.
+  bool adopted = false;
+  bool in_pollable = true;
+  bool out_pollable = true;
 
   std::string in;           // unparsed request bytes
   std::size_t in_pos = 0;   // parse cursor into `in`
@@ -135,6 +171,12 @@ EventLoop::EventLoop(BatchScorer& scorer, EventLoopConfig config,
       config_(std::move(config)),
       reload_fn_(std::move(reload_fn)),
       shared_(std::make_shared<Shared>()) {
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  SPE_CHECK_GE(epoll_fd_, 0) << "epoll_create1 failed";
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeToken;
+  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, shared_->wake_fd, &ev), 0);
   metrics_collector_ =
       obs::MetricsRegistry::Global().AddCollector([this](std::string& out) {
         const auto counter = [&out](const char* name, std::uint64_t v) {
@@ -172,7 +214,7 @@ EventLoop::EventLoop(BatchScorer& scorer, EventLoopConfig config,
 
 EventLoop::~EventLoop() {
   for (auto& [token, conn] : conns_) {
-    if (conn->fd >= 0) close(conn->fd);
+    if (!conn->adopted) close(conn->fd);
   }
   if (listen_fd_ >= 0) close(listen_fd_);
   if (epoll_fd_ >= 0) close(epoll_fd_);
@@ -198,6 +240,44 @@ std::string EventLoop::Listen(const std::string& host, int port) {
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenerToken;
+  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev), 0);
+  return "";
+}
+
+std::string EventLoop::Adopt(int in_fd, int out_fd) {
+  if (in_fd == out_fd) return "Adopt needs distinct input and output fds";
+  // epoll_ctl refuses a regular file or /dev/null with EPERM: such a
+  // descriptor is always ready. Interest is registered later, only
+  // while the session wants it.
+  const auto probe = [this](int fd, bool& pollable) {
+    epoll_event ev{};
+    pollable = epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+    if (pollable) epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+    return pollable || errno == EPERM;
+  };
+  auto conn = std::make_unique<Conn>();
+  if (!probe(in_fd, conn->in_pollable) || !probe(out_fd, conn->out_pollable)) {
+    return Errno("epoll_ctl");
+  }
+  const std::uint64_t token = next_token_++;
+  conn->fd = in_fd;
+  conn->out_fd = out_fd;
+  conn->token = token;
+  conn->adopted = true;
+  conn->in = GetBuffer();
+  conn->out = GetBuffer();
+  ++active_sessions_;
+  counters_.accepted.fetch_add(1, std::memory_order_relaxed);
+  counters_.connections.fetch_add(1, std::memory_order_relaxed);
+  if (!conn->in_pollable || !conn->out_pollable) {
+    always_ready_.push_back(token);
+  }
+  Conn& c = *conn;
+  conns_.emplace(token, std::move(conn));
+  UpdateConn(c);
   return "";
 }
 
@@ -227,21 +307,21 @@ void EventLoop::PutBuffer(std::string buf) {
 }
 
 void EventLoop::Run() {
-  SPE_CHECK_GE(listen_fd_, 0) << "Listen() before Run()";
-  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  SPE_CHECK_GE(epoll_fd_, 0) << "epoll_create1 failed";
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerToken;
-  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev), 0);
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeToken;
-  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, shared_->wake_fd, &ev), 0);
-
+  // The interest an adopted session has in descriptors epoll refused.
+  const auto always_ready_events = [this](std::uint64_t token) {
+    const Conn& c = *conns_.at(token);
+    return (c.in_pollable ? 0u : c.armed & EPOLLIN) |
+           (c.out_pollable ? 0u : c.armed & EPOLLOUT);
+  };
   epoll_event events[256];
-  while (!(draining_ && conns_.empty())) {
-    const int n = epoll_wait(epoll_fd_, events, 256, -1);
+  while (!((draining_ || listen_fd_ < 0) && conns_.empty())) {
+    // An always-ready descriptor with interest is served right away, so
+    // the wait must not sleep.
+    int timeout = -1;
+    for (const std::uint64_t token : always_ready_) {
+      if (always_ready_events(token) != 0) timeout = 0;
+    }
+    const int n = epoll_wait(epoll_fd_, events, 256, timeout);
     if (n < 0) {
       if (errno == EINTR) continue;
       SPE_CHECK(false) << Errno("epoll_wait");
@@ -252,9 +332,17 @@ void EventLoop::Run() {
         AcceptReady();
       } else if (token == kWakeToken) {
         DrainCompletions();
+      } else if ((token & kOutputToken) != 0) {
+        HandleConnEvent(token & ~kOutputToken, EPOLLOUT);
       } else {
         HandleConnEvent(token, events[i].events);
       }
+    }
+    const std::vector<std::uint64_t> ready = always_ready_;
+    for (const std::uint64_t token : ready) {
+      if (conns_.count(token) == 0) continue;  // closed in this batch
+      const std::uint32_t ev = always_ready_events(token);
+      if (ev != 0) HandleConnEvent(token, ev);
     }
   }
 }
@@ -268,10 +356,8 @@ void EventLoop::AcceptReady() {
           errno == ECONNABORTED) {
         return;
       }
-      // EINVAL: a signal thread shut the listener down — the drain
-      // request of the old blocking-accept design. Anything else
-      // (EMFILE exhaustion aside) also stops the listener; draining is
-      // the safe response either way.
+      // Anything else (fd exhaustion aside) means the listener is
+      // broken; draining is the safe response.
       if (errno == EMFILE || errno == ENFILE) {
         // Out of fds: shed by not accepting; the backlog holds.
         return;
@@ -283,9 +369,14 @@ void EventLoop::AcceptReady() {
       close(fd);
       continue;
     }
+    // Responses are small and often pipelined: without TCP_NODELAY,
+    // Nagle holds every write behind the peer's delayed ACK (~40 ms).
+    const int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t token = next_token_++;
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
+    conn->out_fd = fd;
     conn->token = token;
     conn->in = GetBuffer();
     conn->out = GetBuffer();
@@ -319,9 +410,12 @@ void EventLoop::HandleConnEvent(std::uint64_t token, std::uint32_t events) {
   const auto it = conns_.find(token);
   if (it == conns_.end()) return;  // closed earlier in this batch
   Conn& c = *it->second;
-  if (events & (EPOLLERR | EPOLLHUP)) {
-    // Let the read path observe the condition (recv reports the real
-    // error, or EOF); a write-side hangup surfaces in TryFlush.
+  // A socket's hangup covers both directions: once it is no longer
+  // read, flush what is owed and close. Otherwise (and always for an
+  // adopted input, whose hangup says nothing about its output) the read
+  // path observes the condition — recv/read reports the real error, or
+  // EOF; a write-side hangup surfaces in TryFlush.
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0 && !c.adopted) {
     if (!c.read_open) {
       if (!TryFlush(c)) return;
       CloseConn(token);
@@ -348,19 +442,24 @@ void EventLoop::HandleReadable(Conn& c) {
     }
     const std::size_t old = c.in.size();
     c.in.resize(old + config_.read_chunk_bytes);
-    const ssize_t n = recv(c.fd, c.in.data() + old, config_.read_chunk_bytes, 0);
+    const ssize_t n =
+        c.adopted ? read(c.fd, c.in.data() + old, config_.read_chunk_bytes)
+                  : recv(c.fd, c.in.data() + old, config_.read_chunk_bytes, 0);
     if (n > 0) {
       c.in.resize(old + static_cast<std::size_t>(n));
       ParseInput(c);
       if (conns_.find(c.token) == conns_.end()) return;
+      // A blocking descriptor may block on a second read; the next
+      // readiness report brings the loop back.
+      if (c.adopted) return;
       continue;
     }
     c.in.resize(old);
     if (n == 0) {
       // EOF. A final unterminated text line still counts as a request
-      // (matches fgets semantics at stream end) — and so does an
-      // oversized line cut short by EOF, which still earns its error
-      // line. A partial binary frame has no id to answer; dropped.
+      // — and so does an oversized line cut short by EOF, which still
+      // earns its error line. A partial binary frame has no id to
+      // answer; dropped.
       c.read_open = false;
       if (!draining_ && c.proto != Conn::Proto::kBinary &&
           (c.discard_line ||
@@ -649,8 +748,7 @@ void EventLoop::PumpPending(Conn& c) {
         case Pending::Kind::kStats: {
           // Rendered only now — at the head, with every earlier
           // response already formatted into c.out — so the snapshot
-          // reflects the same completed requests the old writer thread
-          // saw when it popped the item.
+          // covers every request answered before it.
           std::string text = ToJson(scorer_.stats().Snapshot());
           if (head.binary) {
             wire::AppendTextResponse(head.response, text);
@@ -679,7 +777,7 @@ void EventLoop::PumpPending(Conn& c) {
           // The reload barrier: fire only when every response for a
           // request read before the !reload is on the wire. Pending
           // being the head covers "answered"; the empty output buffer
-          // covers "written" — together, the old inflight==0 condition.
+          // covers "written".
           if (c.out.size() != c.out_pos) {
             if (!TryFlush(c)) return;  // connection closed on write error
             if (c.out.size() != c.out_pos) {
@@ -756,9 +854,11 @@ void EventLoop::PumpPending(Conn& c) {
 
 bool EventLoop::TryFlush(Conn& c) {
   while (c.out_pos < c.out.size()) {
-    const std::size_t want = c.out.size() - c.out_pos;
+    std::size_t want = c.out.size() - c.out_pos;
     const ssize_t n =
-        send(c.fd, c.out.data() + c.out_pos, want, MSG_NOSIGNAL);
+        c.adopted ? WriteAdopted(c.out_fd, c.out_pollable,
+                                 c.out.data() + c.out_pos, want)
+                  : send(c.fd, c.out.data() + c.out_pos, want, MSG_NOSIGNAL);
     if (n > 0) {
       c.out_pos += static_cast<std::size_t>(n);
       if (static_cast<std::size_t>(n) < want) {
@@ -769,7 +869,7 @@ bool EventLoop::TryFlush(Conn& c) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     // Hard error (peer reset): undeliverable responses are dropped with
-    // the connection, like the old writer thread's failed fputs.
+    // the session.
     counters_.write_errors.fetch_add(1, std::memory_order_relaxed);
     CloseConn(c.token);
     return false;
@@ -799,13 +899,31 @@ void EventLoop::UpdateConn(Conn& c) {
     want |= EPOLLIN;
   }
   if (has_output) want |= EPOLLOUT;
-  if (want != c.armed) {
+  if (want == c.armed) return;
+  if (!c.adopted) {
     epoll_event ev{};
     ev.events = want;
     ev.data.u64 = c.token;
     SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev), 0);
-    c.armed = want;
+  } else {
+    // An adopted descriptor is registered only while wanted: a pipe
+    // reports EPOLLHUP/EPOLLERR even with no interest set, which would
+    // spin the loop.
+    const auto track = [&](std::uint32_t bit, int fd, bool pollable,
+                           std::uint64_t token) {
+      if (!pollable || ((want ^ c.armed) & bit) == 0) return;
+      epoll_event ev{};
+      ev.events = want & bit;
+      ev.data.u64 = token;
+      SPE_CHECK_EQ(epoll_ctl(epoll_fd_,
+                             ev.events != 0 ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                             fd, &ev),
+                   0);
+    };
+    track(EPOLLIN, c.fd, c.in_pollable, c.token);
+    track(EPOLLOUT, c.out_fd, c.out_pollable, c.token | kOutputToken);
   }
+  c.armed = want;
 }
 
 void EventLoop::CloseConn(std::uint64_t token) {
@@ -813,7 +931,14 @@ void EventLoop::CloseConn(std::uint64_t token) {
   if (it == conns_.end()) return;
   Conn& c = *it->second;
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
-  close(c.fd);
+  if (c.adopted) {
+    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.out_fd, nullptr);
+    always_ready_.erase(
+        std::remove(always_ready_.begin(), always_ready_.end(), token),
+        always_ready_.end());
+  } else {
+    close(c.fd);
+  }
   if (!c.refusal) --active_sessions_;
   counters_.connections.fetch_sub(1, std::memory_order_relaxed);
   PutBuffer(std::move(c.in));
@@ -824,10 +949,12 @@ void EventLoop::CloseConn(std::uint64_t token) {
 void EventLoop::BeginDrain() {
   if (draining_) return;
   draining_ = true;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-  close(listen_fd_);
-  listen_fd_ = -1;
-  // Half-close every connection (the old per-session SHUT_RD): no new
+  if (listen_fd_ >= 0) {
+    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  // Stop reading every session (sockets are half-closed): no new
   // requests, every accepted one still answered. Partially read input
   // is dropped — scoring a truncated request would answer garbage.
   std::vector<std::uint64_t> tokens;
@@ -837,7 +964,7 @@ void EventLoop::BeginDrain() {
     const auto it = conns_.find(token);
     if (it == conns_.end()) continue;
     Conn& c = *it->second;
-    shutdown(c.fd, SHUT_RD);
+    if (!c.adopted) shutdown(c.fd, SHUT_RD);
     c.read_open = false;
     c.in.clear();
     c.in_pos = 0;

@@ -18,19 +18,16 @@
 
 namespace spe::serve {
 
-/// Tuning for the TCP reactor. The defaults match the retired
-/// thread-per-connection server so a config-free swap changes nothing
-/// observable.
+/// Tuning for the serving loop.
 struct EventLoopConfig {
   /// Concurrent connections; one past the bound is answered with the
   /// capacity error line and closed. 0 = unlimited.
   std::size_t max_connections = 256;
   /// Deadline inherited by requests that do not carry one (<= 0: none).
   double default_deadline_ms = 0.0;
-  /// Per-connection bound on responses accepted but not yet written;
-  /// at the bound the connection stops being read (TCP backpressure)
-  /// until responses drain. Same constant the writer-thread design
-  /// bounded its response deque with.
+  /// Per-session bound on responses accepted but not yet written; at
+  /// the bound the session stops being read (TCP backpressure) until
+  /// responses drain.
   std::size_t max_pending_per_conn = 16384;
   /// Bytes per read(2) into a connection's input buffer.
   std::size_t read_chunk_bytes = 64 * 1024;
@@ -48,9 +45,9 @@ using ReloadRequestFn =
     std::function<void(std::string path, std::function<void(std::string)> done)>;
 
 /// Aggregate loop counters, readable after Run() returns (and exported
-/// live as spe_serve_loop_* metrics while it runs).
+/// as spe_serve_loop_* metrics while the loop exists).
 struct EventLoopCounters {
-  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> accepted{0};      // TCP accepts plus Adopt()
   std::atomic<std::uint64_t> refused{0};
   std::atomic<std::uint64_t> text_requests{0};
   std::atomic<std::uint64_t> binary_requests{0};
@@ -61,49 +58,44 @@ struct EventLoopCounters {
   std::atomic<std::uint64_t> connections{0};   // currently open (gauge)
 };
 
-/// Single-threaded epoll reactor serving the scoring protocols over
-/// TCP. One thread owns every socket: it accepts, sniffs the protocol
-/// (first byte 0xA6 selects the binary frame format of spe/serve/wire.h,
-/// anything else the newline text protocol), parses requests straight
-/// out of per-connection input buffers, and submits rows to the shared
-/// BatchScorer through its callback path. Scoring workers format the
-/// response into the request's pending slot and poke the loop through
-/// an eventfd; the loop writes responses strictly in request order per
-/// connection, exactly like the retired writer-thread design.
+/// Single-threaded epoll reactor serving the scoring protocols. One
+/// thread owns every session: it accepts TCP connections or adopts an
+/// already-open descriptor pair (Adopt — what `spe_serve --stdio` runs
+/// on), sniffs the protocol (first byte 0xA6 selects the binary frame
+/// format of spe/serve/wire.h, anything else the newline text protocol),
+/// parses requests straight out of per-session input buffers, and
+/// submits rows to the shared BatchScorer through its callback path.
+/// Scoring workers format the response into the request's pending slot
+/// and poke the loop through an eventfd; the loop writes responses
+/// strictly in request order per session.
 ///
 /// Memory is pooled, not per-request: input/output byte buffers are
-/// recycled across connections, and each scored row's feature vector
+/// recycled across sessions, and each scored row's feature vector
 /// round-trips through the scorer callback back into a free list, so a
-/// steady-state connection allocates nothing on the hot path.
+/// steady-state session allocates nothing on the hot path.
 ///
-/// Ordering and lifecycle semantics are inherited bit-for-bit from the
-/// thread-per-connection server:
-///   - responses per connection come back in request order;
+/// Ordering and lifecycle semantics, per session:
+///   - responses come back in request order;
 ///   - STATS / !stats snapshots are rendered only after every earlier
-///     response on the connection has been formatted (appended to its
-///     output buffer) — observably the snapshot the old server rendered
-///     after writing them, since those requests have completed either
-///     way; the write to the wire itself may still be pending;
+///     response on the session has been formatted (appended to its
+///     output buffer), so they cover every request answered before
+///     them; the write to the wire itself may still be pending;
 ///   - !reload fires only after every request read before it has been
-///     answered *and written* (the old inflight==0 barrier), parsing
-///     resumes when the reload's OK/ERR is on the wire;
-///   - drain (RequestDrain(), or shutdown(2) of the listen fd by a
-///     signal thread) stops accepting, half-closes every connection,
-///     drops partially read requests, answers everything accepted, and
-///     Run() returns.
+///     answered *and written*, and parsing resumes when the reload's
+///     OK/ERR is on the wire;
+///   - drain (RequestDrain()) stops accepting, stops reading every
+///     session, drops partially read requests, answers everything
+///     accepted, and Run() returns.
 ///
 /// Blocking caveat: under OverflowPolicy::kBlock a full scorer queue
-/// blocks the loop inside SubmitCallback — all connections stall until
-/// workers free queue space. That is the same global backpressure the
-/// per-connection readers produced collectively, concentrated in one
-/// thread; kShed keeps the loop wait-free.
+/// blocks the loop inside SubmitCallback — all sessions stall until
+/// workers free queue space. kShed keeps the loop wait-free.
 class EventLoop {
  public:
   /// `reload_fn` may be empty, in which case !reload answers an error.
-  /// The scorer must outlive the loop; the loop must be destroyed
-  /// before the scorer shuts down *or* after — both are safe, because
-  /// in-flight completions land in a shared mailbox that outlives the
-  /// loop itself.
+  /// The scorer must outlive the loop; the loop may be destroyed before
+  /// the scorer shuts down *or* after — both are safe, because in-flight
+  /// completions land in a shared mailbox that outlives the loop itself.
   EventLoop(BatchScorer& scorer, EventLoopConfig config,
             ReloadRequestFn reload_fn);
   ~EventLoop();
@@ -117,16 +109,29 @@ class EventLoop {
 
   int port() const { return port_; }
 
-  /// The listening socket, for signal handlers that drain the server by
-  /// shutdown(2) of the listener (the loop sees the listener error and
-  /// begins its drain). -1 before Listen.
-  int listen_fd() const { return listen_fd_; }
+  /// Serves one text-or-binary session on an already-open descriptor
+  /// pair, through the same parse/submit/ordered-write path as an
+  /// accepted socket. The caller keeps ownership: the loop never closes
+  /// the descriptors, nor sets O_NONBLOCK on them (the open file
+  /// descriptions may be shared with a parent process). A blocking
+  /// pollable input (pipe, fifo, tty) is read once per readiness
+  /// report; one epoll refuses (regular file, /dev/null) is always
+  /// ready. Writes to a pollable output go out PIPE_BUF bytes at a time
+  /// when poll(2) reports room. The session ends at input EOF once
+  /// every response is written, or at drain. poll(2) also catches an
+  /// output pipe whose reader is gone, but one that leaves between the
+  /// poll and the write raises SIGPIPE, so the process should ignore
+  /// it. Call before Run(), from the thread that runs it. Returns "" on
+  /// success, else a description.
+  std::string Adopt(int in_fd, int out_fd);
 
   /// Serves until drained: every accepted request answered, every
-  /// connection closed. Call from exactly one thread.
+  /// session closed. Without a listener, also returns once the last
+  /// session has ended. Call from exactly one thread.
   void Run();
 
-  /// Thread-safe: asks the loop to begin the drain sequence.
+  /// Thread-safe while the loop exists: asks it to begin the drain
+  /// sequence. Also honored when called before Run().
   void RequestDrain();
 
   const EventLoopCounters& counters() const { return counters_; }
@@ -165,6 +170,9 @@ class EventLoop {
   std::uint64_t next_token_ = 2;  // 0 = listener, 1 = completion eventfd
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::size_t active_sessions_ = 0;  // conns_ minus capacity refusals
+  /// Adopted sessions with a descriptor epoll refused; Run() serves
+  /// them without waiting while they have interest.
+  std::vector<std::uint64_t> always_ready_;
 
   /// Completion mailbox + feature-vector pool, shared with scorer and
   /// reload callbacks. shared_ptr so a callback that outlives the loop

@@ -1,16 +1,19 @@
-// Live-socket tests for the epoll serving loop (spe/serve/event_loop.h):
+// Live tests for the epoll serving loop (spe/serve/event_loop.h):
 // protocol negotiation, response bit-identity against the scorer's own
-// future path, slow clients that force partial writes, the capacity
-// refusal line, !reload ordering, and drain. Everything runs against
+// callback path, slow clients that force partial writes, the capacity
+// refusal line, !reload ordering, drain, pipelined latency, and
+// sessions adopted on pipes and regular files. Sockets run against
 // 127.0.0.1 on an ephemeral port; no test sleeps for correctness —
-// sockets block with generous timeouts instead.
+// reads block with generous timeouts instead.
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,7 +21,9 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +34,7 @@
 #include "spe/serve/event_loop.h"
 #include "spe/serve/line_protocol.h"
 #include "spe/serve/wire.h"
+#include "submit_future.h"
 #include "test_util.h"
 
 namespace spe {
@@ -40,14 +46,32 @@ std::unique_ptr<Classifier> TinyModel() {
   return tree;
 }
 
+/// Answers 0.5 for every row after a 1 ms pause per batch, so
+/// consecutive responses complete — and are written — apart.
+class PausingModel final : public Classifier {
+ public:
+  void Fit(const DatasetView&) override {}
+  double PredictRow(std::span<const double>) const override { return 0.5; }
+  std::vector<double> PredictProba(const DatasetView& rows) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return std::vector<double>(rows.num_rows(), 0.5);
+  }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<PausingModel>();
+  }
+  std::string Name() const override { return "Pausing"; }
+};
+
 /// Scorer + loop on an ephemeral port, with the loop on its own thread.
 class LoopHarness {
  public:
   explicit LoopHarness(serve::EventLoopConfig config = {},
-                       serve::ReloadRequestFn reload_fn = {}) {
-    BatchScorerConfig scorer_config;
+                       serve::ReloadRequestFn reload_fn = {},
+                       BatchScorerConfig scorer_config = {},
+                       std::unique_ptr<Classifier> model = TinyModel()) {
     scorer_config.num_workers = 2;
-    scorer_ = std::make_unique<BatchScorer>(TinyModel(), 2, scorer_config);
+    scorer_ = std::make_unique<BatchScorer>(std::move(model), 2,
+                                            scorer_config);
     loop_ = std::make_unique<serve::EventLoop>(*scorer_, config,
                                                std::move(reload_fn));
     const std::string error = loop_->Listen("127.0.0.1", 0);
@@ -92,23 +116,67 @@ class LoopHarness {
   std::thread thread_;
 };
 
+/// Scorer + loop serving one session adopted on (in_fd, out_fd), with
+/// no listener, and the loop on its own thread.
+class AdoptedSession {
+ public:
+  AdoptedSession(int in_fd, int out_fd, serve::EventLoopConfig config = {},
+                 serve::ReloadRequestFn reload_fn = {}) {
+    BatchScorerConfig scorer_config;
+    scorer_config.num_workers = 2;
+    scorer_ = std::make_unique<BatchScorer>(TinyModel(), 2, scorer_config);
+    loop_ = std::make_unique<serve::EventLoop>(*scorer_, config,
+                                               std::move(reload_fn));
+    EXPECT_EQ(loop_->Adopt(in_fd, out_fd), "");
+    thread_ = std::thread([this] {
+      loop_->Run();
+      returned_.set_value();
+    });
+  }
+
+  ~AdoptedSession() {
+    loop_->RequestDrain();  // unblocks a failed test; harmless after Run()
+    thread_.join();
+    scorer_->Shutdown();
+  }
+
+  /// True once Run() has returned, waiting up to `timeout`.
+  bool Returned(std::chrono::seconds timeout = std::chrono::seconds(30)) {
+    return done_.wait_for(timeout) == std::future_status::ready;
+  }
+
+  BatchScorer& scorer() { return *scorer_; }
+  serve::EventLoop& loop() { return *loop_; }
+
+ private:
+  std::unique_ptr<BatchScorer> scorer_;
+  std::unique_ptr<serve::EventLoop> loop_;
+  std::promise<void> returned_;
+  std::future<void> done_ = returned_.get_future();
+  std::thread thread_;
+};
+
 void SendAll(int fd, std::string_view bytes) {
   std::size_t put = 0;
   while (put < bytes.size()) {
-    const ssize_t n = send(fd, bytes.data() + put, bytes.size() - put, 0);
+    const ssize_t n = write(fd, bytes.data() + put, bytes.size() - put);
     ASSERT_GT(n, 0) << std::strerror(errno);
     put += static_cast<std::size_t>(n);
   }
 }
 
-/// Reads until `count` newline-terminated lines arrived (or EOF/timeout
-/// fails the test). Returns the lines without their newlines.
+/// Reads a socket or pipe until `count` newline-terminated lines arrived
+/// (or EOF/a 30 s silence fails the test). Returns the lines without
+/// their newlines.
 std::vector<std::string> RecvLines(int fd, std::size_t count) {
   std::vector<std::string> lines;
   std::string buffer;
   char chunk[4096];
   while (lines.size() < count) {
-    const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
+    pollfd ready{fd, POLLIN, 0};
+    const ssize_t n = poll(&ready, 1, 30'000) == 1
+                          ? read(fd, chunk, sizeof(chunk))
+                          : -1;
     if (n <= 0) {
       ADD_FAILURE() << "connection ended after " << lines.size() << "/"
                     << count << " lines: " << std::strerror(errno);
@@ -168,12 +236,14 @@ TEST(EventLoopTest, TextResponsesAreBitIdenticalToTheScorer) {
   SendAll(fd, request_text);
   const std::vector<std::string> lines = RecvLines(fd, rows.size() + 1);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ScoreResult truth = harness.scorer().Submit(rows[i]).get();
+    const ScoreResult truth =
+        testing::SubmitFuture(harness.scorer(), rows[i]).get();
     ServeRequest csv;
     csv.json = false;
     EXPECT_EQ(lines[i], FormatScoreResponse(csv, truth.proba, truth.degraded));
   }
-  const ScoreResult truth = harness.scorer().Submit({4.0, 4.0}).get();
+  const ScoreResult truth =
+      testing::SubmitFuture(harness.scorer(), {4.0, 4.0}).get();
   ServeRequest json;
   json.json = true;
   json.id = "9";
@@ -402,6 +472,138 @@ TEST(EventLoopTest, MixedProtocolConnectionsCoexist) {
   EXPECT_EQ(text[0], formatted);
   close(text_fd);
   close(bin_fd);
+}
+
+TEST(EventLoopTest, PipelinedRoundsAreNotHeldByNagle) {
+  // One row per batch, no fill delay and a model that pauses: each of a
+  // round's three responses is its own small write. Without TCP_NODELAY
+  // on the accepted socket, Nagle holds a write while an earlier one
+  // waits for the client's delayed ACK (~40 ms), stalling the round.
+  BatchScorerConfig scorer_config;
+  scorer_config.max_batch_size = 1;
+  scorer_config.max_batch_delay_us = 0;
+  LoopHarness harness({}, {}, scorer_config,
+                      std::make_unique<PausingModel>());
+  const int fd = harness.Connect();
+  std::vector<double> round_ms;
+  for (int round = 0; round < 20; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    SendAll(fd, "1.0,2.0\n2.0,3.0\n3.0,4.0\n");
+    ASSERT_EQ(RecvLines(fd, 3).size(), 3u);
+    round_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::nth_element(round_ms.begin(), round_ms.begin() + 10, round_ms.end());
+  EXPECT_LT(round_ms[10], 10.0) << "median pipelined round, ms";
+  close(fd);
+}
+
+TEST(EventLoopTest, AdoptedPipePairServesATextSession) {
+  int requests[2];
+  int responses[2];
+  ASSERT_EQ(pipe(requests), 0);
+  ASSERT_EQ(pipe(responses), 0);
+  {
+    AdoptedSession session(requests[0], responses[1]);
+    SendAll(requests[1],
+            "1.0,2.0\n{\"id\":3,\"features\":[4.0,4.0]}\nSTATS\n");
+    const std::vector<std::string> lines = RecvLines(responses[0], 3);
+    ASSERT_EQ(lines.size(), 3u);
+    const ScoreResult truth =
+        testing::SubmitFuture(session.scorer(), {1.0, 2.0}).get();
+    ServeRequest csv;
+    EXPECT_EQ(lines[0], FormatScoreResponse(csv, truth.proba, truth.degraded));
+    EXPECT_EQ(lines[1].rfind("{\"id\":3,\"proba\":", 0), 0u) << lines[1];
+    EXPECT_NE(lines[2].find("rows_per_sec"), std::string::npos) << lines[2];
+    close(requests[1]);  // EOF ends the session
+    EXPECT_TRUE(session.Returned());
+  }
+  // The caller's descriptors: still open, still blocking.
+  for (const int fd : {requests[0], responses[1]}) {
+    const int flags = fcntl(fd, F_GETFL);
+    ASSERT_NE(flags, -1) << "the loop closed an adopted descriptor";
+    EXPECT_EQ(flags & O_NONBLOCK, 0);
+  }
+  close(requests[0]);
+  close(responses[0]);
+  close(responses[1]);
+}
+
+TEST(EventLoopTest, AdoptedRegularFileAnswersBacklogAndReloadInOrder) {
+  // epoll refuses a regular file (what ctest's INPUT_FILE hands a
+  // program as stdin), so this session runs the always-ready read path.
+  // More lines than the pending cap, a !reload in the middle and a last
+  // line without its newline: everything is answered, in order, and
+  // Run() returns at EOF.
+  std::FILE* input = std::tmpfile();
+  ASSERT_NE(input, nullptr);
+  std::string text;
+  for (int id = 0; id < 13; ++id) {
+    if (id == 6) text += "!reload candidate.model\n";
+    text += "{\"id\":" + std::to_string(id) + ",\"features\":[1.5,2.5]}";
+    if (id < 12) text += '\n';
+  }
+  ASSERT_GE(std::fputs(text.c_str(), input), 0);
+  ASSERT_EQ(std::fflush(input), 0);
+  std::rewind(input);
+  int responses[2];
+  ASSERT_EQ(pipe(responses), 0);
+  serve::EventLoopConfig config;
+  config.max_pending_per_conn = 4;
+  std::thread reloader;
+  {
+    AdoptedSession session(
+        fileno(input), responses[1], config,
+        [&reloader](std::string path, std::function<void(std::string)> done) {
+          reloader = std::thread([path = std::move(path),
+                                  done = std::move(done)] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            done("OK fake reload of " + path);
+          });
+        });
+    const std::vector<std::string> lines = RecvLines(responses[0], 14);
+    ASSERT_EQ(lines.size(), 14u);
+    std::size_t at = 0;
+    for (int id = 0; id < 13; ++id) {
+      if (id == 6) {
+        EXPECT_EQ(lines[at++], "OK fake reload of candidate.model");
+      }
+      const std::string prefix =
+          "{\"id\":" + std::to_string(id) + ",\"proba\":";
+      EXPECT_EQ(lines[at].rfind(prefix, 0), 0u)
+          << "response " << at << " missing or out of order: " << lines[at];
+      ++at;
+    }
+    EXPECT_TRUE(session.Returned());
+    EXPECT_EQ(session.loop().counters().text_requests.load(), 13u);
+  }
+  reloader.join();
+  std::fclose(input);
+  close(responses[0]);
+  close(responses[1]);
+}
+
+TEST(EventLoopTest, AdoptedPipeHeldOpenDrainsOnRequest) {
+  // The writer never closes its end: the loop must not block on the
+  // empty pipe, and only RequestDrain() ends the session.
+  int requests[2];
+  int responses[2];
+  ASSERT_EQ(pipe(requests), 0);
+  ASSERT_EQ(pipe(responses), 0);
+  {
+    AdoptedSession session(requests[0], responses[1]);
+    SendAll(requests[1], "1.0,2.0\n");
+    ASSERT_EQ(RecvLines(responses[0], 1).size(), 1u);
+    EXPECT_FALSE(session.Returned(std::chrono::seconds(0)));
+    session.loop().RequestDrain();
+    EXPECT_TRUE(session.Returned());
+    EXPECT_EQ(session.loop().counters().text_requests.load(), 1u);
+    EXPECT_EQ(session.scorer().stats().Snapshot().rows, 1u);
+  }
+  for (const int fd : {requests[0], requests[1], responses[0], responses[1]}) {
+    close(fd);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "spe/serve/batch_scorer.h"
 #include "spe/serve/line_protocol.h"
 #include "spe/serve/server_stats.h"
+#include "submit_future.h"
 
 #if defined(__SANITIZE_THREAD__)
 // libstdc++ is not TSan-instrumented in this toolchain, so the atomic
@@ -161,7 +163,7 @@ TEST(BatchScorerTest, MultiThreadedProducersRandomizedDelays) {
              i += kProducers) {
           std::vector<double> row(test.num_features());
           test.CopyRowTo(i, row);
-          futures.push_back(scorer.Submit(std::move(row)));
+          futures.push_back(testing::SubmitFuture(scorer, std::move(row)));
           rows.push_back(i);
           if (jitter_us(rng) < 20) {
             std::this_thread::sleep_for(
@@ -201,7 +203,7 @@ TEST(BatchScorerTest, ShutdownDrainsEveryAcceptedRequest) {
   for (std::size_t i = 0; i < test.num_rows(); ++i) {
     std::vector<double> row(test.num_features());
     test.CopyRowTo(i, row);
-    futures.push_back(scorer.Submit(std::move(row)));
+    futures.push_back(testing::SubmitFuture(scorer, std::move(row)));
   }
   scorer.Shutdown();
 
@@ -212,8 +214,9 @@ TEST(BatchScorerTest, ShutdownDrainsEveryAcceptedRequest) {
   }
   EXPECT_EQ(scorer.stats().Snapshot().rows, test.num_rows());
 
-  // After shutdown, new submissions are refused via the future.
-  auto rejected = scorer.Submit(std::vector<double>(test.num_features(), 0.0));
+  // After shutdown, new submissions are refused through the completion.
+  auto rejected = testing::SubmitFuture(
+      scorer, std::vector<double>(test.num_features(), 0.0));
   EXPECT_THROW(rejected.get(), ScorerOverloaded);
 }
 
@@ -246,7 +249,7 @@ TEST(BatchScorerTest, ShedPolicyRejectsWhenQueueFull) {
 
   std::vector<std::future<ScoreResult>> futures;
   for (int i = 0; i < 40; ++i) {
-    futures.push_back(scorer.Submit({0.0, 1.0}));
+    futures.push_back(testing::SubmitFuture(scorer, {0.0, 1.0}));
   }
   int ok = 0;
   int shed = 0;
@@ -261,6 +264,36 @@ TEST(BatchScorerTest, ShedPolicyRejectsWhenQueueFull) {
   EXPECT_GT(ok, 0);
   EXPECT_GT(shed, 0);
   EXPECT_EQ(static_cast<std::uint64_t>(shed), scorer.stats().Snapshot().shed);
+}
+
+// The synchronous entry points ride the callback channel too: a model
+// error and a refusal after Shutdown must still surface as exceptions.
+class ThrowingModel final : public Classifier {
+ public:
+  void Fit(const DatasetView&) override {}
+  double PredictRow(std::span<const double>) const override {
+    throw std::runtime_error("model exploded");
+  }
+  std::vector<double> PredictProba(const DatasetView&) const override {
+    throw std::runtime_error("model exploded");
+  }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<ThrowingModel>();
+  }
+  std::string Name() const override { return "Throwing"; }
+};
+
+TEST(BatchScorerTest, SynchronousScoringRethrowsCompletionErrors) {
+  BatchScorerConfig config;
+  config.num_workers = 1;
+  BatchScorer scorer(std::make_unique<ThrowingModel>(), 2, config);
+  EXPECT_THROW(scorer.Score({1.0, 2.0}), std::runtime_error);
+  Dataset rows(2);
+  rows.AddRow(std::vector<double>{1.0, 2.0}, 0);
+  rows.AddRow(std::vector<double>{3.0, 4.0}, 0);
+  EXPECT_THROW(scorer.ScoreBatch(rows), std::runtime_error);
+  scorer.Shutdown();
+  EXPECT_THROW(scorer.Score({1.0, 2.0}), ScorerOverloaded);
 }
 
 // ----------------------------------------------------- ensemble prefix
@@ -328,7 +361,7 @@ TEST(BatchScorerTest, ExpiredDeadlineFailsFastWithoutScoring) {
   // must expire it no matter how fast the pop happens.
   const auto past =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  auto expired = scorer.Submit({1.0, 2.0}, past);
+  auto expired = testing::SubmitFuture(scorer, {1.0, 2.0}, past);
   try {
     (void)expired.get();
     FAIL() << "expired request was scored";
@@ -341,8 +374,10 @@ TEST(BatchScorerTest, ExpiredDeadlineFailsFastWithoutScoring) {
   // A generous deadline and no deadline both still score normally.
   const auto future_deadline =
       std::chrono::steady_clock::now() + std::chrono::hours(1);
-  EXPECT_EQ(scorer.Submit({1.0, 2.0}, future_deadline).get().proba, 0.5);
-  EXPECT_EQ(scorer.Submit({1.0, 2.0}).get().proba, 0.5);
+  EXPECT_EQ(
+      testing::SubmitFuture(scorer, {1.0, 2.0}, future_deadline).get().proba,
+      0.5);
+  EXPECT_EQ(testing::SubmitFuture(scorer, {1.0, 2.0}).get().proba, 0.5);
   EXPECT_EQ(counter->calls(), 2u);
 
   const ServeStatsSnapshot s = scorer.stats().Snapshot();
@@ -423,13 +458,15 @@ TEST(BatchScorerTest, WatermarksEngageAndRestoreWithHysteresis) {
 
   // Pin the worker: it pops the gate row with an empty backlog (so the
   // gate row itself is scored at full fidelity) and blocks in the model.
-  auto gated = scorer.Submit({-1.0, 0.0});
+  auto gated = testing::SubmitFuture(scorer, {-1.0, 0.0});
   gate->AwaitGateEntered();
   EXPECT_FALSE(scorer.degraded());
 
   // Build a backlog of 6 behind the pinned worker, then open the gate.
   std::vector<std::future<ScoreResult>> queued;
-  for (int i = 0; i < 6; ++i) queued.push_back(scorer.Submit({0.0, 0.0}));
+  for (int i = 0; i < 6; ++i) {
+    queued.push_back(testing::SubmitFuture(scorer, {0.0, 0.0}));
+  }
   gate->Release();
 
   const ScoreResult first = gated.get();
@@ -487,7 +524,7 @@ TEST(BatchScorerTest, DegradedResultsBitIdenticalToPrefixScoring) {
     for (std::size_t i = 0; i < test.num_rows(); ++i) {
       std::vector<double> row(test.num_features());
       test.CopyRowTo(i, row);
-      futures.push_back(scorer.Submit(std::move(row)));
+      futures.push_back(testing::SubmitFuture(scorer, std::move(row)));
       rows.push_back(i);
     }
   }

@@ -6,7 +6,8 @@
 #      families with the exact values this session implies: 5 requests
 #      parsed, 4 scored rows, nothing shed, queue drained
 #   4. assert the --metrics-dump file was written and is a superset
-#      snapshot (same families, taken at drain)
+#      snapshot (same families, taken at drain, event-loop counters
+#      included)
 # Driven with `cmake -P` so it needs no shell beyond what CMake provides.
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
@@ -38,9 +39,9 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "spe_cli train failed (${rc}): ${out} ${err}")
 endif()
 
-# 4 score requests, then the metrics exposition. The writer thread is
-# FIFO, so by the time `!stats` is answered all 4 scores are recorded —
-# requests_total must read exactly 4 with zero shed.
+# 4 score requests, then the metrics exposition. `!stats` renders only
+# once every earlier response is formatted, so all 4 scores are recorded
+# — requests_total must read exactly 4 with zero shed.
 file(WRITE ${dir}/requests.txt
   "1.5,0.25\n-2.5,-1.75\n{\"id\":7,\"features\":[1.5,0.25]}\n0.5,0.5\n!stats\n")
 
@@ -90,6 +91,7 @@ file(READ ${dir}/metrics_dump.txt dump)
 foreach(expected
     "spe_serve_requests_total 4"
     "spe_serve_shed_total 0"
+    "spe_serve_loop_text_requests_total 4"
     "# EOF")
   if(NOT dump MATCHES "${expected}")
     message(FATAL_ERROR "metrics dump missing '${expected}':\n${dump}")

@@ -1,7 +1,9 @@
 # End-to-end check of the binary wire protocol against the TCP event
 # loop, run by ctest:
 #   1. train a tiny model
-#   2. score rows through `spe_serve --stdio` (text protocol) — the truth
+#   2. score rows through `spe_serve --stdio` (text protocol) — the truth,
+#      itself checked against `spe_cli predict`, which scores offline
+#      without the event loop
 #   3. serve the same model over --port; spe_wire_client scores the same
 #      rows over binary frames — the outputs must be byte-identical
 #   4. an oversized frame must be refused with the usage exit code while
@@ -52,12 +54,26 @@ file(WRITE ${dir}/rows.csv
 file(WRITE ${dir}/binary.sh
 [=[#!/bin/bash
 set -u
-serve="$1"; client="$2"; dir="$3"
+serve="$1"; client="$2"; dir="$3"; cli="$4"
 cd "$dir" || exit 90
 
 # ---- text-protocol truth over stdio --------------------------------
 "$serve" --model m.model --stdio < rows.csv > truth.txt 2>/dev/null
 if [ $? -ne 0 ]; then echo "stdio truth run failed" >&2; exit 91; fi
+
+# ---- the truth agrees with offline scoring -------------------------
+# spe_cli predict reads a labelled CSV with a header line and prints
+# %.6f; the five well-formed rows get a dummy label.
+{ echo "f0,f1,label"; head -5 rows.csv | sed 's/$/,0/'; } > predict.csv
+"$cli" predict --data predict.csv --model m.model --scores-only \
+  > predicted.txt
+if [ $? -ne 0 ]; then echo "spe_cli predict failed" >&2; exit 101; fi
+head -5 truth.txt | awk '{ printf "%.6f\n", $1 }' > truth6.txt
+if ! cmp -s predicted.txt truth6.txt; then
+  echo "stdio scores differ from spe_cli predict:" >&2
+  diff truth6.txt predicted.txt >&2
+  exit 102
+fi
 
 # ---- start the TCP server (retry across candidate ports) -----------
 pid=""
@@ -129,7 +145,7 @@ exit 0
 
 execute_process(
   COMMAND ${BASH_PROGRAM} ${dir}/binary.sh ${SPE_SERVE} ${SPE_WIRE_CLIENT}
-          ${dir}
+          ${dir} ${SPE_CLI}
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "binary pipeline failed (${rc}): ${out} ${err}")

@@ -12,13 +12,13 @@
 //
 // Speaks the newline-delimited CSV/JSON protocol of spe/serve/
 // line_protocol.h and the length-prefixed binary frame protocol of
-// spe/serve/wire.h, negotiated per connection by the first byte (0xA6
-// selects binary). --stdio serves exactly one text "connection" on
-// stdin/stdout (what tests and shell pipelines use); --port serves
-// concurrent TCP connections (up to --max-connections) on a
-// single-threaded epoll event loop (spe/serve/event_loop.h) that
-// funnels every connection into one shared BatchScorer, so
-// cross-connection traffic coalesces into common micro-batches.
+// spe/serve/wire.h, negotiated per session by the first byte (0xA6
+// selects binary). Both modes run on one single-threaded epoll event
+// loop (spe/serve/event_loop.h) that funnels every session into one
+// shared BatchScorer, so cross-connection traffic coalesces into common
+// micro-batches: --port serves concurrent TCP connections (up to
+// --max-connections); --stdio adopts stdin/stdout as one session (what
+// tests and shell pipelines use) and exits at stdin EOF.
 //
 // Robustness: requests may carry "deadline_ms" (JSON) or inherit
 // --default-deadline-ms; a request that is still queued past its
@@ -39,11 +39,12 @@
 // histogram (v3 bundles) get live drift detection (docs/lifecycle.md).
 //
 // Shutdown drains: on SIGINT/SIGTERM (or stdin EOF) the listener stops
-// accepting, connections stop reading, every accepted request is still
+// accepting, sessions stop reading, every accepted request is still
 // scored and written, and a final stats snapshot goes to stderr. Both
-// signals behave identically in both --stdio and --port mode: they are
-// handled on a dedicated signal thread (sigwait), so a SIGTERM from an
-// orchestrator gets the same graceful drain as an interactive Ctrl-C.
+// signals behave identically in both --stdio and --port mode: a
+// dedicated signal thread (sigwait) asks the event loop to drain, so a
+// SIGTERM from an orchestrator gets the same graceful drain as an
+// interactive Ctrl-C.
 //
 // Exit codes follow spe/common/exit_codes.h: 0 ok (including a drained
 // shutdown), 1 runtime error, 2 usage, 3 I/O failure, 4 corrupt
@@ -54,21 +55,15 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <future>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <pthread.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "spe/common/exit_codes.h"
@@ -188,21 +183,15 @@ double GetDoubleFlag(const std::map<std::string, std::string>& flags,
 // (pthread_sigmask before any thread is spawned) and consumed by one
 // dedicated signal thread via sigwait — no async-signal-safety puzzles,
 // and SIGTERM gets the exact same graceful drain as SIGINT in both
-// serving modes. SIGUSR1 keeps a handler, deliberately installed
-// *without* SA_RESTART: its only job is to make the stdio reader's
-// blocked read(2) return EINTR so fgets gives up.
-std::atomic<int> g_listen_fd{-1};
+// serving modes.
 std::atomic<bool> g_draining{false};
 std::atomic<bool> g_sighup{false};
 
-// The stdio reader registers itself so the signal thread can poke it.
-pthread_t g_stdio_reader;
-std::atomic<bool> g_stdio_reader_set{false};
-std::atomic<bool> g_stdio_done{false};
-
-void HandleWakeSignal(int /*sig*/) {
-  // No-op by design: delivery alone interrupts the reader's read(2).
-}
+// The loop the signal thread drains. RunServer publishes it for the
+// span of Run() and clears it before the loop is destroyed; the mutex
+// keeps RequestDrain() from racing that destruction.
+std::mutex g_loop_mu;
+spe::serve::EventLoop* g_loop = nullptr;
 
 void SignalWaitLoop() {
   sigset_t set;
@@ -224,29 +213,17 @@ void SignalWaitLoop() {
     if (g_draining.exchange(true)) continue;
     std::fprintf(stderr, "spe_serve: received %s, draining...\n",
                  sig == SIGTERM ? "SIGTERM" : "SIGINT");
-    // TCP mode: shutdown (not close) pops the blocked accept() with an
-    // error while keeping the fd valid for main to close; close() alone
-    // would not wake a blocked accept on Linux.
-    const int fd = g_listen_fd.load(std::memory_order_acquire);
-    if (fd >= 0) shutdown(fd, SHUT_RDWR);
-    // stdio mode: fgets(stdin) watches no flag, so poke the reader with
-    // SIGUSR1 until it reports done. The retry loop closes the race
-    // where a poke lands between the reader's drain-check and its next
-    // read(2) — the next poke interrupts that read.
-    while (g_stdio_reader_set.load(std::memory_order_acquire) &&
-           !g_stdio_done.load(std::memory_order_acquire)) {
-      pthread_kill(g_stdio_reader, SIGUSR1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+    std::lock_guard<std::mutex> lock(g_loop_mu);
+    if (g_loop != nullptr) g_loop->RequestDrain();
   }
 }
 
 /// Serializes model reloads onto one lifecycle thread. Loading and
 /// kernel compilation happen here — never on a scoring worker and never
-/// on a connection's reader thread — so a reload (even a slow or failing
-/// one) cannot stall scoring. Requests come from `!reload` lines (each
-/// gets a future resolving to its OK/ERR response line) and from SIGHUP
-/// (fire-and-forget; the outcome is logged to stderr).
+/// on the event loop — so a reload (even a slow or failing one) cannot
+/// stall scoring. Requests come from `!reload` lines (the event loop's
+/// callback gets the OK/ERR response line) and from SIGHUP (the outcome
+/// is logged to stderr).
 class ReloadCoordinator {
  public:
   ReloadCoordinator(std::shared_ptr<spe::lifecycle::ModelRegistry> registry,
@@ -269,26 +246,13 @@ class ReloadCoordinator {
     worker_.join();
   }
 
-  /// Enqueues a reload of `path` ("" = the --model artifact). The
-  /// future resolves to the protocol response line.
-  std::future<std::string> Request(std::string path) {
-    Job job;
-    job.path = path.empty() ? default_path_ : std::move(path);
-    std::future<std::string> future = job.done.get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      jobs_.push_back(std::move(job));
-    }
-    cv_.notify_all();
-    return future;
-  }
-
-  /// Callback flavor for the event loop: `done` is invoked with the
-  /// response line on the lifecycle thread once the swap happened.
+  /// Enqueues a reload of `path` ("" = the --model artifact). `done` is
+  /// invoked with the response line on the lifecycle thread once the
+  /// swap happened (or was refused).
   void RequestAsync(std::string path, std::function<void(std::string)> done) {
     Job job;
     job.path = path.empty() ? default_path_ : std::move(path);
-    job.callback = std::move(done);
+    job.done = std::move(done);
     {
       std::lock_guard<std::mutex> lock(mu_);
       jobs_.push_back(std::move(job));
@@ -299,9 +263,7 @@ class ReloadCoordinator {
  private:
   struct Job {
     std::string path;
-    std::promise<std::string> done;
-    std::function<void(std::string)> callback;  // event-loop jobs
-    bool log_only = false;  // SIGHUP jobs have no client to answer
+    std::function<void(std::string)> done;
   };
 
   void Loop() {
@@ -314,10 +276,12 @@ class ReloadCoordinator {
         cv_.wait_for(lock, std::chrono::milliseconds(200),
                      [&] { return stop_ || !jobs_.empty(); });
         if (g_sighup.exchange(false, std::memory_order_relaxed)) {
-          Job hup;
-          hup.path = default_path_;
-          hup.log_only = true;
-          jobs_.push_back(std::move(hup));
+          // SIGHUP has no client to answer: its outcome is logged.
+          jobs_.push_back({default_path_, [](std::string response) {
+                             std::fprintf(stderr,
+                                          "spe_serve: SIGHUP reload: %s\n",
+                                          response.c_str());
+                           }});
         }
         if (jobs_.empty()) {
           if (stop_) break;
@@ -326,15 +290,7 @@ class ReloadCoordinator {
         job = std::move(jobs_.front());
         jobs_.pop_front();
       }
-      const std::string response = Reload(job.path);
-      if (job.log_only) {
-        std::fprintf(stderr, "spe_serve: SIGHUP reload: %s\n",
-                     response.c_str());
-      } else if (job.callback) {
-        job.callback(response);
-      } else {
-        job.done.set_value(response);
-      }
+      job.done(Reload(job.path));
     }
   }
 
@@ -370,215 +326,12 @@ class ReloadCoordinator {
   std::thread worker_;
 };
 
-/// Reads one newline-terminated request line into `line`, enforcing the
-/// protocol's line-length cap without ever buffering an oversized line
-/// whole: the overflow is consumed and discarded in fixed-size chunks.
-/// Returns false on EOF with nothing read; sets `oversized` when the
-/// line exceeded the cap (its content is then meaningless).
-bool ReadBoundedLine(std::FILE* in, std::string& line, bool& oversized) {
-  line.clear();
-  oversized = false;
-  char chunk[4096];
-  while (std::fgets(chunk, sizeof(chunk), in) != nullptr) {
-    const std::size_t len = std::strlen(chunk);
-    const bool eol = len > 0 && chunk[len - 1] == '\n';
-    if (!oversized) {
-      line.append(chunk, len);
-      if (line.size() > spe::kMaxRequestLineBytes + 2) {
-        // +2: allow the CR/LF of a line exactly at the cap.
-        oversized = true;
-        line.clear();
-      }
-    }
-    if (eol) return true;
-  }
-  return oversized || !line.empty();
-}
-
-/// One protocol session on a FILE* pair. The calling thread reads,
-/// parses and submits; a writer thread emits responses in request
-/// order. Returns when `in` hits EOF and every response is written.
-/// `default_deadline_ms` <= 0 means "no deadline unless the request
-/// sets one".
-void ServeSession(std::FILE* in, std::FILE* out, spe::BatchScorer& scorer,
-                  ReloadCoordinator& reloader, double default_deadline_ms) {
-  struct Pending {
-    spe::ServeRequest request;
-    std::future<spe::ScoreResult> future;       // valid only for kScore
-    std::future<std::string> reload_response;   // valid only for kReload
-  };
-  std::deque<Pending> pending;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done_reading = false;
-  // Requests read but not yet answered (queued here or being written).
-  // The reload barrier below waits on this, not on pending.empty():
-  // the writer pops an item before resolving its future, so an empty
-  // queue can still have one request in flight inside the scorer.
-  std::size_t inflight = 0;
-
-  std::thread writer([&] {
-    for (;;) {
-      Pending item;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !pending.empty() || done_reading; });
-        if (pending.empty()) break;
-        item = std::move(pending.front());
-        pending.pop_front();
-      }
-      cv.notify_all();  // reader may be waiting on the backlog bound
-      std::string response;
-      switch (item.request.kind) {
-        case spe::RequestKind::kScore:
-          try {
-            const spe::ScoreResult result = item.future.get();
-            response = spe::FormatScoreResponse(item.request, result.proba,
-                                                result.degraded);
-          } catch (const std::exception& e) {
-            response = spe::FormatErrorResponse(item.request, e.what());
-          }
-          break;
-        case spe::RequestKind::kStats:
-          response = spe::ToJson(scorer.stats().Snapshot());
-          break;
-        case spe::RequestKind::kMetrics:
-          // Multi-line exposition; its "# EOF" line is the framing the
-          // client watches for, the writer adds the final newline.
-          response = spe::obs::MetricsRegistry::Global().RenderText();
-          while (!response.empty() && response.back() == '\n') {
-            response.pop_back();
-          }
-          break;
-        case spe::RequestKind::kReload:
-          // Waiting here (the writer thread) is what makes the OK/ERR
-          // line land in request order without ever pausing scoring:
-          // requests already submitted keep flowing through the
-          // workers, and responses queued behind this one are for
-          // requests that were *read* after the reload was requested.
-          response = item.reload_response.get();
-          break;
-        case spe::RequestKind::kInvalid:
-          response = spe::FormatErrorResponse(item.request,
-                                              item.request.error);
-          break;
-        case spe::RequestKind::kEmpty:
-          continue;  // never queued
-      }
-      std::fputs(response.c_str(), out);
-      std::fputc('\n', out);
-      std::fflush(out);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        --inflight;
-      }
-      cv.notify_all();
-    }
-  });
-
-  std::string line;
-  bool oversized = false;
-  for (;;) {
-    if (g_draining.load(std::memory_order_acquire)) break;
-    if (!ReadBoundedLine(in, line, oversized)) break;
-    // A drain signal may interrupt fgets mid-line (SIGUSR1 → EINTR);
-    // scoring that truncated request would answer garbage, so a line
-    // without its newline is dropped once draining. Outside a drain a
-    // final unterminated line (EOF without '\n') still counts.
-    const bool complete =
-        oversized || (!line.empty() && line.back() == '\n');
-    if (!complete && g_draining.load(std::memory_order_acquire)) break;
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    Pending item;
-    if (oversized) {
-      item.request.kind = spe::RequestKind::kInvalid;
-      item.request.error = "request line exceeds " +
-                           std::to_string(spe::kMaxRequestLineBytes) +
-                           " bytes";
-    } else {
-      item.request = spe::ParseRequestLine(line);
-    }
-    if (item.request.kind == spe::RequestKind::kEmpty) continue;
-    if (item.request.kind == spe::RequestKind::kReload) {
-      // Barrier semantics within this connection: every request read
-      // *before* the `!reload` line is answered — scored on the
-      // pre-swap version — before the swap is even requested, and
-      // requests after it score on the outcome of the reload (new
-      // version, or old one if it was refused). The drain matters:
-      // rows still queued inside the scorer at swap time would
-      // otherwise score on the new version, making the swap boundary
-      // nondeterministic for the one client that asked for it. Both
-      // waits block only this session's reader — other connections
-      // keep scoring on the version their batches snapshotted, so the
-      // swap still drops nothing.
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return inflight == 0; });
-      }
-      item.reload_response = reloader.Request(item.request.reload_path);
-      item.reload_response.wait();
-    }
-    if (item.request.kind == spe::RequestKind::kScore) {
-      if (item.request.features.size() != scorer.num_features()) {
-        item.request.kind = spe::RequestKind::kInvalid;
-        item.request.error =
-            "expected " + std::to_string(scorer.num_features()) +
-            " features, got " + std::to_string(item.request.features.size());
-      } else {
-        const double deadline_ms = item.request.deadline_ms >= 0
-                                       ? item.request.deadline_ms
-                                       : default_deadline_ms;
-        auto deadline = spe::BatchScorer::kNoDeadline;
-        if (item.request.deadline_ms >= 0 || default_deadline_ms > 0) {
-          deadline = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             deadline_ms));
-        }
-        item.future =
-            scorer.Submit(std::move(item.request.features), deadline);
-      }
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      // Bound the per-session response backlog so a client that writes
-      // but never reads cannot grow memory without limit.
-      cv.wait(lock, [&] { return pending.size() < 16384; });
-      pending.push_back(std::move(item));
-      ++inflight;
-    }
-    cv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    done_reading = true;
-  }
-  cv.notify_all();
-  writer.join();
-}
-
-int RunStdio(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
-             double default_deadline_ms) {
-  // Register with the signal thread before reading, and re-check the
-  // drain flag after: a signal that fired in between was handled by a
-  // poke loop that saw no reader, so the check is what honors it.
-  g_stdio_reader = pthread_self();
-  g_stdio_reader_set.store(true, std::memory_order_release);
-  if (!g_draining.load(std::memory_order_acquire)) {
-    ServeSession(stdin, stdout, scorer, reloader, default_deadline_ms);
-  }
-  g_stdio_done.store(true, std::memory_order_release);
-  scorer.Shutdown();
-  std::fprintf(stderr, "%s\n", spe::ToJson(scorer.stats().Snapshot()).c_str());
-  return 0;
-}
-
-int RunTcp(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
-           const std::string& host, int port, double default_deadline_ms,
-           std::size_t max_connections) {
+/// Serves on one event loop until it drains: TCP connections when
+/// `port` > 0, else a single session adopted on stdin/stdout. Then
+/// prints the final stats snapshot and writes the metrics dump.
+int RunServer(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
+              const std::string& host, int port, double default_deadline_ms,
+              std::size_t max_connections, const std::string& dump_path) {
   spe::serve::EventLoopConfig config;
   config.max_connections = max_connections;
   config.default_deadline_ms = default_deadline_ms;
@@ -587,24 +340,31 @@ int RunTcp(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
       [&reloader](std::string path, std::function<void(std::string)> done) {
         reloader.RequestAsync(std::move(path), std::move(done));
       });
-  const std::string error = loop.Listen(host, port);
+  const std::string error = port > 0
+                                ? loop.Listen(host, port)
+                                : loop.Adopt(STDIN_FILENO, STDOUT_FILENO);
   if (!error.empty()) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  g_listen_fd.store(loop.listen_fd(), std::memory_order_release);
-  // A signal that landed before the store found no fd to shut down;
-  // honor it now rather than serving forever.
-  if (g_draining.load(std::memory_order_acquire)) loop.RequestDrain();
-  std::fprintf(stderr, "spe_serve: listening on %s:%d\n", host.c_str(),
-               loop.port());
-  // The signal thread drains the loop the same way it drained the old
-  // blocking accept(2): shutdown(2) on the listener, which the loop
-  // observes as a failing accept. Run() returns once every accepted
-  // request is answered and every connection closed.
+  if (port > 0) {
+    std::fprintf(stderr, "spe_serve: listening on %s:%d\n", host.c_str(),
+                 loop.port());
+  }
+  {
+    std::lock_guard<std::mutex> lock(g_loop_mu);
+    g_loop = &loop;
+    // A signal that landed before the loop was published found nothing
+    // to drain; honor it now rather than serving forever.
+    if (g_draining.load()) loop.RequestDrain();
+  }
+  // Returns once every accepted request is answered and every session
+  // closed: at drain, or at stdin EOF.
   loop.Run();
-  g_listen_fd.store(-1, std::memory_order_release);
-  std::fprintf(stderr, "spe_serve: draining...\n");
+  {
+    std::lock_guard<std::mutex> lock(g_loop_mu);
+    g_loop = nullptr;
+  }
   const auto& counters = loop.counters();
   if (counters.refused.load(std::memory_order_relaxed) > 0) {
     std::fprintf(stderr, "spe_serve: refused %llu connections at capacity\n",
@@ -613,6 +373,19 @@ int RunTcp(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
   }
   scorer.Shutdown();
   std::fprintf(stderr, "%s\n", spe::ToJson(scorer.stats().Snapshot()).c_str());
+  // Drained, so the dump is final — and written while the loop still
+  // exists, so its spe_serve_loop_* collector is part of it.
+  if (!dump_path.empty()) {
+    std::FILE* f = std::fopen(dump_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "error: cannot write --metrics-dump %s\n",
+                   dump_path.c_str());
+      return spe::kExitIo;
+    }
+    const std::string text = spe::obs::MetricsRegistry::Global().RenderText();
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
   return 0;
 }
 
@@ -620,8 +393,8 @@ int RunTcp(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
 
 int main(int argc, char** argv) {
   // Signal setup must precede every thread spawn (scorer workers, the
-  // reload coordinator, the stats reporter, session threads) so they
-  // all inherit the blocked mask and only the signal thread ever sees
+  // reload coordinator, the stats reporter) so they all inherit the
+  // blocked mask and only the signal thread ever sees
   // SIGINT/SIGTERM/SIGHUP. The thread is detached: at a signal-free
   // shutdown (stdin EOF) it is still parked in sigwait, and process
   // exit reaps it — it touches only globals, never the stack.
@@ -631,13 +404,6 @@ int main(int argc, char** argv) {
   sigaddset(&blocked, SIGTERM);
   sigaddset(&blocked, SIGHUP);
   pthread_sigmask(SIG_BLOCK, &blocked, nullptr);
-  {
-    struct sigaction wake {};
-    wake.sa_handler = HandleWakeSignal;
-    sigemptyset(&wake.sa_mask);
-    wake.sa_flags = 0;  // no SA_RESTART: the EINTR is the whole point
-    sigaction(SIGUSR1, &wake, nullptr);
-  }
   std::signal(SIGPIPE, SIG_IGN);
   std::thread(SignalWaitLoop).detach();
 
@@ -782,21 +548,6 @@ int main(int argc, char** argv) {
     reporter = std::make_unique<spe::StatsReporter>(
         scorer.stats(), std::cerr, std::chrono::milliseconds(interval_ms));
   }
-  const int rc = use_stdio
-                     ? RunStdio(scorer, reloader, default_deadline_ms)
-                     : RunTcp(scorer, reloader, get("host", "127.0.0.1"),
-                              port, default_deadline_ms, max_connections);
-  // Drained: every accepted request is counted, so the dump is final.
-  if (!dump_path.empty()) {
-    std::FILE* f = std::fopen(dump_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write --metrics-dump %s\n",
-                   dump_path.c_str());
-      return spe::kExitIo;
-    }
-    const std::string text = spe::obs::MetricsRegistry::Global().RenderText();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
-  return rc;
+  return RunServer(scorer, reloader, get("host", "127.0.0.1"), port,
+                   default_deadline_ms, max_connections, dump_path);
 }
