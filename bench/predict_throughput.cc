@@ -14,18 +14,16 @@
 // alternating pass order (after one untimed warm-up pass each), never
 // back to back, so cache warm-up doesn't bias the comparison. The
 // unsuffixed rows/sec keys are the MEDIAN pass; the `_best` keys are
-// the fastest pass (min wall time). `speedup_1t` is median-based. The
-// top-level `simd` key stamps the ISA the kernel's descent was compiled
-// for ("avx2"/"neon", or "scalar" when the build or SPE_SIMD=0 keeps
-// the portable walk), `kernel_mode` the active scoring mode.
+// the fastest pass (min wall time). `speedup_1t` is median-based.
 //
 //   predict_throughput [--rows N] [--passes P] [--train-rows R]
 //                      [--out FILE]
 //
 // Writes the JSON report to stdout and to --out (default
-// BENCH_predict.json in the working directory). Acceptance bar with the
-// SIMD descent compiled in: >= 5x single-thread on spe10, >= 2x on
-// spe5_gbdt10, "identical": true everywhere.
+// BENCH_predict.json in the working directory). A scoring path earns a
+// place in the kernel only by beating the default on `speedup_1t` by
+// >= 1.2x on at least one workload here (docs/performance.md); every
+// run must report "identical": true.
 
 #include <algorithm>
 #include <chrono>
@@ -201,23 +199,11 @@ int main(int argc, char** argv) {
 
   const std::size_t default_threads = spe::NumThreads();
   bool all_identical = true;
-  // "simd" stamps the ISA the kernel TU was compiled against — the
-  // compile-time fact that makes a stored report attributable to
-  // hardware. "simd_descent" records whether the runtime gather-walk
-  // switch was on for this run (defaults per backend profitability;
-  // see SimdEnabled in flat_forest.h).
-  const char* simd_isa = spe::kernels::SimdIsa();
-  const bool simd_descent = spe::kernels::SimdEnabled();
   std::string json = "{\"bench\":\"predict_throughput\",\"rows\":" +
                      std::to_string(data.num_rows()) +
                      ",\"passes\":" + std::to_string(passes) +
                      ",\"threads_n\":" + std::to_string(default_threads) +
-                     ",\"simd\":\"" + simd_isa + "\"" +
-                     ",\"simd_descent\":" + (simd_descent ? "true" : "false") +
-                     ",\"kernel_mode\":" + "\"" +
-                     spe::kernels::ScoreModeName(
-                         spe::kernels::ActiveScoreMode()) +
-                     "\",\"workloads\":[";
+                     ",\"workloads\":[";
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     const std::string& name = workloads[w].first;
     spe::Classifier& model = *workloads[w].second;

@@ -71,17 +71,6 @@ void FeatureBinner::Fit(const DatasetView& data, int max_bins) {
   }
 }
 
-FeatureBinner FeatureBinner::FromBoundaries(
-    std::vector<std::vector<double>> boundaries) {
-  for (const std::vector<double>& cuts : boundaries) {
-    SPE_CHECK_LE(cuts.size(), 255u) << "bin indices must fit uint8";
-    SPE_CHECK(std::is_sorted(cuts.begin(), cuts.end()));
-  }
-  FeatureBinner binner;
-  binner.boundaries_ = std::move(boundaries);
-  return binner;
-}
-
 std::span<const double> FeatureBinner::Boundaries(std::size_t feature) const {
   return boundaries_[feature];
 }

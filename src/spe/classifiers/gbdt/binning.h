@@ -33,15 +33,6 @@ class FeatureBinner {
   /// Learns bin boundaries. max_bins must be in [2, 256].
   void Fit(const DatasetView& data, int max_bins = 64);
 
-  /// Binner over externally chosen cut points — one sorted list per
-  /// feature, at most 255 cuts each (so bin indices fit uint8). This is
-  /// how the inference kernel's quantized lowering reuses the binning
-  /// machinery: the cut lists are the distinct split thresholds of a
-  /// compiled forest rather than training quantiles (see
-  /// spe/kernels/program.h).
-  static FeatureBinner FromBoundaries(
-      std::vector<std::vector<double>> boundaries);
-
   /// The sorted cut points of `feature` (empty for a single-bin feature).
   std::span<const double> Boundaries(std::size_t feature) const;
 

@@ -120,6 +120,18 @@ bool MapSidecar(const std::string& sidecar_path, MappedSidecar* out,
   m.source.size = ReadLe<std::uint64_t>(base + 33);
   m.source.mtime_ns = ReadLe<std::uint64_t>(base + 41);
 
+  // Bound both counts by the file before any offset arithmetic: a
+  // crafted header (2^62 rows, say) would otherwise wrap the size_t sums
+  // below back onto the real length and pass for a valid sidecar. Each
+  // feature costs at least its kind byte, each row its label, and every
+  // cell 8 bytes, so none of these can exceed the bytes after the header.
+  const std::uint64_t room = length - kFixedHeaderBytes;
+  if (m.num_features > room || m.num_rows > room / sizeof(std::int32_t) ||
+      (m.num_rows > 0 &&
+       m.num_features > room / sizeof(double) / m.num_rows)) {
+    *detail = "sidecar header counts exceed its length";
+    return false;
+  }
   const std::size_t cols_off = AlignUp8(kFixedHeaderBytes + m.num_features);
   const std::size_t labels_off =
       cols_off + m.num_features * m.num_rows * sizeof(double);

@@ -1,5 +1,6 @@
 #include "spe/io/model_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -103,6 +104,27 @@ VotingEnsemble LoadEnsembleMembers(std::istream& is) {
     members.Add(LoadClassifier(is));
   }
   return members;
+}
+
+// Reads up to `payload_bytes` bytes of bundle payload. The buffer grows
+// with what the stream actually holds, a chunk at a time, so a header
+// that overstates the length costs a short read — which the callers
+// report as truncation — never an allocation of the claimed size.
+std::string ReadPayload(std::istream& is, std::size_t payload_bytes) {
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
+  std::string payload;
+  while (payload.size() < payload_bytes) {
+    const std::size_t have = payload.size();
+    const std::size_t want = std::min(kChunk, payload_bytes - have);
+    payload.resize(have + want);
+    is.read(payload.data() + have, static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    if (got < want) {
+      payload.resize(have + got);
+      break;
+    }
+  }
+  return payload;
 }
 
 // Compile-on-load: ActiveKernel triggers the lazy flat-inference
@@ -432,9 +454,8 @@ ModelBundle LoadModelBundle(std::istream& is) {
   // is corruption, and both fail with the artifact left untouched by
   // the parser (so the error names the real problem, not a downstream
   // parse confusion).
-  std::string payload(payload_bytes, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  const std::size_t got = static_cast<std::size_t>(is.gcount());
+  const std::string payload = ReadPayload(is, payload_bytes);
+  const std::size_t got = payload.size();
   SPE_CHECK(got == payload_bytes)
       << "model artifact truncated: header promises " << payload_bytes
       << " payload bytes but only " << got << " are present";
@@ -519,9 +540,8 @@ BundleProbe ProbeModelBundleFile(const std::string& path) {
     probe.error = "malformed bundle header";
     return probe;
   }
-  std::string payload(probe.payload_bytes, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(probe.payload_bytes));
-  const std::size_t got = static_cast<std::size_t>(is.gcount());
+  const std::string payload = ReadPayload(is, probe.payload_bytes);
+  const std::size_t got = payload.size();
   if (got != probe.payload_bytes) {
     probe.error = "model artifact truncated: header promises " +
                   std::to_string(probe.payload_bytes) +

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "spe/classifiers/gbdt/binning.h"
-
 namespace spe {
 namespace kernels {
 
@@ -96,63 +94,6 @@ class FlatTreeBuilder {
   std::vector<LocalNode> local_;
 };
 
-/// Float-32 mirror of a FlatProgram's floating-point payload. The
-/// integer topology (feature/left/right and the tree/member program) is
-/// shared with the f64 pool; only thresholds and leaf values are
-/// narrowed. Scoring through it is the opt-in "flat_f32" mode: every
-/// comparison, accumulation, and the sigmoid run in float, and only the
-/// final mean is widened back to double. Parity with f64 is therefore
-/// statistical (golden AUC tests), not bit-level — a value that lands
-/// between a float threshold and its double original can route the
-/// other way.
-struct F32Program {
-  std::vector<float> threshold;
-  std::vector<float> value;
-};
-
-/// Narrows pool.threshold / pool.value to float, element for element.
-F32Program BuildF32Program(const FlatProgram& program);
-
-/// Quantized mirror of a FlatProgram: split thresholds lowered through
-/// gbdt::FeatureBinner into uint8 bin ranks so descent compares bytes
-/// instead of doubles.
-///
-/// Lowering rule: the binner's cut list for feature f is the sorted set
-/// of distinct thresholds the program splits f on (for GBDT members
-/// these are exactly the quantile boundaries the trainer binned with —
-/// recorded thresholds are FeatureBinner::UpperEdge values). With
-/// bin(v) = #{cuts < v} (FeatureBinner::BinOf) and cut[n] = the rank of
-/// node n's threshold in that list,
-///
-///     v <= threshold[n]  ⟺  bin(v) <= cut[n]
-///
-/// holds for every representable double v including ±Inf, because both
-/// sides are the same rank comparison in the feature's order. NaN is
-/// the one value BinOf cannot express (it compares false with every
-/// cut, landing in bin 0 — the left edge); rows are therefore binned
-/// with an explicit NaN sentinel of 255, which is > every cut rank and
-/// routes right exactly like the reference `!(v <= t)`. Leaf values and
-/// accumulation stay double, so binned scoring is byte-identical to the
-/// f64 path.
-///
-/// Capacity: a feature may carry at most kBinnedMaxCuts distinct
-/// thresholds (bin indices reach #cuts, which must stay below the 255
-/// sentinel). Programs that exceed it — or that split on a NaN
-/// threshold — do not lower; `ok` stays false and callers fall back to
-/// the f64 kernel.
-inline constexpr std::size_t kBinnedMaxCuts = 254;
-
-/// Bin index given to NaN feature values (see BinnedProgram).
-inline constexpr std::uint8_t kBinnedNaN = 255;
-
-struct BinnedProgram {
-  bool ok = false;
-  gbdt::FeatureBinner binner;     ///< cuts = distinct split thresholds
-  std::vector<std::uint8_t> cut;  ///< per-node threshold rank (leaves: 0)
-};
-
-BinnedProgram BuildBinnedProgram(const FlatProgram& program);
-
 /// Implicit-children ("complete") relayout of a tree: node at slot c has
 /// its children at 2c+1 / 2c+2, so descent needs no left/right loads —
 /// the index update is pure arithmetic. That matters because the pooled
@@ -190,7 +131,6 @@ struct CompleteTree {
 };
 
 struct CompleteProgram {
-  bool any = false;                    ///< at least one tree relayouted
   std::vector<CompleteTree> trees;     ///< parallel to FlatProgram::trees
   std::vector<std::int32_t> feature;   ///< interior slots, level order
   std::vector<double> threshold;       ///< interior slots, level order

@@ -130,8 +130,7 @@ std::string ModelRegistry::Activate(
     std::shared_ptr<const ModelVersion> version) {
   SPE_CHECK(version != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<const ModelVersion> current =
-      active_.load(std::memory_order_acquire);
+  const std::shared_ptr<const ModelVersion> current = active();
   if (current != nullptr &&
       current->num_features() != version->num_features()) {
     return "cannot activate version " + std::to_string(version->version()) +
@@ -139,12 +138,14 @@ std::string ModelRegistry::Activate(
            " does not match the serving schema width " +
            std::to_string(current->num_features());
   }
-  // The swap itself: one atomic store. Scoring threads that already
-  // snapshotted `current` finish their batch on it; the next snapshot
-  // sees `version`. Nothing waits, nothing drops.
-  active_.store(std::move(version), std::memory_order_release);
-  const auto now_active = active_.load(std::memory_order_acquire);
-  active_version_gauge_.Set(static_cast<double>(now_active->version()));
+  // The swap itself: one pointer assignment under roles_mu_. Scoring
+  // threads that already snapshotted `current` finish their batch on it;
+  // the next snapshot sees `version`. Nothing drops.
+  active_version_gauge_.Set(static_cast<double>(version->version()));
+  {
+    std::lock_guard<std::mutex> roles(roles_mu_);
+    active_.swap(version);
+  }
   activations_total_.Add();
   return "";
 }
@@ -153,13 +154,14 @@ void ModelRegistry::SetShadow(std::shared_ptr<const ModelVersion> version) {
   std::lock_guard<std::mutex> lock(mu_);
   shadow_version_gauge_.Set(
       version == nullptr ? 0.0 : static_cast<double>(version->version()));
-  shadow_.store(std::move(version), std::memory_order_release);
+  std::lock_guard<std::mutex> roles(roles_mu_);
+  shadow_.swap(version);
 }
 
 std::vector<ModelRegistry::ManifestEntry> ModelRegistry::Manifests() const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto active = active_.load(std::memory_order_acquire);
-  const auto shadow = shadow_.load(std::memory_order_acquire);
+  const auto active = this->active();
+  const auto shadow = this->shadow();
   std::vector<ManifestEntry> entries;
   entries.reserve(versions_.size());
   for (const auto& v : versions_) {

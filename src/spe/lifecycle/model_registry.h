@@ -1,7 +1,6 @@
 #ifndef SPE_LIFECYCLE_MODEL_REGISTRY_H_
 #define SPE_LIFECYCLE_MODEL_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -26,7 +25,7 @@ struct VersionManifest {
   std::size_t num_features = 0;
   std::size_t payload_bytes = 0;  ///< 0 when the artifact carried none
   std::string crc32_hex;          ///< "" when the artifact carried none
-  std::string kernel;  ///< "flat" / "flat_f32" / "flat_binned" / "reference"
+  std::string kernel;  ///< "flat" or "reference"
   bool has_hardness_histogram = false;
   std::string model_name;  ///< Classifier::Name() of the loaded model
 };
@@ -54,9 +53,8 @@ class ModelVersion {
   const VersionManifest& manifest() const { return manifest_; }
   std::uint64_t version() const { return manifest_.version; }
   std::size_t num_features() const { return manifest_.num_features; }
-  /// "flat" / "flat_f32" / "flat_binned" / "reference" — resolved once
-  /// at construction, under the scoring mode active at load time (serve
-  /// sets --kernel-mode before the registry loads).
+  /// "flat" (the compiled kernel scores this model) or "reference" —
+  /// resolved once at construction, when the kernel is compiled.
   const char* kernel() const { return kernel_; }
   /// Non-null iff the artifact carried a training hardness histogram.
   HardnessDriftDetector* drift() const { return drift_.get(); }
@@ -76,16 +74,24 @@ class ModelVersion {
 /// as *active* (scores live traffic) and at most one as *shadow*
 /// (scores a sample of live batches for comparison; see
 /// BatchScorerConfig::shadow_every). Versions are immutable and held by
-/// shared_ptr, and the active/shadow designations are
-/// std::atomic<std::shared_ptr>: readers snapshot a version with one
-/// lock-free atomic load, and a concurrent Activate simply swaps the
-/// pointer — batches already holding the old snapshot finish on the old
-/// model, new batches pick up the new one, and nothing blocks or drops.
-/// Retired versions stay alive as long as any in-flight batch (or the
-/// registry's version list) references them.
+/// shared_ptr, and the active/shadow designations are plain shared_ptrs
+/// behind their own small mutex: a reader snapshots a version by copying
+/// the pointer under that lock (one uncontended lock and a refcount
+/// increment per scored batch), and a concurrent Activate swaps the
+/// pointer under the same lock — batches already holding the old
+/// snapshot finish on the old model, new batches pick up the new one,
+/// and nothing drops. The lock is held only for the copy or the swap,
+/// never across a load or a kernel compile. Retired versions stay alive
+/// as long as any in-flight batch (or the registry's version list)
+/// references them.
 ///
-/// Mutations (loading, activating) take a mutex — they are rare,
-/// operator-driven events; only the read path is contended.
+/// Not std::atomic<std::shared_ptr>: libstdc++ 12 releases the lock bit
+/// inside its load with relaxed ordering, which ThreadSanitizer reports
+/// as a race against the next store. A mutex states the ordering
+/// outright.
+///
+/// Mutations (loading, activating) also take a second mutex that guards
+/// the version list — they are rare, operator-driven events.
 class ModelRegistry {
  public:
   explicit ModelRegistry(DriftConfig drift_config = {});
@@ -129,13 +135,15 @@ class ModelRegistry {
   /// Designates `version` as the shadow scorer; null clears it.
   void SetShadow(std::shared_ptr<const ModelVersion> version);
 
-  /// Lock-free snapshots. active() is non-null once Activate has
-  /// succeeded; shadow() may be null.
+  /// Snapshots. active() is non-null once Activate has succeeded;
+  /// shadow() may be null.
   std::shared_ptr<const ModelVersion> active() const {
-    return active_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(roles_mu_);
+    return active_;
   }
   std::shared_ptr<const ModelVersion> shadow() const {
-    return shadow_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(roles_mu_);
+    return shadow_;
   }
 
   /// Manifest of every version ever loaded, in version order, with the
@@ -155,8 +163,10 @@ class ModelRegistry {
 
   const DriftConfig drift_config_;
   RetryPolicy load_retry_;
-  std::atomic<std::shared_ptr<const ModelVersion>> active_{nullptr};
-  std::atomic<std::shared_ptr<const ModelVersion>> shadow_{nullptr};
+  // Lock order: mu_ before roles_mu_.
+  mutable std::mutex roles_mu_;  // guards active_ and shadow_
+  std::shared_ptr<const ModelVersion> active_;
+  std::shared_ptr<const ModelVersion> shadow_;
 
   mutable std::mutex mu_;  // guards versions_ and next_version_
   std::vector<std::shared_ptr<const ModelVersion>> versions_;

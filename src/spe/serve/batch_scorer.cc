@@ -10,7 +10,6 @@
 #include "spe/common/check.h"
 #include "spe/common/fault.h"
 #include "spe/common/parallel.h"
-#include "spe/kernels/flat_forest.h"
 #include "spe/obs/trace.h"
 
 namespace spe {
@@ -111,15 +110,6 @@ BatchScorer::BatchScorer(std::shared_ptr<lifecycle::ModelRegistry> registry,
         out += "\n# TYPE spe_serve_kernel_flat gauge\nspe_serve_kernel_flat ";
         const auto active = registry_->active();
         out += active != nullptr && active->kernel()[0] == 'f' ? "1\n" : "0\n";
-        // Which representation is actually serving ("flat", "flat_f32",
-        // "flat_binned" or "reference") plus the descent ISA — the
-        // label an operator checks after flipping --kernel-mode.
-        out += "# TYPE spe_serve_kernel_info gauge\nspe_serve_kernel_info{";
-        out += "kernel=\"";
-        out += active != nullptr ? active->kernel() : "reference";
-        out += "\",simd=\"";
-        out += kernels::SimdEnabled() ? kernels::SimdIsa() : "scalar";
-        out += "\"} 1\n";
       });
 }
 
@@ -236,9 +226,9 @@ void BatchScorer::WorkerLoop() {
     // fault-injected run deterministically expires queued deadlines.
     Faults().InjectScoreDelay();
 
-    // One lock-free snapshot per batch: the whole batch — scoring,
-    // degradation, shadow diffing, drift observation — runs against
-    // this version even if a reload swaps the active pointer mid-batch.
+    // One snapshot per batch: the whole batch — scoring, degradation,
+    // shadow diffing, drift observation — runs against this version
+    // even if a reload swaps the active pointer mid-batch.
     // The shared_ptr keeps the version (and its compiled kernel) alive
     // until the last in-flight batch lets go.
     const std::shared_ptr<const lifecycle::ModelVersion> version =

@@ -91,9 +91,9 @@ struct ScoreResult {
 ///
 /// Model lifecycle: the scorer reads its model through a
 /// lifecycle::ModelRegistry. Each worker snapshots the active version
-/// once per batch (one lock-free atomic load), so a hot reload
-/// (ModelRegistry::Activate) takes effect at the next batch boundary:
-/// every batch is scored entirely by one version — a response is
+/// once per batch (one pointer copy under the registry's role lock), so
+/// a hot reload (ModelRegistry::Activate) takes effect at the next batch
+/// boundary: every batch is scored entirely by one version — a response is
 /// bit-identical to that version scored standalone, never a
 /// mid-ensemble blend — and no request is dropped or delayed by the
 /// swap. When a shadow version is designated, a sampled fraction of

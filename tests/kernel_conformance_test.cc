@@ -1,35 +1,22 @@
-// Differential conformance suite for the v2 inference kernels
+// Differential conformance suite for the flat inference kernel
 // (spe/kernels/flat_forest.h). Every ensemble scored here runs through
-// four paths — reference loop, flat f64 scalar, flat f64 with the
-// vectorized descent, and the uint8 binned lowering — plus the opt-in
-// f32 mode, and the paths are compared against each other:
+// the reference member loop (the oracle, SPE_FLAT_KERNEL=0) and the flat
+// kernel, and the two must agree byte for byte (memcmp).
 //
-//   flat scalar  == reference   byte-for-byte (memcmp)
-//   flat SIMD    == reference   byte-for-byte (the vectorized walk
-//                               computes the scalar walk's exact leaf
-//                               indices; accumulation is shared)
-//   flat binned  == reference   byte-for-byte (bin-rank descent is the
-//                               same comparison in the feature's order;
-//                               leaves accumulate in double)
-//   f32 SIMD     == f32 scalar  byte-for-byte
-//   f32          ~~ reference   AUC-parity + bounded probability error
-//                               (float thresholds may route a value
-//                               that falls between t and float(t) the
-//                               other way, so no bit claim)
-//
-// The matrix covers randomized ensembles across tree counts, depths,
-// NaN patterns and the block-boundary row counts 0/1/63/64/65/10k. On
-// hosts whose build carries a SIMD backend, the scalar fallback is
-// exercised explicitly via SetSimdEnabled(false); on scalar builds the
-// "SIMD" runs exercise the same dispatch with the fallback walk, so all
-// four paths are covered on every build. Registered under both the
-// `kernel` and `sanitize` ctest labels: the intrinsic and binning code
-// must stay ASan/UBSan/TSan-clean.
+// The kernel has two walks — the complete-tree relayout for trees
+// within its depth and padding caps, the pooled node walk for the rest —
+// picked per tree, so both are covered: the depth matrix spans trees on
+// both sides of the caps, and one forest deliberately mixes a tree
+// deeper than kernels::kCompleteMaxDepth with shallow ones. The matrix
+// also covers randomized ensembles across tree counts, NaN patterns,
+// GBDT members, prefixes, thread counts and the block-boundary row
+// counts 0/1/63/64/65/10k. Registered under both the `kernel` and
+// `sanitize` ctest labels: the walks must stay ASan/UBSan/TSan-clean.
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,7 +29,6 @@
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/io/model_io.h"
 #include "spe/kernels/flat_forest.h"
-#include "spe/metrics/metrics.h"
 #include "tests/test_util.h"
 
 namespace spe {
@@ -61,8 +47,6 @@ class KernelConformanceTest : public ::testing::Test {
  protected:
   void TearDown() override {
     kernels::SetFlatKernelEnabled(true);
-    kernels::SetScoreMode(kernels::ScoreMode::kF64);
-    kernels::SetSimdEnabled(true);
     SetNumThreads(0);
   }
 };
@@ -71,8 +55,7 @@ enum class NanPattern { kNone, kSparse, kAllNanRows, kNanColumn };
 
 // Randomized scoring batch in `features` dimensions (wider than the
 // 2-D training blobs exercise only the first two feature columns, but
-// widen the gather strides), with labels for AUC parity and the chosen
-// hostile-NaN shape.
+// widen the row stride), with the chosen hostile-NaN shape.
 Dataset RandomBatch(std::size_t rows, std::size_t features,
                     std::uint64_t seed, NanPattern pattern) {
   Rng rng(seed);
@@ -121,61 +104,15 @@ SelfPacedEnsemble RandomForestModel(int trees, int depth,
   return model;
 }
 
-// One scoring pass per kernel path, all collected with the same model
-// and batch.
-struct PathScores {
-  std::vector<double> reference;
-  std::vector<double> scalar;      // f64, vectorized descent off
-  std::vector<double> simd;        // f64, vectorized descent on
-  std::vector<double> binned;      // uint8 descent (f64 when unavailable)
-  std::vector<double> f32_scalar;  // f32, vectorized descent off
-  std::vector<double> f32_simd;    // f32, vectorized descent on
-};
-
-PathScores ScoreAllPaths(const Classifier& model, const Dataset& batch) {
-  PathScores out;
-  kernels::SetFlatKernelEnabled(false);
-  out.reference = model.PredictProba(batch);
-  kernels::SetFlatKernelEnabled(true);
-
-  kernels::SetScoreMode(kernels::ScoreMode::kF64);
-  kernels::SetSimdEnabled(false);
-  out.scalar = model.PredictProba(batch);
-  kernels::SetSimdEnabled(true);
-  out.simd = model.PredictProba(batch);
-
-  kernels::SetScoreMode(kernels::ScoreMode::kBinned);
-  out.binned = model.PredictProba(batch);
-
-  kernels::SetScoreMode(kernels::ScoreMode::kF32);
-  kernels::SetSimdEnabled(false);
-  out.f32_scalar = model.PredictProba(batch);
-  kernels::SetSimdEnabled(true);
-  out.f32_simd = model.PredictProba(batch);
-
-  kernels::SetScoreMode(kernels::ScoreMode::kF64);
-  return out;
-}
-
-// The conformance contract over one model × batch. The f32 bound is
-// loose by design: a row whose feature falls between a double threshold
-// and its float image can legitimately take the other branch, but with
-// these fixed seeds none does, and the probability error is pure
-// accumulation rounding.
+// Scores `batch` through the reference loop and the flat kernel and
+// requires the same bytes.
 void ExpectConformance(const Classifier& model, const Dataset& batch,
-                       const char* what) {
-  const PathScores p = ScoreAllPaths(model, batch);
-  EXPECT_TRUE(SameBytes(p.reference, p.scalar)) << what << ": scalar";
-  EXPECT_TRUE(SameBytes(p.reference, p.simd)) << what << ": simd";
-  EXPECT_TRUE(SameBytes(p.reference, p.binned)) << what << ": binned";
-  EXPECT_TRUE(SameBytes(p.f32_scalar, p.f32_simd)) << what << ": f32 simd";
-  ASSERT_EQ(p.f32_scalar.size(), p.reference.size()) << what;
-  for (std::size_t i = 0; i < p.reference.size(); ++i) {
-    EXPECT_NEAR(p.f32_scalar[i], p.reference[i], 5e-5)
-        << what << ": f32 row " << i;
-    EXPECT_GE(p.f32_scalar[i], 0.0);
-    EXPECT_LE(p.f32_scalar[i], 1.0);
-  }
+                       const std::string& what) {
+  kernels::SetFlatKernelEnabled(false);
+  const std::vector<double> reference = model.PredictProba(batch);
+  kernels::SetFlatKernelEnabled(true);
+  const std::vector<double> flat = model.PredictProba(batch);
+  EXPECT_TRUE(SameBytes(reference, flat)) << what;
 }
 
 // Block-boundary row counts: 0 rows, 1 row, one row short of a block,
@@ -187,25 +124,20 @@ TEST_F(KernelConformanceTest, RowCountMatrix) {
        {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
         std::size_t{65}, std::size_t{10000}}) {
     const Dataset batch = RandomBatch(rows, 2, 200 + rows, NanPattern::kSparse);
-    ExpectConformance(model, batch,
-                      ("rows=" + std::to_string(rows)).c_str());
+    ExpectConformance(model, batch, "rows=" + std::to_string(rows));
   }
 }
 
-// Randomized ensembles across tree counts and depths. Depth 10 over
-// 2-D data exceeds the binned capacity (more than kBinnedMaxCuts
-// distinct thresholds per feature) — those cells exercise the silent
-// binned→f64 fallback, shallower cells the real uint8 descent.
+// Randomized ensembles across tree counts and depths.
 TEST_F(KernelConformanceTest, TreeDepthMatrix) {
   std::uint64_t seed = 300;
   for (const int trees : {1, 4, 10}) {
     for (const int depth : {1, 4, 10}) {
       const SelfPacedEnsemble model = RandomForestModel(trees, depth, ++seed);
       const Dataset batch = RandomBatch(400, 2, seed * 7, NanPattern::kSparse);
-      ExpectConformance(
-          model, batch,
-          ("trees=" + std::to_string(trees) + " depth=" + std::to_string(depth))
-              .c_str());
+      ExpectConformance(model, batch,
+                        "trees=" + std::to_string(trees) +
+                            " depth=" + std::to_string(depth));
     }
   }
 }
@@ -217,16 +149,14 @@ TEST_F(KernelConformanceTest, NanPatternMatrix) {
        {NanPattern::kNone, NanPattern::kSparse, NanPattern::kAllNanRows,
         NanPattern::kNanColumn}) {
     const Dataset batch = RandomBatch(500, 2, 500 + i, pattern);
-    ExpectConformance(model, batch, ("nan pattern " + std::to_string(i)).c_str());
+    ExpectConformance(model, batch, "nan pattern " + std::to_string(i));
     ++i;
   }
 }
 
-// GBDT members bin their training features, so their recorded
-// thresholds are quantile boundaries — few per feature. This is the
-// workload the binned lowering is really for: assert it actually
-// engages (no fallback) and conforms.
-TEST_F(KernelConformanceTest, GbdtEnsembleConformsAndLowersBinned) {
+// GBDT members lower to boosted-logit ops: base + lr·leaf per tree in
+// order, then the reference sigmoid.
+TEST_F(KernelConformanceTest, GbdtEnsembleConforms) {
   const Dataset train = OverlappingBlobs(800, 110, 600);
   SelfPacedEnsembleConfig config;
   config.n_estimators = 5;
@@ -235,50 +165,49 @@ TEST_F(KernelConformanceTest, GbdtEnsembleConformsAndLowersBinned) {
   SelfPacedEnsemble model(config, std::make_unique<Gbdt>(gbdt));
   model.Fit(train);
 
-  const kernels::FlatForest* forest = model.members().flat_kernel();
-  ASSERT_NE(forest, nullptr);
-  EXPECT_TRUE(forest->BinnedAvailable());
-  kernels::SetScoreMode(kernels::ScoreMode::kBinned);
-  EXPECT_STREQ("flat_binned", kernels::ActiveKernel(model));
-  kernels::SetScoreMode(kernels::ScoreMode::kF64);
-
+  ASSERT_NE(model.members().flat_kernel(), nullptr);
+  EXPECT_STREQ("flat", kernels::ActiveKernel(model));
   ExpectConformance(model, RandomBatch(700, 2, 601, NanPattern::kSparse),
                     "spe over gbdt");
 }
 
-// Capacity fallback is observable, not just silent: one unbounded tree
-// over a large sample records far more than kBinnedMaxCuts distinct
-// midpoint thresholds per feature, so the program cannot lower — binned
-// mode reports the f64 path and still scores identically. (An SPE
-// forest of depth-10 members does NOT overflow: undersampled members
-// are small and their midpoints dedupe, which TreeDepthMatrix covers
-// on the lowering side.)
-TEST_F(KernelConformanceTest, BinnedCapacityFallback) {
-  const Dataset train = OverlappingBlobs(2500, 2500, 700);
-  DecisionTreeConfig config;
-  config.max_depth = 30;
-  auto tree = std::make_unique<DecisionTree>(config);
-  tree->Fit(train);
+// Both walks in one forest, byte-compared. An unbounded tree over a
+// large overlapping sample grows deeper than kCompleteMaxDepth, so it is
+// certain to take the pooled walk; depth-4 trees pad to at most 31
+// slots, far inside the expansion cap, so they are certain to take the
+// complete walk. The mix must match the reference at every thread count.
+TEST_F(KernelConformanceTest, PooledAndCompleteWalksMixInOneForest) {
   VotingEnsemble members;
-  members.Add(std::move(tree));
+  DecisionTreeConfig deep;
+  deep.max_depth = 30;
+  auto big = std::make_unique<DecisionTree>(deep);
+  big->Fit(OverlappingBlobs(2500, 2500, 700));
+  ASSERT_GT(big->Depth(), kernels::kCompleteMaxDepth);
+  members.Add(std::move(big));
+  DecisionTreeConfig shallow;
+  shallow.max_depth = 4;
+  for (const std::uint64_t seed : {710, 711, 712}) {
+    auto tree = std::make_unique<DecisionTree>(shallow);
+    tree->Fit(OverlappingBlobs(300, 60, seed));
+    ASSERT_LE(tree->Depth(), 4);
+    members.Add(std::move(tree));
+  }
   const VotingEnsembleModel model(std::move(members));
-  const auto* scorable = dynamic_cast<const kernels::FlatScorable*>(&model);
-  ASSERT_NE(scorable, nullptr);
-  const kernels::FlatForest* forest = scorable->flat_kernel();
-  ASSERT_NE(forest, nullptr);
-  ASSERT_FALSE(forest->BinnedAvailable());
-  kernels::SetScoreMode(kernels::ScoreMode::kBinned);
-  EXPECT_STREQ("flat", kernels::ActiveKernel(model));
+  ASSERT_STREQ("flat", kernels::ActiveKernel(model));
 
-  const Dataset batch = RandomBatch(300, 2, 701, NanPattern::kSparse);
-  const std::vector<double> binned = model.PredictProba(batch);
+  const Dataset batch = RandomBatch(1000, 2, 701, NanPattern::kSparse);
   kernels::SetFlatKernelEnabled(false);
   const std::vector<double> reference = model.PredictProba(batch);
-  EXPECT_TRUE(SameBytes(reference, binned));
+  kernels::SetFlatKernelEnabled(true);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SetNumThreads(threads);
+    EXPECT_TRUE(SameBytes(reference, model.PredictProba(batch)))
+        << "threads=" << threads;
+  }
 }
 
-// Prefix scoring (the serve layer's degradation knob) conforms in every
-// mode at k = 1, mid, all.
+// Prefix scoring (the serve layer's degradation knob) conforms at
+// k = 1, mid, all.
 TEST_F(KernelConformanceTest, PrefixConformance) {
   const SelfPacedEnsemble model = RandomForestModel(8, 5, 800);
   const Dataset batch = RandomBatch(300, 2, 801, NanPattern::kSparse);
@@ -286,105 +215,21 @@ TEST_F(KernelConformanceTest, PrefixConformance) {
     kernels::SetFlatKernelEnabled(false);
     const std::vector<double> reference = model.PredictProbaPrefix(batch, k);
     kernels::SetFlatKernelEnabled(true);
-    for (const kernels::ScoreMode mode :
-         {kernels::ScoreMode::kF64, kernels::ScoreMode::kBinned}) {
-      kernels::SetScoreMode(mode);
-      EXPECT_TRUE(SameBytes(reference, model.PredictProbaPrefix(batch, k)))
-          << "mode=" << kernels::ScoreModeName(mode) << " k=" << k;
-    }
-    kernels::SetScoreMode(kernels::ScoreMode::kF32);
-    const std::vector<double> f32 = model.PredictProbaPrefix(batch, k);
-    ASSERT_EQ(f32.size(), reference.size());
-    for (std::size_t i = 0; i < f32.size(); ++i) {
-      EXPECT_NEAR(f32[i], reference[i], 5e-5) << "f32 prefix k=" << k;
-    }
-    kernels::SetScoreMode(kernels::ScoreMode::kF64);
+    EXPECT_TRUE(SameBytes(reference, model.PredictProbaPrefix(batch, k)))
+        << "k=" << k;
   }
 }
 
-// Thread-count invariance per mode: blocks write disjoint ranges with
-// identical arithmetic, so 1 vs 8 threads must agree to the byte even
-// in f32.
+// Thread-count invariance: blocks write disjoint ranges with identical
+// arithmetic, so 1 vs 8 threads must agree to the byte.
 TEST_F(KernelConformanceTest, ThreadCountInvariance) {
   const SelfPacedEnsemble model = RandomForestModel(6, 6, 900);
   const Dataset batch = RandomBatch(2000, 2, 901, NanPattern::kSparse);
-  for (const kernels::ScoreMode mode :
-       {kernels::ScoreMode::kF64, kernels::ScoreMode::kF32,
-        kernels::ScoreMode::kBinned}) {
-    kernels::SetScoreMode(mode);
-    SetNumThreads(1);
-    const std::vector<double> one = model.PredictProba(batch);
-    SetNumThreads(8);
-    const std::vector<double> eight = model.PredictProba(batch);
-    EXPECT_TRUE(SameBytes(one, eight))
-        << "mode=" << kernels::ScoreModeName(mode);
-    SetNumThreads(0);
-  }
-}
-
-// AUC parity for the f32 mode on a batch large enough for the metric to
-// be meaningful. Float narrowing can reorder genuinely near-tied
-// probabilities, so AUCPRC on 10k random rows agrees to ~1e-5, not to
-// the 1e-6 the golden checkerboard suite pins (where the score
-// distribution is far from tied). Threshold metrics (F1/G-mean/MCC)
-// only move if a probability crosses 0.5, which none does here.
-TEST_F(KernelConformanceTest, F32AucParity) {
-  const SelfPacedEnsemble model = RandomForestModel(10, 6, 1000);
-  const Dataset batch = RandomBatch(10000, 2, 1001, NanPattern::kNone);
-
-  kernels::SetFlatKernelEnabled(false);
-  const ScoreSummary f64 = Evaluate(batch.labels(), model.PredictProba(batch));
-  kernels::SetFlatKernelEnabled(true);
-  kernels::SetScoreMode(kernels::ScoreMode::kF32);
-  const ScoreSummary f32 = Evaluate(batch.labels(), model.PredictProba(batch));
-
-  EXPECT_NEAR(f64.aucprc, f32.aucprc, 1e-5);
-  EXPECT_NEAR(f64.f1, f32.f1, 1e-6);
-  EXPECT_NEAR(f64.gmean, f32.gmean, 1e-6);
-  EXPECT_NEAR(f64.mcc, f32.mcc, 1e-6);
-}
-
-// The runtime SIMD switch: on a SIMD build both settings must produce
-// identical bytes (the fallback walk is the specification); on a scalar
-// build the switch is inert and SimdEnabled() stays false. Either way
-// the scalar walk ran under this binary's dispatch.
-TEST_F(KernelConformanceTest, ScalarFallbackMatchesSimd) {
-  const SelfPacedEnsemble model = RandomForestModel(6, 6, 1100);
-  const Dataset batch = RandomBatch(500, 2, 1101, NanPattern::kSparse);
-
-  kernels::SetSimdEnabled(true);
-  const bool simd_build = kernels::SimdEnabled();
-  const std::vector<double> with_simd = model.PredictProba(batch);
-  kernels::SetSimdEnabled(false);
-  EXPECT_FALSE(kernels::SimdEnabled());
-  const std::vector<double> without = model.PredictProba(batch);
-  EXPECT_TRUE(SameBytes(with_simd, without));
-
-  if (!simd_build) {
-    EXPECT_STREQ("scalar", kernels::SimdIsa());
-  } else {
-    EXPECT_STRNE("scalar", kernels::SimdIsa());
-  }
-}
-
-// Mode knob plumbing: name round-trips and rejection of unknown names.
-TEST_F(KernelConformanceTest, ScoreModeParsing) {
-  kernels::ScoreMode mode = kernels::ScoreMode::kF64;
-  EXPECT_TRUE(kernels::ParseScoreMode("f32", &mode));
-  EXPECT_EQ(mode, kernels::ScoreMode::kF32);
-  EXPECT_TRUE(kernels::ParseScoreMode("binned", &mode));
-  EXPECT_EQ(mode, kernels::ScoreMode::kBinned);
-  EXPECT_TRUE(kernels::ParseScoreMode("f64", &mode));
-  EXPECT_EQ(mode, kernels::ScoreMode::kF64);
-  EXPECT_FALSE(kernels::ParseScoreMode("f16", &mode));
-  EXPECT_EQ(mode, kernels::ScoreMode::kF64);
-  for (const kernels::ScoreMode m :
-       {kernels::ScoreMode::kF64, kernels::ScoreMode::kF32,
-        kernels::ScoreMode::kBinned}) {
-    kernels::ScoreMode parsed = kernels::ScoreMode::kF64;
-    EXPECT_TRUE(kernels::ParseScoreMode(kernels::ScoreModeName(m), &parsed));
-    EXPECT_EQ(parsed, m);
-  }
+  SetNumThreads(1);
+  const std::vector<double> one = model.PredictProba(batch);
+  SetNumThreads(8);
+  const std::vector<double> eight = model.PredictProba(batch);
+  EXPECT_TRUE(SameBytes(one, eight));
 }
 
 }  // namespace

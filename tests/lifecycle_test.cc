@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,12 +119,29 @@ TEST(ModelRegistryTest, LoadFromFileRefusesBrokenArtifactsWithoutAborting) {
   EXPECT_FALSE(garbage.ok());
   EXPECT_FALSE(garbage.error.empty());
 
+  // A well-formed bundle whose header claims ~1 PB of payload: refused
+  // as truncated, not answered by an allocation failure.
+  std::ostringstream bundle;
+  SaveModelBundle(*TrainSpe(1), 2, bundle);
+  std::string lie = bundle.str();
+  const std::size_t at = lie.find("payload_bytes ") + 14;
+  lie.replace(at, lie.find(' ', at) - at, "999999999999999");
+  const std::string lying_path = TempPath("lying.model");
+  {
+    std::ofstream os(lying_path, std::ios::binary);
+    os << lie;
+  }
+  auto lying = registry.LoadFromFile(lying_path);
+  EXPECT_FALSE(lying.ok());
+  EXPECT_NE(lying.error.find("truncated"), std::string::npos) << lying.error;
+
   // A refused load must leave no trace in the version list and count as
   // a failure, not a load.
   EXPECT_TRUE(registry.Manifests().empty());
   EXPECT_EQ(CounterValue("spe_lifecycle_load_failures_total"),
-            failures_before + 2);
+            failures_before + 3);
   std::filesystem::remove(garbage_path);
+  std::filesystem::remove(lying_path);
 }
 
 TEST(ModelRegistryTest, FlakyArtifactReadEventuallyLoadsAndActivates) {

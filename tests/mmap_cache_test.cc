@@ -8,12 +8,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "spe/common/crc32.h"
 #include "spe/data/csv.h"
 #include "spe/data/dataset.h"
 #include "spe/data/mmap_cache.h"
@@ -166,6 +168,46 @@ TEST_F(MmapCacheTest, TruncatedSidecarIsCorruptNotFatal) {
   const std::string sidecar = SidecarPathFor(csv_path_);
   fs::resize_file(sidecar, 20);  // shorter than the fixed header
   EXPECT_EQ(InspectSidecar(csv_path_, 2).status, SidecarStatus::kCorrupt);
+  const Dataset parsed = LoadCsv(csv_path_, 2);
+  const Dataset loaded = LoadCsvCached(csv_path_, 2);
+  ExpectSameValues(parsed, loaded);
+}
+
+// A CRC-correct header whose counts lie: 2^62 rows of one feature in a
+// 60-byte file. Unchecked, the offset arithmetic wraps back onto the real
+// length and the sidecar passes for valid, after which the load tries to
+// allocate 2^62 labels. It must classify as corrupt and fall back to the
+// parser instead.
+TEST_F(MmapCacheTest, HeaderCountsBeyondFileLengthAreCorrupt) {
+  WriteBlobsCsv(11);
+  (void)LoadCsvCached(csv_path_, 2);
+  const std::string sidecar = SidecarPathFor(csv_path_);
+  std::string bytes;
+  {
+    std::ifstream in(sidecar, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Keep magic, version, label column, header flag and the source stamp
+  // (bytes 0-48); rewrite the counts, then one kind byte, padding to the
+  // 8-byte boundary, and a fresh CRC over it all.
+  ASSERT_GE(bytes.size(), 49u);
+  std::string crafted = bytes.substr(0, 49);
+  const std::uint64_t rows = std::uint64_t{1} << 62;
+  const std::uint64_t features = 1;
+  std::memcpy(crafted.data() + 8, &rows, sizeof(rows));
+  std::memcpy(crafted.data() + 16, &features, sizeof(features));
+  crafted.append(7, '\0');
+  const std::uint32_t crc = Crc32(crafted);
+  crafted.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  ASSERT_EQ(crafted.size(), 60u);
+  {
+    std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
+    out.write(crafted.data(), static_cast<std::streamsize>(crafted.size()));
+  }
+  // The CSV is untouched, so the stamp still matches: only the counts
+  // are wrong.
+  const SidecarInfo info = InspectSidecar(csv_path_, 2);
+  EXPECT_EQ(info.status, SidecarStatus::kCorrupt) << info.detail;
   const Dataset parsed = LoadCsv(csv_path_, 2);
   const Dataset loaded = LoadCsvCached(csv_path_, 2);
   ExpectSameValues(parsed, loaded);

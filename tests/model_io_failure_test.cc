@@ -51,6 +51,15 @@ std::string SaveBundleString(const Classifier& model) {
   return os.str();
 }
 
+// The bundle with its header claiming ~1 PB of payload: a length lie
+// that loaders must refuse as truncation before allocating the claim.
+std::string WithLyingPayloadBytes(std::string bytes) {
+  const std::string key = "payload_bytes ";
+  const std::size_t at = bytes.find(key) + key.size();
+  const std::size_t end = bytes.find(' ', at);
+  return bytes.replace(at, end - at, "999999999999999");
+}
+
 TEST(ModelIoFailureTest, BareStreamLoadsWithChecksumWarning) {
   auto model = TrainSpe(1);
   std::stringstream stream;
@@ -119,6 +128,9 @@ TEST(ModelIoFailureTest, TruncatedPayloadAbortsWithTruncationMessage) {
   WriteFile(path, bytes.substr(0, bytes.size() / 2));
 
   EXPECT_DEATH(LoadModelBundleFromFile(path), "model artifact truncated");
+
+  WriteFile(path, WithLyingPayloadBytes(bytes));
+  EXPECT_DEATH(LoadModelBundleFromFile(path), "model artifact truncated");
   std::filesystem::remove(path);
 }
 
@@ -146,6 +158,12 @@ TEST(ModelIoFailureTest, ProbeReportsEveryFailureWithoutAborting) {
   EXPECT_FALSE(probe.ok);
   EXPECT_NE(probe.error.find("truncated"), std::string::npos) << probe.error;
 
+  const std::string lying = TempPath("probe_lying.model");
+  WriteFile(lying, WithLyingPayloadBytes(bytes));
+  probe = ProbeModelBundleFile(lying);
+  EXPECT_FALSE(probe.ok);
+  EXPECT_NE(probe.error.find("truncated"), std::string::npos) << probe.error;
+
   std::string corrupt_bytes = bytes;
   corrupt_bytes[corrupt_bytes.size() - 2] ^= 0x01;
   const std::string corrupt = TempPath("probe_corrupt.model");
@@ -160,7 +178,7 @@ TEST(ModelIoFailureTest, ProbeReportsEveryFailureWithoutAborting) {
   EXPECT_FALSE(probe.ok);
   EXPECT_FALSE(probe.error.empty());
 
-  for (const std::string& p : {good, truncated, corrupt, garbage}) {
+  for (const std::string& p : {good, truncated, lying, corrupt, garbage}) {
     std::filesystem::remove(p);
   }
 }

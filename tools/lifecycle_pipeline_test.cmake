@@ -151,30 +151,45 @@ foreach(want
   endif()
 endforeach()
 
-# A refused reload (broken candidate) must answer ERR and keep serving.
+# A refused reload must answer ERR and keep serving: once for a file that
+# is not a model, once for a real bundle whose header claims ~1 PB of
+# payload (refused as truncated before anything that size is allocated).
 file(WRITE ${dir}/broken.model "not a model\n")
-file(WRITE ${dir}/refused.txt "1.5,-0.75\n!reload ${dir}/broken.model\n1.5,-0.75\n")
-execute_process(
-  COMMAND ${SPE_SERVE} --model ${dir}/a.model --stdio --workers 1
-  INPUT_FILE ${dir}/refused.txt
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "refused-reload session failed (${rc}): ${err}")
-endif()
-string(REGEX REPLACE "\n$" "" trimmed "${out}")
-string(REPLACE "\n" ";" lines "${trimmed}")
-list(LENGTH lines n)
-if(NOT n EQUAL 3)
-  message(FATAL_ERROR "expected 3 response lines, got ${n}: ${out}")
-endif()
-list(GET lines 1 refusal)
-if(NOT refusal MATCHES "^ERR reload")
-  message(FATAL_ERROR "broken candidate not refused: ${refusal}")
-endif()
-list(GET lines 0 before)
-list(GET lines 2 after)
-if(NOT before STREQUAL after)
-  message(FATAL_ERROR "refused reload changed the serving model: ${before} vs ${after}")
+file(READ ${dir}/a.model bundle)
+string(REGEX REPLACE "payload_bytes [0-9]+" "payload_bytes 999999999999999"
+  bundle "${bundle}")
+file(WRITE ${dir}/lie.model "${bundle}")
+foreach(candidate broken lie)
+  file(WRITE ${dir}/refused.txt
+    "1.5,-0.75\n!reload ${dir}/${candidate}.model\n1.5,-0.75\n")
+  execute_process(
+    COMMAND ${SPE_SERVE} --model ${dir}/a.model --stdio --workers 1
+    INPUT_FILE ${dir}/refused.txt
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "refused-reload session (${candidate}) failed (${rc}): ${err}")
+  endif()
+  string(REGEX REPLACE "\n$" "" trimmed "${out}")
+  string(REPLACE "\n" ";" lines "${trimmed}")
+  list(LENGTH lines n)
+  if(NOT n EQUAL 3)
+    message(FATAL_ERROR
+      "expected 3 response lines (${candidate}), got ${n}: ${out}")
+  endif()
+  list(GET lines 1 refusal)
+  if(NOT refusal MATCHES "^ERR reload")
+    message(FATAL_ERROR "${candidate} candidate not refused: ${refusal}")
+  endif()
+  list(GET lines 0 before)
+  list(GET lines 2 after)
+  if(NOT before STREQUAL after)
+    message(FATAL_ERROR
+      "refused reload (${candidate}) changed the serving model: ${before} vs ${after}")
+  endif()
+endforeach()
+if(NOT refusal MATCHES "truncated")
+  message(FATAL_ERROR "lying header not refused as truncated: ${refusal}")
 endif()
 
 # ---- 5. unwritable --metrics-dump is a startup usage error ------------

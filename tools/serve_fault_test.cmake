@@ -9,8 +9,8 @@
 #      expires in the queue and comes back DEADLINE_EXCEEDED, unscored
 #   5. SPE_FAULTS=score_delay_ms + watermark flags: backlog builds behind
 #      the slowed worker and responses are marked "degraded":true
-#   6. flag-parsing hardening: duplicate flags and garbage values are
-#      usage errors, not silently misread config
+#   6. flag-parsing hardening: duplicate flags, unknown flags and
+#      garbage values are usage errors, not silently misread config
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -176,6 +176,26 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2 OR NOT err MATCHES "duplicate flag --model")
   message(FATAL_ERROR "duplicate flag not rejected with exit 2: rc=${rc} ${err}")
+endif()
+
+# An unknown flag is the same hazard as a duplicate: a flag that no
+# longer exists (the scoring-mode switch) must fail loudly, not be
+# silently ignored.
+file(WRITE ${dir}/empty.txt "")
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio --kernel-mode f64
+  INPUT_FILE ${dir}/empty.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --kernel-mode")
+  message(FATAL_ERROR "unknown serve flag not rejected with exit 2: rc=${rc} ${err}")
+endif()
+
+execute_process(
+  COMMAND ${SPE_CLI} predict --data ${dir}/train.csv --model ${dir}/m.model
+    --bogus 1
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --bogus")
+  message(FATAL_ERROR "unknown cli flag not rejected with exit 2: rc=${rc} ${err}")
 endif()
 
 execute_process(

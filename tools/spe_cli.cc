@@ -18,8 +18,9 @@
 // so a dataset can be tried without writing C++.
 //
 // Exit codes follow spe/common/exit_codes.h: 0 ok, 1 runtime error,
-// 2 usage, 3 I/O failure, 4 corrupt artifact/checkpoint, 5 injected
-// fault (docs/robustness.md).
+// 2 usage (including a flag the command does not read, or a repeated
+// one), 3 I/O failure, 4 corrupt artifact/checkpoint, 5 injected fault
+// (docs/robustness.md).
 
 #include <sys/stat.h>
 
@@ -28,6 +29,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -115,14 +117,42 @@ struct Options {
                "             (valid / stale / corrupt / absent)\n"
                "  csv loads  are cached in a <data>.spmc mmap sidecar; "
                "--no-cache\n"
-               "             forces a plain parse\n");
+               "             forces a plain parse\n"
+               "unknown and repeated flags are usage errors (exit 2)\n");
   std::exit(2);
+}
+
+// The flags each command reads. Anything else is a usage error: a typo
+// silently ignored runs with a default nobody asked for.
+const std::set<std::string>& KnownFlags(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> kFlags = {
+      {"train",
+       {"data", "format", "label-column", "no-cache", "method", "base", "n",
+        "bins", "hardness", "seed", "model", "checkpoint-dir",
+        "checkpoint-every", "resume"}},
+      {"predict",
+       {"data", "format", "label-column", "no-cache", "model", "threshold",
+        "scores-only"}},
+      {"evaluate",
+       {"data", "format", "label-column", "no-cache", "model", "threshold"}},
+      {"cv",
+       {"data", "format", "label-column", "no-cache", "folds", "method",
+        "base", "n", "bins", "hardness", "seed"}},
+      {"inspect", {"model", "data", "label-column"}},
+  };
+  const auto it = kFlags.find(command);
+  if (it == kFlags.end()) {
+    const std::string message = "unknown command: " + command;
+    Usage(message.c_str());
+  }
+  return it->second;
 }
 
 Options Parse(int argc, char** argv) {
   if (argc < 2) Usage("missing command");
   Options options;
   options.command = argv[1];
+  const std::set<std::string>& known = KnownFlags(options.command);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -130,6 +160,10 @@ Options Parse(int argc, char** argv) {
       Usage(message.c_str());
     }
     const std::string key = arg.substr(2);
+    if (known.count(key) == 0) {
+      const std::string message = "unknown flag --" + key;
+      Usage(message.c_str());
+    }
     std::string value = "1";
     if (key != "scores-only" && key != "resume" && key != "no-cache") {
       if (i + 1 >= argc) {
