@@ -4,7 +4,7 @@
 // Trains two SPE bundles, saves them as v3 artifacts, then hammers a
 // BatchScorer from client threads while the main thread hot-swaps the
 // active version back and forth through the ModelRegistry. Reports the
-// off-thread reload cost (probe + load + kernel compile) and the
+// off-thread reload cost (read + decode + kernel compile) and the
 // activation swap cost separately, plus the two numbers that define the
 // contract: dropped_requests (scoring errors during churn) and
 // blended_responses (a response matching neither version's standalone

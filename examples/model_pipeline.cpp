@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   const std::string model_path =
       (std::filesystem::temp_directory_path() / "spe_pipeline_demo.model")
           .string();
-  spe::SaveClassifierToFile(model, model_path);
+  spe::SaveModelBundleToFile(model, parts.train.num_features(), model_path);
   const auto served = spe::LoadClassifierFromFile(model_path);
   std::printf("model persisted to %s and reloaded as %s\n", model_path.c_str(),
               served->Name().c_str());

@@ -10,14 +10,20 @@
 
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
+#include "spe/common/frame.h"
 #include "spe/io/model_io.h"
 
 namespace spe {
 namespace checkpoint {
 namespace {
 
-constexpr const char* kMagic = "spe-checkpoint";
-constexpr int kVersion = 1;
+// Refusal wording predates the shared frame; unsupported versions read
+// as malformed, as they always have.
+constexpr frame::Format kCheckpointFormat = {
+    "spe-checkpoint", 1, 1,
+    "checkpoint has bad magic (not an spe-checkpoint file)",
+    "checkpoint header malformed", "checkpoint header malformed",
+    "checkpoint"};
 
 std::string FormatDouble(double value) {
   // %.17g round-trips doubles exactly (model_io.cc idiom) — best_auc
@@ -185,28 +191,15 @@ std::vector<std::string> SerializeMembers(const VotingEnsemble& members) {
   return blobs;
 }
 
-std::string EnvelopeHeader(const std::string& payload) {
-  char header[80];
-  std::snprintf(header, sizeof(header), "%s %d payload_bytes %zu crc32 %08x\n",
-                kMagic, kVersion, payload.size(), Crc32(payload));
-  return header;
+std::string FrameRecord(const std::string& payload) {
+  return frame::EncodeHeader(kCheckpointFormat, "", payload) + payload;
 }
 
-// Replace a file wholesale via sibling tmp + rename(2): the rename is
-// atomic, so the path always holds either the complete old or the
-// complete new bytes.
+// Replace a file wholesale (frame::PublishAtomically), so the path
+// always holds either the complete old or the complete new bytes.
 void ReplaceFile(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc | std::ios::binary);
-    if (!os.good()) throw TransientIoError("cannot write " + tmp);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os.good()) throw TransientIoError("cannot write " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw TransientIoError("cannot write " + path + " (rename failed)");
-  }
+  const frame::Error error = frame::PublishAtomically(path, bytes);
+  if (!error.ok()) throw TransientIoError(error.message);
 }
 
 // Positional in-place write at `offset`, which makes a retried attempt
@@ -281,8 +274,8 @@ void SaveTrainerStateToFile(const TrainerStateCore& core,
   const std::string log = BuildMemberLog(core.bootstrap_blob, member_blobs);
   const std::string payload =
       SerializeManifest(core, log.size(), Crc32(log));
-  PublishToDisk(EnvelopeHeader(payload) + payload, /*manifest_offset=*/0,
-                path, log, /*log_offset=*/0, retry);
+  PublishToDisk(FrameRecord(payload), /*manifest_offset=*/0, path, log,
+                /*log_offset=*/0, retry);
 }
 
 AsyncCheckpointPublisher::AsyncCheckpointPublisher(std::string checkpoint_path,
@@ -340,7 +333,7 @@ void AsyncCheckpointPublisher::AppendMember(const std::string& blob) {
 
 void AsyncCheckpointPublisher::Publish(const TrainerStateCore& core) {
   const std::string payload = SerializeManifest(core, log_bytes_, log_crc_);
-  std::string manifest = EnvelopeHeader(payload) + payload;
+  std::string manifest = FrameRecord(payload);
   std::exception_ptr pending;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -456,46 +449,36 @@ LoadResult LoadTrainerStateFromFile(const std::string& path,
   // payload) cannot come from a torn append, because crashed appends
   // only ever leave prefixes — refuse it as corruption instead of
   // silently resuming older state.
-  std::string last_payload;
+  std::string_view last_payload;
   bool any_valid = false;
   std::size_t pos = 0;
   while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn header line at the tail
-    std::istringstream header(content.substr(pos, nl - pos));
-    std::string magic;
-    int version = 0;
-    std::size_t payload_bytes = 0;
-    std::string crc_hex;
-    if (!(header >> magic) || magic != kMagic) {
-      result.error =
-          any_valid
-              ? "checkpoint corrupted: malformed record after a valid "
-                "checkpoint"
-              : "checkpoint has bad magic (not an spe-checkpoint file)";
-      return result;
+    const std::string_view record = std::string_view(content).substr(pos);
+    frame::Header header;
+    frame::Error error =
+        frame::DecodeHeader(record, kCheckpointFormat, &header);
+    if (error.ok() && !header.fields.empty()) {
+      error = {frame::ErrorClass::kMalformed,
+               std::string(kCheckpointFormat.malformed)};
     }
-    if (!(header >> version) || version != kVersion ||
-        !Expect(header, "payload_bytes") || !(header >> payload_bytes) ||
-        !Expect(header, "crc32") || !(header >> crc_hex)) {
-      result.error = any_valid
-                         ? "checkpoint corrupted: malformed record after a "
-                           "valid checkpoint"
-                         : "checkpoint header malformed";
-      return result;
+    if (error.ok()) {
+      error = frame::CheckPayload(header, record.substr(header.size),
+                                  kCheckpointFormat);
     }
-    const std::size_t payload_start = nl + 1;
-    if (content.size() < payload_start + payload_bytes) break;  // torn append
-    const std::string payload = content.substr(payload_start, payload_bytes);
-    char expected_hex[16];
-    std::snprintf(expected_hex, sizeof(expected_hex), "%08x", Crc32(payload));
-    if (crc_hex != expected_hex) {
+    if (error.cls == frame::ErrorClass::kTruncated) break;  // torn append
+    if (error.cls == frame::ErrorClass::kCorrupt) {
       result.error = "checkpoint corrupted: crc32 mismatch";
       return result;
     }
-    last_payload = payload;
+    if (!error.ok()) {
+      result.error = any_valid ? "checkpoint corrupted: malformed record "
+                                 "after a valid checkpoint"
+                               : std::move(error.message);
+      return result;
+    }
+    last_payload = record.substr(header.size, header.payload_bytes);
     any_valid = true;
-    pos = payload_start + payload_bytes;
+    pos += header.size + header.payload_bytes;
     result.manifest_bytes = pos;
   }
   if (!any_valid) {
@@ -506,7 +489,7 @@ LoadResult LoadTrainerStateFromFile(const std::string& path,
   }
   std::uint64_t log_bytes = 0;
   std::uint32_t log_crc = 0;
-  ParseManifest(last_payload, &result, &log_bytes, &log_crc);
+  ParseManifest(std::string(last_payload), &result, &log_bytes, &log_crc);
   if (!result.error.empty()) return result;
 
   std::string log = read_file(MemberLogPath(path));

@@ -1,7 +1,7 @@
 #ifndef SPE_COMMON_EXIT_CODES_H_
 #define SPE_COMMON_EXIT_CODES_H_
 
-#include <string_view>
+#include "spe/common/frame.h"
 
 namespace spe {
 
@@ -26,18 +26,16 @@ enum ExitCode : int {
   kExitFault = 5,
 };
 
-/// Maps a probe/load error message onto the taxonomy. The error strings
-/// are produced by spe/io and spe/checkpoint; classifying the message
-/// keeps those modules free of process-exit policy.
-inline int ClassifyArtifactErrorExit(std::string_view error) {
-  if (error.find("injected fault") != std::string_view::npos) {
-    return kExitFault;
+/// Maps a refused artifact's error class (spe/common/frame.h) onto the
+/// taxonomy. Keeping the mapping here keeps spe/io and spe/checkpoint
+/// free of process-exit policy.
+inline int ClassifyArtifactErrorExit(frame::ErrorClass cls) {
+  switch (cls) {
+    case frame::ErrorClass::kNone: return kExitOk;
+    case frame::ErrorClass::kIo: return kExitIo;
+    case frame::ErrorClass::kInjectedFault: return kExitFault;
+    default: return kExitCorruptArtifact;  // every integrity class
   }
-  if (error.find("cannot open") != std::string_view::npos ||
-      error.find("cannot write") != std::string_view::npos) {
-    return kExitIo;
-  }
-  return kExitCorruptArtifact;
 }
 
 }  // namespace spe

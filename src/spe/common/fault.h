@@ -20,10 +20,10 @@ struct FaultConfig {
   /// degradation) are reachable deterministically in tests.
   std::uint64_t score_delay_ms = 0;
   /// Probability in [0, 1] that a model artifact file operation
-  /// (SaveModelBundleToFile before the atomic rename,
-  /// LoadModelBundleFromFile before the read) fails. 1.0 fails every
-  /// operation; intermediate rates draw from a seeded deterministic
-  /// stream.
+  /// (SaveModelBundleToFile before the atomic rename, which aborts;
+  /// DecodeModelBundleFromFile before the read, which refuses the
+  /// artifact as an injected fault) fails. 1.0 fails every operation;
+  /// intermediate rates draw from a seeded deterministic stream.
   double model_io_fail_rate = 0.0;
   /// Probability in [0, 1] that a model/checkpoint artifact *write*
   /// fails transiently (TransientIoError before the atomic rename, so

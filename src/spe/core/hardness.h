@@ -88,7 +88,7 @@ class HardnessProfiled {
   virtual ~HardnessProfiled() = default;
 
   /// The training-time histogram, or nullptr when none was recorded
-  /// (unfitted model, custom hardness function, legacy artifact).
+  /// (unfitted model, custom hardness function, v2 artifact).
   virtual const HardnessHistogram* training_hardness() const = 0;
 };
 

@@ -6,9 +6,7 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -17,6 +15,7 @@
 #include "spe/common/check.h"
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
+#include "spe/common/frame.h"
 #include "spe/common/retry.h"
 #include "spe/data/csv.h"
 
@@ -243,24 +242,8 @@ bool WriteSidecar(const Dataset& data, const std::string& csv_path,
   }
   PutLe<std::uint32_t>(buf, Crc32(buf));
 
-  // Atomic publish: write the whole image to a temp file, then rename
-  // over the final path so readers only ever see absent or complete.
-  const std::string final_path = SidecarPathFor(csv_path);
-  const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out.good()) return false;
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!out.good()) {
-      std::remove(tmp_path.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return false;
-  }
-  return true;
+  // Readers only ever see absent or complete.
+  return frame::PublishAtomically(SidecarPathFor(csv_path), buf).ok();
 }
 
 Dataset LoadCsvCached(const std::string& path, std::size_t label_column,

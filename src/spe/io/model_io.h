@@ -4,9 +4,11 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "spe/classifiers/classifier.h"
+#include "spe/common/frame.h"
 #include "spe/core/hardness.h"
 #include "spe/kernels/program.h"
 
@@ -59,7 +61,8 @@ class VotingEnsembleModel final : public Classifier,
   HardnessHistogram training_hardness_;
 };
 
-/// Persists a *fitted* classifier as a self-describing text artifact.
+/// Serializes a *fitted* classifier as a bare text payload — the body
+/// of a bundle (below), one ensemble member, or a checkpoint record.
 ///
 /// Supported:
 ///   - DecisionTree, Gbdt, LogisticRegression (full state);
@@ -72,12 +75,13 @@ class VotingEnsembleModel final : public Classifier,
 /// Aborts (CHECK) on unsupported types (e.g. KNN, whose "model" is the
 /// training set itself) and on unfitted models.
 void SaveClassifier(const Classifier& model, std::ostream& os);
-void SaveClassifierToFile(const Classifier& model, const std::string& path);
 
-/// Restores a classifier persisted by SaveClassifier. The returned
-/// object predicts identically to the saved one. Also accepts bundle
-/// streams (below), skipping the schema header.
+/// Restores a classifier from a bare payload stream written by
+/// SaveClassifier; it predicts identically to the saved one. Artifacts
+/// on disk are bundles, loaded by the bundle functions below.
 std::unique_ptr<Classifier> LoadClassifier(std::istream& is);
+
+/// The model of the bundle at `path`: LoadModelBundleFromFile(path).model.
 std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path);
 
 /// A model together with the input schema the serving layer needs to
@@ -87,19 +91,17 @@ std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path);
 /// (which knows the dataset width) supplies it at save time.
 struct ModelBundle {
   std::unique_ptr<Classifier> model;
-  std::size_t num_features = 0;  // 0 = unknown (legacy spe-model stream)
-  /// Artifact provenance, filled by LoadModelBundle: 0 for bare
-  /// spe-model streams, otherwise the "spe-bundle" header version.
-  int format_version = 0;
-  /// Payload size and checksum from the header; 0 / empty for artifacts
-  /// that predate the integrity fields (bare streams, v1 bundles).
+  std::size_t num_features = 0;
+  int format_version = 0;  ///< the "spe-bundle" header version, 2 or 3
+  /// Payload size and checksum from the header.
   std::size_t payload_bytes = 0;
   std::string crc32_hex;
   /// Training-time hardness histogram from a v3 header; empty otherwise.
   HardnessHistogram hardness_histogram;
 };
 
-/// Persists `model` prefixed with a schema-and-integrity header:
+/// Persists `model` framed by the spe/common/frame envelope plus the
+/// v3 histogram line:
 ///
 ///   spe-bundle 3 num_features N payload_bytes B crc32 HHHHHHHH
 ///   hardness_histogram K [KIND MIN MAX C0 .. C(K-1)]
@@ -110,52 +112,42 @@ struct ModelBundle {
 /// hardness_histogram line — the training-time hardness-bin distribution
 /// that hot-reload drift detection compares live traffic against; K is 0
 /// (and the bracketed fields absent) when the model carries none. The
-/// histogram is taken from `histogram` when non-null, else from the
-/// model's HardnessProfiled capability when it has one. MIN/MAX print
-/// with 17 significant digits so the line round-trips byte-identically.
-/// Readers that only want the classifier (LoadClassifier) skip the
-/// header transparently.
+/// CRC covers the payload only, so the histogram line is checked for
+/// shape, not for integrity. The histogram is taken from `histogram`
+/// when non-null, else from the model's HardnessProfiled capability when
+/// it has one. MIN/MAX print with 17 significant digits so the line
+/// round-trips byte-identically.
 void SaveModelBundle(const Classifier& model, std::size_t num_features,
                      std::ostream& os,
                      const HardnessHistogram* histogram = nullptr);
 
-/// File variant is crash-safe: the bundle is written to a temporary
-/// file in the same directory and rename(2)d over `path`, so a crash or
+/// File variant, published with frame::PublishAtomically: a crash or
 /// injected fault mid-write never leaves a torn artifact at `path` —
 /// either the old file survives intact or the new one is complete.
 void SaveModelBundleToFile(const Classifier& model, std::size_t num_features,
                            const std::string& path);
 
-/// Loads a bundle stream or a bare classifier stream. Version-2/3
-/// bundle headers are verified: a payload shorter than advertised aborts
-/// with a truncation message, a CRC mismatch with a corruption message.
-/// Legacy artifacts (bare "spe-model" streams and version-1 bundles)
-/// still load, with a stderr warning that they carry no checksum; for
-/// bare streams num_features is 0 and the caller must know the width.
-/// A v3 hardness histogram is reported on the bundle and, when the model
-/// is a VotingEnsembleModel, installed on it so a re-save round-trips.
+/// The bundle decoder: fills `bundle`, or returns why the bytes were
+/// refused, classified — bad magic (bare "spe-model" streams included),
+/// malformed header (the histogram line included), unsupported version
+/// (1, or past 3), truncated, corrupt — and never aborts on them. Both
+/// header lines, the payload length and its CRC-32 are checked before a
+/// payload byte is parsed; a payload that passes its CRC is trusted to
+/// parse. Bytes past the payload are ignored. A v3 histogram is also
+/// installed on a VotingEnsembleModel, so a re-save round-trips.
+frame::Error DecodeModelBundle(std::string_view bytes, ModelBundle* bundle);
+
+/// Reads the file at `path` once and decodes it. Open/read failures are
+/// kIo and the model_io_fail_rate fault point kInjectedFault; the
+/// artifact_read_fail_rate point throws TransientIoError for the
+/// caller's retry loop.
+frame::Error DecodeModelBundleFromFile(const std::string& path,
+                                       ModelBundle* bundle);
+
+/// Decode + CHECK: abort with the refusal's message, for callers to
+/// which a broken artifact is fatal anyway.
 ModelBundle LoadModelBundle(std::istream& is);
 ModelBundle LoadModelBundleFromFile(const std::string& path);
-
-/// Outcome of a non-aborting artifact inspection (ProbeModelBundleFile).
-struct BundleProbe {
-  bool ok = false;
-  std::string error;  // human-readable reason when !ok
-  int format_version = 0;  // 0 = bare spe-model stream
-  std::size_t num_features = 0;
-  std::size_t payload_bytes = 0;
-  std::string crc32_hex;
-  bool has_hardness_histogram = false;
-};
-
-/// Validates an artifact without loading the model and without aborting:
-/// parses the header, checks the payload length against the promise and
-/// the payload CRC against the checksum. The hot-reload path probes
-/// before LoadModelBundleFromFile so a truncated or bit-flipped
-/// candidate is refused with an error response instead of taking the
-/// serving process down with it. Legacy artifacts (bare streams, v1
-/// bundles) probe ok with their limitations reflected in the fields.
-BundleProbe ProbeModelBundleFile(const std::string& path);
 
 }  // namespace spe
 

@@ -48,54 +48,39 @@ ModelRegistry::ModelRegistry(DriftConfig drift_config)
           "spe_lifecycle_activations_total")) {}
 
 ModelRegistry::LoadResult ModelRegistry::LoadFromFile(
-    const std::string& path, std::size_t fallback_num_features) {
+    const std::string& path) {
   const obs::TraceSpan span("lifecycle.load");
   LoadResult result;
-  // Probe before the real loader: LoadModelBundle enforces integrity
-  // with aborting checks (correct for startup — a server must not come
-  // up on a bad artifact), but a *reload* candidate failing must refuse
-  // the candidate, not take down the serving process.
-  //
-  // Transient failures — "cannot open" from the probe (a mount blip; the
-  // artifact is rename(2)-published, so a file that exists is never
-  // torn) and TransientIoError from the loader (injected read faults) —
-  // retry under load_retry_ before the candidate is refused. Integrity
-  // failures never retry: bits do not heal.
+  // Transient failures — io-class refusals (a mount blip; the artifact
+  // is rename(2)-published, so a file that exists is never torn) and
+  // TransientIoError (injected read faults) — retry under load_retry_
+  // before the candidate is refused. Integrity failures never retry:
+  // bits do not heal.
   ModelBundle bundle;
+  frame::Error error;
   try {
-    const BundleProbe probe =
-        RetryWithBackoff(load_retry_, "artifact probe " + path, [&] {
-          BundleProbe p = ProbeModelBundleFile(path);
-          if (!p.ok &&
-              p.error.find("cannot open") != std::string::npos) {
-            throw TransientIoError(p.error);
-          }
-          return p;
-        });
-    if (!probe.ok) {
-      load_failures_total_.Add();
-      result.error = probe.error;
-      return result;
-    }
-    bundle = RetryWithBackoff(load_retry_, "artifact load " + path,
-                              [&] { return LoadModelBundleFromFile(path); });
-  } catch (const TransientIoError& error) {
-    load_failures_total_.Add();
-    result.error = error.what();
-    return result;
+    error = RetryWithBackoff(load_retry_, "artifact load " + path, [&] {
+      frame::Error attempt = DecodeModelBundleFromFile(path, &bundle);
+      if (attempt.cls == frame::ErrorClass::kIo) {
+        throw TransientIoError(attempt.message);
+      }
+      return attempt;
+    });
+  } catch (const TransientIoError& e) {
+    error = {e.injected() ? frame::ErrorClass::kInjectedFault
+                          : frame::ErrorClass::kIo,
+             e.what()};
   }
-  std::size_t num_features = bundle.num_features;
-  if (num_features == 0) num_features = fallback_num_features;
-  if (num_features == 0) {
+  if (!error.ok()) {
     load_failures_total_.Add();
-    result.error =
-        "artifact has no schema header and no fallback width was given";
+    result.error = std::move(error.message);
+    result.error_class = error.cls;
     return result;
   }
   VersionManifest manifest;
   manifest.source_path = path;
   manifest.format_version = bundle.format_version;
-  manifest.num_features = num_features;
+  manifest.num_features = bundle.num_features;
   manifest.payload_bytes = bundle.payload_bytes;
   manifest.crc32_hex = bundle.crc32_hex;
   result.version = Register(std::move(bundle.model), std::move(manifest));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "spe/classifiers/classifier.h"
+#include "spe/common/frame.h"
 #include "spe/common/retry.h"
 #include "spe/core/hardness.h"
 #include "spe/lifecycle/drift.h"
@@ -23,8 +24,8 @@ struct VersionManifest {
   std::string source_path;     ///< artifact file; "" for in-memory installs
   int format_version = 0;      ///< bundle header version (0 = in-memory)
   std::size_t num_features = 0;
-  std::size_t payload_bytes = 0;  ///< 0 when the artifact carried none
-  std::string crc32_hex;          ///< "" when the artifact carried none
+  std::size_t payload_bytes = 0;  ///< 0 for in-memory installs
+  std::string crc32_hex;          ///< "" for in-memory installs
   std::string kernel;  ///< "flat" or "reference"
   bool has_hardness_histogram = false;
   std::string model_name;  ///< Classifier::Name() of the loaded model
@@ -102,20 +103,20 @@ class ModelRegistry {
   struct LoadResult {
     std::shared_ptr<const ModelVersion> version;  ///< null on failure
     std::string error;                            ///< reason when null
+    frame::ErrorClass error_class = frame::ErrorClass::kNone;
     bool ok() const { return version != nullptr; }
   };
 
   /// Loads a model artifact into a new (inactive) version. The file is
-  /// probed first (ProbeModelBundleFile) so a truncated, corrupt or
-  /// unsupported artifact is reported as a LoadResult error instead of
-  /// aborting the process — the difference between a refused reload and
-  /// a serving outage. Legacy artifacts without a schema header need
-  /// `fallback_num_features`.
-  LoadResult LoadFromFile(const std::string& path,
-                          std::size_t fallback_num_features = 0);
+  /// read once and decoded (DecodeModelBundleFromFile), so a truncated,
+  /// corrupt or unsupported artifact — or one that changes between
+  /// reads — is reported as a classified LoadResult error instead of
+  /// aborting the process: the difference between a refused reload and
+  /// a serving outage.
+  LoadResult LoadFromFile(const std::string& path);
 
-  /// Backoff for transient load failures ("cannot open" probes,
-  /// injected read faults). Defaults suit serving; tests shrink the
+  /// Backoff for transient load failures (io-class refusals, injected
+  /// read faults). Defaults suit serving; tests shrink the
   /// backoff to keep flaky-artifact scenarios fast.
   void set_load_retry(const RetryPolicy& policy) { load_retry_ = policy; }
   const RetryPolicy& load_retry() const { return load_retry_; }

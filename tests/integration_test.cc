@@ -62,7 +62,7 @@ TEST(IntegrationTest, FullPipelineCsvToServedModel) {
 
   const std::string model_path =
       (std::filesystem::temp_directory_path() / "spe_integration.model").string();
-  SaveClassifierToFile(model, model_path);
+  SaveModelBundleToFile(model, split.test.num_features(), model_path);
   const auto served = LoadClassifierFromFile(model_path);
   const std::vector<double> served_probs = served->PredictProba(split.test);
   for (std::size_t i = 0; i < probs.size(); ++i) {

@@ -5,7 +5,12 @@
 // `sanitize` ctest label so the swap-under-load test runs under
 // SPE_SANITIZE=thread builds.
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -107,6 +112,7 @@ TEST(ModelRegistryTest, LoadFromFileRefusesBrokenArtifactsWithoutAborting) {
 
   auto missing = registry.LoadFromFile(TempPath("does_not_exist.model"));
   EXPECT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error_class, frame::ErrorClass::kIo);
   EXPECT_NE(missing.error.find("cannot open"), std::string::npos)
       << missing.error;
 
@@ -117,6 +123,7 @@ TEST(ModelRegistryTest, LoadFromFileRefusesBrokenArtifactsWithoutAborting) {
   }
   auto garbage = registry.LoadFromFile(garbage_path);
   EXPECT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.error_class, frame::ErrorClass::kBadMagic);
   EXPECT_FALSE(garbage.error.empty());
 
   // A well-formed bundle whose header claims ~1 PB of payload: refused
@@ -133,15 +140,79 @@ TEST(ModelRegistryTest, LoadFromFileRefusesBrokenArtifactsWithoutAborting) {
   }
   auto lying = registry.LoadFromFile(lying_path);
   EXPECT_FALSE(lying.ok());
+  EXPECT_EQ(lying.error_class, frame::ErrorClass::kTruncated);
   EXPECT_NE(lying.error.find("truncated"), std::string::npos) << lying.error;
+
+  // The same bundle with a histogram line claiming ~10^18 bins: refused
+  // as a malformed header before anything is sized from the claim.
+  std::string hist_lie = bundle.str();
+  const std::size_t k = hist_lie.find("\nhardness_histogram ") + 20;
+  hist_lie.replace(k, hist_lie.find(' ', k) - k, "999999999999999999");
+  const std::string hist_lie_path = TempPath("hist_lie.model");
+  {
+    std::ofstream os(hist_lie_path, std::ios::binary);
+    os << hist_lie;
+  }
+  auto hist = registry.LoadFromFile(hist_lie_path);
+  EXPECT_FALSE(hist.ok());
+  EXPECT_EQ(hist.error_class, frame::ErrorClass::kMalformed);
+  EXPECT_NE(hist.error.find("malformed bundle header"), std::string::npos)
+      << hist.error;
 
   // A refused load must leave no trace in the version list and count as
   // a failure, not a load.
   EXPECT_TRUE(registry.Manifests().empty());
   EXPECT_EQ(CounterValue("spe_lifecycle_load_failures_total"),
-            failures_before + 3);
+            failures_before + 4);
   std::filesystem::remove(garbage_path);
   std::filesystem::remove(lying_path);
+  std::filesystem::remove(hist_lie_path);
+}
+
+TEST(ModelRegistryTest, LoadFromFileReadsACandidateOnce) {
+  // A candidate that changes between reads — a FIFO that yields one good
+  // bundle and then EOF to any later reader, like a `cp` over the path
+  // mid-reload — must load from one read of the bytes. Reading it twice
+  // (validate, then load) saw the EOF the second time and aborted.
+  std::ostringstream bundle;
+  SaveModelBundle(*TrainSpe(2), 2, bundle);
+  const std::string bytes = bundle.str();
+  const std::string fifo = TempPath("candidate.fifo");
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    // A non-blocking open for writing fails until a reader is there, so
+    // polling it never blocks past `done`.
+    const auto open_writer = [&] {
+      return ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    };
+    int fd = -1;
+    while (!done && (fd = open_writer()) < 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) return;
+    ::fcntl(fd, F_SETFL, 0);  // blocking writes
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    // Every later reader gets EOF: open, then close at once.
+    while (!done) {
+      if ((fd = open_writer()) >= 0) ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ModelRegistry registry;
+  auto loaded = registry.LoadFromFile(fifo);
+  done = true;
+  writer.join();
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  EXPECT_EQ(loaded.version->num_features(), 2u);
+  std::filesystem::remove(fifo);
 }
 
 TEST(ModelRegistryTest, FlakyArtifactReadEventuallyLoadsAndActivates) {

@@ -1,8 +1,9 @@
-// Failure-path tests for model_io bundle loading: legacy artifacts load
-// with a warning, integrity violations (truncation, bit rot) abort with
-// messages that name the real problem, the non-aborting probe reports
-// the same conditions as errors, and the v3 hardness-histogram line
-// round-trips byte-identically through save -> load -> re-save.
+// Failure-path tests for model_io bundle loading: legacy artifacts are
+// refused, integrity violations (truncation, bit rot) abort the loaders
+// with messages that name the real problem, the decoder reports the
+// same conditions as classified errors without aborting, and the v3
+// hardness-histogram line round-trips byte-identically through save ->
+// load -> re-save.
 
 #include <cstdint>
 #include <filesystem>
@@ -60,49 +61,31 @@ std::string WithLyingPayloadBytes(std::string bytes) {
   return bytes.replace(at, end - at, "999999999999999");
 }
 
-TEST(ModelIoFailureTest, BareStreamLoadsWithChecksumWarning) {
+TEST(ModelIoFailureTest, BareStreamIsRefusedAsBadMagic) {
   auto model = TrainSpe(1);
   std::stringstream stream;
   SaveClassifier(*model, stream);
 
-  ::testing::internal::CaptureStderr();
-  ModelBundle bundle = LoadModelBundle(stream);
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-
-  EXPECT_NE(warning.find("without an integrity checksum"), std::string::npos)
-      << warning;
-  EXPECT_NE(warning.find("bare spe-model artifact"), std::string::npos)
-      << warning;
-  ASSERT_NE(bundle.model, nullptr);
-  EXPECT_EQ(bundle.format_version, 0);
-  EXPECT_EQ(bundle.num_features, 0u);  // bare streams carry no schema
-  EXPECT_TRUE(bundle.crc32_hex.empty());
-  EXPECT_TRUE(bundle.hardness_histogram.empty());
+  ModelBundle bundle;
+  const frame::Error error = DecodeModelBundle(stream.str(), &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kBadMagic);
+  EXPECT_EQ(error.message, "not an spe model stream");
+  EXPECT_EQ(bundle.model, nullptr);
+  EXPECT_DEATH(LoadModelBundle(stream), "not an spe model stream");
 }
 
-TEST(ModelIoFailureTest, V1BundleLoadsWithWarningAndKeepsSchema) {
+TEST(ModelIoFailureTest, V1BundleIsRefusedAsUnsupportedVersion) {
   auto model = TrainSpe(2);
   std::ostringstream payload;
   SaveClassifier(*model, payload);
   std::stringstream stream;
   stream << "spe-bundle 1 num_features 2\n" << payload.str();
 
-  ::testing::internal::CaptureStderr();
-  ModelBundle bundle = LoadModelBundle(stream);
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-
-  EXPECT_NE(warning.find("version-1 model bundle"), std::string::npos)
-      << warning;
-  ASSERT_NE(bundle.model, nullptr);
-  EXPECT_EQ(bundle.format_version, 1);
-  EXPECT_EQ(bundle.num_features, 2u);
-
-  const Dataset test = OverlappingBlobs(30, 10, 3);
-  const std::vector<double> expected = model->PredictProba(test);
-  const std::vector<double> restored = bundle.model->PredictProba(test);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(expected[i], restored[i]) << "row " << i;
-  }
+  ModelBundle bundle;
+  EXPECT_EQ(DecodeModelBundle(stream.str(), &bundle).cls,
+            frame::ErrorClass::kUnsupportedVersion);
+  EXPECT_EQ(bundle.model, nullptr);
+  EXPECT_DEATH(LoadModelBundle(stream), "unsupported bundle version");
 }
 
 TEST(ModelIoFailureTest, CrcMismatchAbortsWithCorruptionMessage) {
@@ -134,49 +117,53 @@ TEST(ModelIoFailureTest, TruncatedPayloadAbortsWithTruncationMessage) {
   std::filesystem::remove(path);
 }
 
-TEST(ModelIoFailureTest, ProbeReportsEveryFailureWithoutAborting) {
+TEST(ModelIoFailureTest, DecoderClassifiesEveryFailureWithoutAborting) {
   auto model = TrainSpe(6);
   const std::string bytes = SaveBundleString(*model);
 
-  const std::string good = TempPath("probe_good.model");
+  const std::string good = TempPath("decode_good.model");
   WriteFile(good, bytes);
-  BundleProbe probe = ProbeModelBundleFile(good);
-  EXPECT_TRUE(probe.ok) << probe.error;
-  EXPECT_EQ(probe.format_version, 3);
-  EXPECT_EQ(probe.num_features, 2u);
-  EXPECT_GT(probe.payload_bytes, 0u);
-  EXPECT_EQ(probe.crc32_hex.size(), 8u);
-  EXPECT_TRUE(probe.has_hardness_histogram);
+  ModelBundle bundle;
+  frame::Error error = DecodeModelBundleFromFile(good, &bundle);
+  ASSERT_TRUE(error.ok()) << error.message;
+  EXPECT_EQ(bundle.format_version, 3);
+  EXPECT_EQ(bundle.num_features, 2u);
+  EXPECT_GT(bundle.payload_bytes, 0u);
+  EXPECT_EQ(bundle.crc32_hex.size(), 8u);
+  EXPECT_FALSE(bundle.hardness_histogram.empty());
 
-  probe = ProbeModelBundleFile(TempPath("probe_missing.model"));
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("cannot open"), std::string::npos);
+  error = DecodeModelBundleFromFile(TempPath("decode_missing.model"), &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kIo);
+  EXPECT_NE(error.message.find("cannot open"), std::string::npos);
 
-  const std::string truncated = TempPath("probe_truncated.model");
+  const std::string truncated = TempPath("decode_truncated.model");
   WriteFile(truncated, bytes.substr(0, bytes.size() - 7));
-  probe = ProbeModelBundleFile(truncated);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("truncated"), std::string::npos) << probe.error;
+  error = DecodeModelBundleFromFile(truncated, &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kTruncated);
+  EXPECT_NE(error.message.find("truncated"), std::string::npos)
+      << error.message;
 
-  const std::string lying = TempPath("probe_lying.model");
+  const std::string lying = TempPath("decode_lying.model");
   WriteFile(lying, WithLyingPayloadBytes(bytes));
-  probe = ProbeModelBundleFile(lying);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("truncated"), std::string::npos) << probe.error;
+  error = DecodeModelBundleFromFile(lying, &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kTruncated);
+  EXPECT_NE(error.message.find("truncated"), std::string::npos)
+      << error.message;
 
   std::string corrupt_bytes = bytes;
   corrupt_bytes[corrupt_bytes.size() - 2] ^= 0x01;
-  const std::string corrupt = TempPath("probe_corrupt.model");
+  const std::string corrupt = TempPath("decode_corrupt.model");
   WriteFile(corrupt, corrupt_bytes);
-  probe = ProbeModelBundleFile(corrupt);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("corrupted"), std::string::npos) << probe.error;
+  error = DecodeModelBundleFromFile(corrupt, &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kCorrupt);
+  EXPECT_NE(error.message.find("corrupted"), std::string::npos)
+      << error.message;
 
-  const std::string garbage = TempPath("probe_garbage.model");
+  const std::string garbage = TempPath("decode_garbage.model");
   WriteFile(garbage, "hello world\n");
-  probe = ProbeModelBundleFile(garbage);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_FALSE(probe.error.empty());
+  error = DecodeModelBundleFromFile(garbage, &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kBadMagic);
+  EXPECT_FALSE(error.message.empty());
 
   for (const std::string& p : {good, truncated, lying, corrupt, garbage}) {
     std::filesystem::remove(p);

@@ -128,7 +128,7 @@ TEST(ModelIoTest, FileRoundTrip) {
   tree.Fit(SeparableBlobs(60, 60, 17));
   const std::string path =
       (std::filesystem::temp_directory_path() / "spe_model_test.txt").string();
-  SaveClassifierToFile(tree, path);
+  SaveModelBundleToFile(tree, 2, path);
   const auto loaded = LoadClassifierFromFile(path);
   const Dataset test = SeparableBlobs(20, 20, 18);
   const auto a = tree.PredictProba(test);
@@ -204,32 +204,37 @@ TEST(ModelBundleTest, FileRoundTripAndNoTmpLeftBehind) {
   std::remove(path.c_str());
 }
 
-TEST(ModelBundleTest, LegacyBareModelLoadsWithDefaultSchema) {
+// Pre-bundle artifacts (no header, no checksum) are refused, not
+// loaded: nothing writes them any more.
+TEST(ModelBundleDeathTest, LegacyBareModelIsRefused) {
   const DecisionTree tree = TrainedTree(25);
   std::stringstream stream;
   SaveClassifier(tree, stream);  // pre-bundle artifact: no header at all
-  ModelBundle bundle = LoadModelBundle(stream);
-  EXPECT_EQ(bundle.num_features, 0u);  // unknown; caller must supply
-  ASSERT_NE(bundle.model, nullptr);
+  ModelBundle bundle;
+  EXPECT_EQ(DecodeModelBundle(stream.str(), &bundle).cls,
+            frame::ErrorClass::kBadMagic);
+  EXPECT_DEATH(LoadModelBundle(stream), "not an spe model stream");
 }
 
-TEST(ModelBundleTest, LegacyV1BundleLoadsWithoutChecksum) {
+TEST(ModelBundleDeathTest, LegacyV1BundleIsRefused) {
   const DecisionTree tree = TrainedTree(26);
   std::stringstream payload;
   SaveClassifier(tree, payload);
-  std::stringstream stream("spe-bundle 1 num_features 2 " + payload.str());
-  ModelBundle bundle = LoadModelBundle(stream);
-  EXPECT_EQ(bundle.num_features, 2u);
-  ASSERT_NE(bundle.model, nullptr);
-  // LoadClassifier must also skip a v1 header.
-  std::stringstream again("spe-bundle 1 num_features 2 " + payload.str());
-  EXPECT_NE(LoadClassifier(again), nullptr);
+  const std::string v1 = "spe-bundle 1 num_features 2\n" + payload.str();
+  ModelBundle bundle;
+  EXPECT_EQ(DecodeModelBundle(v1, &bundle).cls,
+            frame::ErrorClass::kUnsupportedVersion);
+  std::stringstream stream(v1);
+  EXPECT_DEATH(LoadModelBundle(stream), "unsupported bundle version");
+  // LoadClassifier reads bare payload streams only: no header skipping.
+  std::stringstream again(v1);
+  EXPECT_DEATH(LoadClassifier(again), "not an spe model stream");
 }
 
-TEST(ModelBundleTest, LoadClassifierSkipsV2Header) {
+TEST(ModelBundleDeathTest, LoadClassifierRefusesBundleHeader) {
   const DecisionTree tree = TrainedTree(27);
   std::stringstream stream(BundleText(tree, 2));
-  EXPECT_NE(LoadClassifier(stream), nullptr);
+  EXPECT_DEATH(LoadClassifier(stream), "not an spe model stream");
 }
 
 TEST(ModelBundleDeathTest, TruncatedPayloadIsRejected) {

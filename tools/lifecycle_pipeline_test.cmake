@@ -153,13 +153,21 @@ endforeach()
 
 # A refused reload must answer ERR and keep serving: once for a file that
 # is not a model, once for a real bundle whose header claims ~1 PB of
-# payload (refused as truncated before anything that size is allocated).
+# payload (refused as truncated before anything that size is allocated),
+# and once for one whose hardness_histogram line claims ~10^18 bins
+# (refused as a malformed header before anything is sized from it).
 file(WRITE ${dir}/broken.model "not a model\n")
 file(READ ${dir}/a.model bundle)
 string(REGEX REPLACE "payload_bytes [0-9]+" "payload_bytes 999999999999999"
-  bundle "${bundle}")
-file(WRITE ${dir}/lie.model "${bundle}")
-foreach(candidate broken lie)
+  lie "${bundle}")
+file(WRITE ${dir}/lie.model "${lie}")
+string(REGEX REPLACE "hardness_histogram [0-9]+"
+  "hardness_histogram 999999999999999999" hist "${bundle}")
+file(WRITE ${dir}/hist.model "${hist}")
+set(reason_broken "not an spe model stream")
+set(reason_lie "truncated")
+set(reason_hist "malformed bundle header")
+foreach(candidate broken lie hist)
   file(WRITE ${dir}/refused.txt
     "1.5,-0.75\n!reload ${dir}/${candidate}.model\n1.5,-0.75\n")
   execute_process(
@@ -178,8 +186,9 @@ foreach(candidate broken lie)
       "expected 3 response lines (${candidate}), got ${n}: ${out}")
   endif()
   list(GET lines 1 refusal)
-  if(NOT refusal MATCHES "^ERR reload")
-    message(FATAL_ERROR "${candidate} candidate not refused: ${refusal}")
+  if(NOT refusal MATCHES "^ERR reload.*${reason_${candidate}}")
+    message(FATAL_ERROR "${candidate} candidate not refused as "
+      "\"${reason_${candidate}}\": ${refusal}")
   endif()
   list(GET lines 0 before)
   list(GET lines 2 after)
@@ -188,8 +197,15 @@ foreach(candidate broken lie)
       "refused reload (${candidate}) changed the serving model: ${before} vs ${after}")
   endif()
 endforeach()
-if(NOT refusal MATCHES "truncated")
-  message(FATAL_ERROR "lying header not refused as truncated: ${refusal}")
+
+# The offline view of the same candidate: inspect exits 4 (corrupt
+# artifact) with the reason, not with a crash.
+execute_process(
+  COMMAND ${SPE_CLI} inspect --model ${dir}/hist.model
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 4 OR NOT err MATCHES "malformed bundle header")
+  message(FATAL_ERROR
+    "inspect of the false histogram count must exit 4: rc=${rc} ${err}")
 endif()
 
 # ---- 5. unwritable --metrics-dump is a startup usage error ------------

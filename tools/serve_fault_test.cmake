@@ -3,8 +3,8 @@
 #   1. train a tiny model bundle with spe_cli
 #   2. corrupted / truncated artifacts must be rejected with a clear error
 #      and the corrupt-artifact exit code (4, spe/common/exit_codes.h)
-#   3. a legacy (headerless) artifact still serves, with a warning,
-#      given --num-features
+#   3. a legacy (headerless) artifact is refused with the corrupt-artifact
+#      exit code and the reason
 #   4. SPE_FAULTS=score_delay_ms + --default-deadline-ms: every request
 #      expires in the queue and comes back DEADLINE_EXCEEDED, unscored
 #   5. SPE_FAULTS=score_delay_ms + watermark flags: backlog builds behind
@@ -87,10 +87,11 @@ if(NOT err MATCHES "model artifact truncated")
   message(FATAL_ERROR "truncation not reported clearly: ${err}")
 endif()
 
-# ---- 3. legacy headerless artifact loads with a warning ---------------
+# ---- 3. legacy headerless artifact is refused -------------------------
 # Stripping the header lines (the bundle header plus the v3
 # hardness_histogram line) leaves a bare spe-model stream, the
-# pre-bundle artifact shape.
+# pre-bundle artifact shape. Nothing writes it any more, and it carries
+# neither a checksum nor a row width, so the server refuses it.
 string(FIND "${artifact}" "\n" eol)
 math(EXPR after_header "${eol} + 1")
 string(SUBSTRING "${artifact}" ${after_header} -1 tail)
@@ -100,17 +101,15 @@ string(SUBSTRING "${artifact}" ${payload_start} -1 legacy)
 file(WRITE ${dir}/legacy.model "${legacy}")
 
 execute_process(
-  COMMAND ${SPE_SERVE} --model ${dir}/legacy.model --num-features 2 --stdio
+  COMMAND ${SPE_SERVE} --model ${dir}/legacy.model --stdio
   INPUT_FILE ${dir}/one_row.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "legacy artifact failed to serve (${rc}): ${err}")
+if(NOT rc EQUAL 4)
+  message(FATAL_ERROR
+    "legacy artifact must exit 4 (corrupt artifact), got ${rc}: ${out}")
 endif()
-if(NOT out MATCHES "^[0-9.eE+-]+")
-  message(FATAL_ERROR "legacy artifact gave no score: ${out}")
-endif()
-if(NOT err MATCHES "without an integrity checksum")
-  message(FATAL_ERROR "legacy load did not warn: ${err}")
+if(NOT err MATCHES "not an spe model stream")
+  message(FATAL_ERROR "legacy refusal does not name the reason: ${err}")
 endif()
 
 # ---- 4. injected scoring delay expires queued deadlines ---------------
@@ -188,6 +187,15 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --kernel-mode")
   message(FATAL_ERROR "unknown serve flag not rejected with exit 2: rc=${rc} ${err}")
+endif()
+
+# Likewise the legacy-artifact row width: bundles carry their own.
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio --num-features 2
+  INPUT_FILE ${dir}/empty.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --num-features")
+  message(FATAL_ERROR "--num-features not rejected with exit 2: rc=${rc} ${err}")
 endif()
 
 execute_process(

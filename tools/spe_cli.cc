@@ -322,26 +322,27 @@ int Train(const Options& options) {
   return 0;
 }
 
-// Probes `path` and returns the taxonomy exit code for a broken
-// artifact, or 0 when it is loadable. Commands probe before loading so
-// a corrupt file becomes a classified exit instead of an abort.
-int ProbeArtifactOrExitCode(const std::string& path) {
-  const spe::BundleProbe probe = spe::ProbeModelBundleFile(path);
-  if (probe.ok) return 0;
-  std::fprintf(stderr, "error: %s\n", probe.error.c_str());
-  return spe::ClassifyArtifactErrorExit(probe.error);
+// Decodes the artifact at `path` once (injected transient read faults
+// retried). A broken artifact prints its reason and returns its
+// taxonomy exit code, so commands exit classified instead of aborting.
+int DecodeArtifact(const std::string& path, spe::ModelBundle* bundle) {
+  const spe::frame::Error error = spe::RetryWithBackoff(
+      spe::RetryPolicy{}, "load " + path,
+      [&] { return spe::DecodeModelBundleFromFile(path, bundle); });
+  if (error.ok()) return 0;
+  std::fprintf(stderr, "error: %s\n", error.message.c_str());
+  return spe::ClassifyArtifactErrorExit(error.cls);
 }
 
 int Predict(const Options& options) {
   const std::string model_path = options.Get("model", "");
   if (model_path.empty()) Usage("predict requires --model");
-  if (const int rc = ProbeArtifactOrExitCode(model_path)) return rc;
+  spe::ModelBundle bundle;
+  if (const int rc = DecodeArtifact(model_path, &bundle)) return rc;
   const spe::Dataset data = LoadData(options);
-  auto model = spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + model_path,
-                                     [&] { return spe::LoadClassifierFromFile(model_path); });
   // Offline scoring goes through the same batching engine as spe_serve,
   // so there is exactly one dispatch path to keep bit-identical.
-  spe::BatchScorer scorer(std::move(model), data.num_features());
+  spe::BatchScorer scorer(std::move(bundle.model), data.num_features());
   const std::vector<double> probs = scorer.ScoreBatch(data);
   const bool scores_only = options.flags.count("scores-only") > 0;
   const double threshold = options.GetDouble("threshold", 0.5);
@@ -358,12 +359,10 @@ int Predict(const Options& options) {
 int EvaluateCommand(const Options& options) {
   const std::string model_path = options.Get("model", "");
   if (model_path.empty()) Usage("evaluate requires --model");
-  if (const int rc = ProbeArtifactOrExitCode(model_path)) return rc;
+  spe::ModelBundle bundle;
+  if (const int rc = DecodeArtifact(model_path, &bundle)) return rc;
   const spe::Dataset data = LoadData(options);
-  const auto model = spe::RetryWithBackoff(
-      spe::RetryPolicy{}, "load " + model_path,
-      [&] { return spe::LoadClassifierFromFile(model_path); });
-  const std::vector<double> probs = model->PredictProba(data);
+  const std::vector<double> probs = bundle.model->PredictProba(data);
   PrintScores("test", spe::Evaluate(data.labels(), probs,
                                     options.GetDouble("threshold", 0.5)));
   const spe::ThresholdSearchResult best =
@@ -425,31 +424,16 @@ int InspectCommand(const Options& options) {
     return InspectSidecarReport(options);
   }
   if (model_path.empty()) Usage("inspect requires --model or --data");
-  // Probe first: inspect must describe a broken artifact (that is when
-  // an operator reaches for it), not abort on it.
-  if (const int rc = ProbeArtifactOrExitCode(model_path)) return rc;
-  spe::ModelBundle bundle =
-      spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + model_path, [&] {
-        return spe::LoadModelBundleFromFile(model_path);
-      });
+  // inspect must describe a broken artifact (that is when an operator
+  // reaches for it), not abort on it.
+  spe::ModelBundle bundle;
+  if (const int rc = DecodeArtifact(model_path, &bundle)) return rc;
   std::printf("artifact:      %s\n", model_path.c_str());
-  if (bundle.format_version == 0) {
-    std::printf("format:        spe-model (bare stream, no schema header)\n");
-  } else {
-    std::printf("format:        spe-bundle v%d\n", bundle.format_version);
-  }
+  std::printf("format:        spe-bundle v%d\n", bundle.format_version);
   std::printf("model:         %s\n", bundle.model->Name().c_str());
-  if (bundle.num_features > 0) {
-    std::printf("num_features:  %zu\n", bundle.num_features);
-  } else {
-    std::printf("num_features:  unknown (serve with --num-features)\n");
-  }
-  if (bundle.format_version >= 2) {
-    std::printf("payload_bytes: %zu\n", bundle.payload_bytes);
-    std::printf("crc32:         %s (verified)\n", bundle.crc32_hex.c_str());
-  } else {
-    std::printf("crc32:         none (legacy artifact; re-save to upgrade)\n");
-  }
+  std::printf("num_features:  %zu\n", bundle.num_features);
+  std::printf("payload_bytes: %zu\n", bundle.payload_bytes);
+  std::printf("crc32:         %s (verified)\n", bundle.crc32_hex.c_str());
   std::printf("kernel:        %s\n", spe::kernels::ActiveKernel(*bundle.model));
   if (const auto* voting =
           dynamic_cast<const spe::VotingEnsembleModel*>(bundle.model.get())) {
