@@ -114,10 +114,13 @@ Error CheckPayload(const Header& header, std::string_view bytes,
   return {};
 }
 
-Error PublishAtomically(const std::string& path, std::string_view bytes) {
+Error PublishAtomically(const std::string& path,
+                        std::span<const std::string_view> ranges) {
   const std::string tmp = path + ".tmp";
   std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (const std::string_view range : ranges) {
+    os.write(range.data(), static_cast<std::streamsize>(range.size()));
+  }
   os.close();  // flushes; a failed open, write or flush leaves failbit set
   if (os.fail()) {
     std::remove(tmp.c_str());

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,10 +90,20 @@ std::vector<std::string_view> Tokens(
 /// Whole-token unsigned decimal: digits only, no sign, no overflow.
 bool ParseU64(std::string_view token, std::uint64_t* out);
 
-/// Writes `bytes` to `path + ".tmp"`, then rename(2)s it over `path`,
-/// so readers see the complete old file or the complete new one. On
-/// failure returns kIo, removes the tmp file and leaves `path` as it was.
-Error PublishAtomically(const std::string& path, std::string_view bytes);
+/// Writes the concatenation of `ranges`, in order, to `path + ".tmp"`,
+/// then rename(2)s it over `path`, so readers see the complete old file
+/// or the complete new one. The ranges are written where they lie: a
+/// file assembled from several buffers (a header, the columns of a
+/// dataset, a trailer) is never copied into one image first. On failure
+/// returns kIo, removes the tmp file and leaves `path` as it was.
+Error PublishAtomically(const std::string& path,
+                        std::span<const std::string_view> ranges);
+
+/// The one-range form.
+inline Error PublishAtomically(const std::string& path,
+                               std::string_view bytes) {
+  return PublishAtomically(path, std::span<const std::string_view>(&bytes, 1));
+}
 
 }  // namespace frame
 }  // namespace spe

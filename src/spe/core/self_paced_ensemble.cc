@@ -24,8 +24,8 @@
 namespace spe {
 namespace {
 
-// Rows per worker for the element-wise hardness / probability-sum
-// updates: memory-bound loops only pay for fan-out on large majorities.
+// Rows per worker for the element-wise hardness updates: memory-bound
+// loops only pay for fan-out on large majorities.
 constexpr std::size_t kUpdateGrain = 4096;
 
 // A NaN probability would silently poison every later hardness update
@@ -93,10 +93,10 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   // determinism contract (docs/performance.md).
   const obs::TraceSpan fit_span("spe.fit");
   train.CheckAlive();
-  const std::vector<std::size_t> pos = train.PositiveIndices();
-  const std::vector<std::size_t> neg = train.NegativeIndices();
-  SPE_CHECK(!pos.empty()) << "SPE needs at least one minority sample";
-  SPE_CHECK(!neg.empty()) << "SPE needs at least one majority sample";
+  std::vector<std::size_t> pos_abs = train.PositiveIndices();
+  std::vector<std::size_t> neg_abs = train.NegativeIndices();
+  SPE_CHECK(!pos_abs.empty()) << "SPE needs at least one minority sample";
+  SPE_CHECK(!neg_abs.empty()) << "SPE needs at least one majority sample";
 
   ensemble_ = VotingEnsemble();
   training_hardness_ = HardnessHistogram();
@@ -111,10 +111,10 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     owned = train.Materialize();
     base = DatasetView(owned);
   }
-  std::vector<std::size_t> pos_abs(pos.size());
-  for (std::size_t i = 0; i < pos.size(); ++i) pos_abs[i] = base.RowIndex(pos[i]);
-  std::vector<std::size_t> neg_abs(neg.size());
-  for (std::size_t i = 0; i < neg.size(); ++i) neg_abs[i] = base.RowIndex(neg[i]);
+  // View-relative indices become parent-absolute in place (unchanged
+  // for the identity view spe_cli trains on).
+  for (std::size_t& r : pos_abs) r = base.RowIndex(r);
+  for (std::size_t& r : neg_abs) r = base.RowIndex(r);
   const DatasetView majority = base.WithIndices(neg_abs);
   const HardnessFn hardness_fn = config_.custom_hardness
                                      ? config_.custom_hardness
@@ -213,6 +213,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       // Per element this is the same serial chain of additions the
       // uninterrupted run performed, so the result is bit-identical — the
       // checkpoint stores no accumulator at all (TrainerStateCore docs).
+      // The members were checked for NaN when they were trained.
       std::unique_ptr<Classifier> f0_replay;
       const Classifier* first = nullptr;
       std::size_t member_start = 0;
@@ -228,10 +229,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
         const obs::TraceSpan span("spe.fit.resume_replay");
         prob_sum = first->PredictProba(majority);
         for (std::size_t m = member_start; m < ensemble_.size(); ++m) {
-          const std::vector<double> probs =
-              ensemble_.member(m).PredictProba(majority);
-          ParallelForGrain(0, prob_sum.size(), kUpdateGrain,
-                           [&](std::size_t r) { prob_sum[r] += probs[r]; });
+          ensemble_.member(m).AccumulateProbaInto(majority, prob_sum);
         }
       }
 
@@ -267,11 +265,12 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // hardness estimates; whether it votes in the final ensemble is the
     // include_bootstrap_model ablation. A resumed run skips all of this —
     // the replay above already folded f0's probabilities into prob_sum.
-    std::vector<std::size_t> initial_pick(neg.size());
-    if (neg.size() > pos.size()) {
-      initial_pick = rng.SampleWithoutReplacement(neg.size(), pos.size());
+    std::vector<std::size_t> initial_pick(neg_abs.size());
+    if (neg_abs.size() > pos_abs.size()) {
+      initial_pick =
+          rng.SampleWithoutReplacement(neg_abs.size(), pos_abs.size());
     } else {
-      for (std::size_t i = 0; i < neg.size(); ++i) initial_pick[i] = i;
+      for (std::size_t i = 0; i < neg_abs.size(); ++i) initial_pick[i] = i;
     }
     std::unique_ptr<Classifier> bootstrap = make_member(0);
     const DatasetView subset = rebuild_subset(initial_pick);
@@ -345,15 +344,14 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       member->Fit(subset);
     }
 
-    std::vector<double> member_probs;
+    // Fused PredictProba-then-add (Classifier::AccumulateProbaInto): no
+    // per-member |N| vector. prob_sum was NaN-free before the add, so a
+    // NaN after it is this member's.
     {
       const obs::TraceSpan span("spe.fit.member_predict");
-      member_probs = member->PredictProba(majority);
+      member->AccumulateProbaInto(majority, prob_sum);
     }
-    CheckProbsAreNotNan(member_probs, i);
-    ParallelForGrain(0, prob_sum.size(), kUpdateGrain, [&](std::size_t m) {
-      prob_sum[m] += member_probs[m];
-    });
+    CheckProbsAreNotNan(prob_sum, i);
     ++prob_count;
 
     ensemble_.Add(std::move(member));
@@ -386,6 +384,10 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     }
   }
 
+  // The loop's per-majority-row state is dead; free it before the
+  // baseline pass allocates its own.
+  std::vector<double>().swap(prob_sum);
+  std::vector<double>().swap(hardness);
   // The final checkpoint (i == n) publishes concurrently with the
   // baseline pass below; the drain both surfaces any publish error and
   // guarantees the file is in place before Fit returns (spe_cli retires
@@ -508,11 +510,11 @@ void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& majority) {
   training_hardness_ = HardnessHistogram();
   if (config_.custom_hardness || ensemble_.size() == 0) return;
   const obs::TraceSpan span("spe.fit.hardness_baseline");
-  const std::vector<double> probs = PredictProba(majority);
+  // Hardness overwrites the probabilities in place: one |N| vector.
+  std::vector<double> hardness = PredictProba(majority);
   const HardnessFn hardness_fn = MakeHardness(config_.hardness);
-  std::vector<double> hardness(probs.size());
-  ParallelForGrain(0, probs.size(), kUpdateGrain, [&](std::size_t m) {
-    hardness[m] = hardness_fn(probs[m], 0);
+  ParallelForGrain(0, hardness.size(), kUpdateGrain, [&](std::size_t m) {
+    hardness[m] = hardness_fn(hardness[m], 0);
   });
   const HardnessBins bins = ComputeHardnessBins(hardness, config_.num_bins);
   training_hardness_.kind = HardnessName(config_.hardness);

@@ -51,6 +51,12 @@ void PutLe(std::string& out, T value) {
   out.append(reinterpret_cast<const char*>(bytes), sizeof(T));
 }
 
+/// The bytes of `values` where they lie, for the streamed publish.
+template <typename T>
+std::string_view AsBytes(std::span<const T> values) {
+  return {reinterpret_cast<const char*>(values.data()), values.size_bytes()};
+}
+
 template <typename T>
 T ReadLe(const unsigned char* p) {
   T value;
@@ -153,24 +159,13 @@ bool MapSidecar(const std::string& sidecar_path, MappedSidecar* out,
   return true;
 }
 
-}  // namespace
-
-const char* SidecarStatusName(SidecarStatus status) {
-  switch (status) {
-    case SidecarStatus::kAbsent: return "absent";
-    case SidecarStatus::kStale: return "stale";
-    case SidecarStatus::kCorrupt: return "corrupt";
-    case SidecarStatus::kValid: return "valid";
-  }
-  return "unknown";
-}
-
-std::string SidecarPathFor(const std::string& csv_path) {
-  return csv_path + ".spmc";
-}
-
-SidecarInfo InspectSidecar(const std::string& csv_path,
-                           std::size_t label_column, bool has_header) {
+/// Classifies the sidecar of `csv_path` against the parse options. When
+/// it is valid, `*mapped` holds the very mapping that was CRC-checked and
+/// fingerprinted, so a caller adopting it loads exactly the bytes judged
+/// valid, even if another process replaces the file meanwhile.
+SidecarInfo ClassifySidecar(const std::string& csv_path,
+                            std::size_t label_column, bool has_header,
+                            MappedSidecar* mapped) {
   SidecarInfo info;
   info.sidecar_path = SidecarPathFor(csv_path);
   struct stat st{};
@@ -180,10 +175,8 @@ SidecarInfo InspectSidecar(const std::string& csv_path,
     return info;
   }
   MappedSidecar m;
-  std::string reason;
-  if (!MapSidecar(info.sidecar_path, &m, &reason)) {
+  if (!MapSidecar(info.sidecar_path, &m, &info.detail)) {
     info.status = SidecarStatus::kCorrupt;
-    info.detail = reason;
     return info;
   }
   SourceStamp src;
@@ -206,44 +199,77 @@ SidecarInfo InspectSidecar(const std::string& csv_path,
   info.detail = "mmap-ready";
   info.num_rows = static_cast<std::size_t>(m.num_rows);
   info.num_features = static_cast<std::size_t>(m.num_features);
+  *mapped = std::move(m);
   return info;
+}
+
+}  // namespace
+
+const char* SidecarStatusName(SidecarStatus status) {
+  switch (status) {
+    case SidecarStatus::kAbsent: return "absent";
+    case SidecarStatus::kStale: return "stale";
+    case SidecarStatus::kCorrupt: return "corrupt";
+    case SidecarStatus::kValid: return "valid";
+  }
+  return "unknown";
+}
+
+std::string SidecarPathFor(const std::string& csv_path) {
+  return csv_path + ".spmc";
+}
+
+SidecarInfo InspectSidecar(const std::string& csv_path,
+                           std::size_t label_column, bool has_header) {
+  MappedSidecar unused;  // released on return
+  return ClassifySidecar(csv_path, label_column, has_header, &unused);
 }
 
 bool WriteSidecar(const Dataset& data, const std::string& csv_path,
                   std::size_t label_column, bool has_header) {
+  static_assert(sizeof(int) == 4,
+                "labels are published as their in-memory bytes, the i32 "
+                "field of the sidecar layout");
   SourceStamp src;
   if (!StatSource(csv_path, &src)) return false;
 
-  std::string buf;
+  // Only the header, the kind bytes and their padding are assembled
+  // here; the columns and labels are published, and CRC'd, where the
+  // dataset holds them, so writing the cache costs no second image of
+  // the data.
   const std::size_t rows = data.num_rows();
   const std::size_t d = data.num_features();
-  buf.reserve(AlignUp8(kFixedHeaderBytes + d) + d * rows * sizeof(double) +
-              rows * sizeof(std::int32_t) + sizeof(std::uint32_t));
-  buf.append(kMagic, sizeof(kMagic));
-  PutLe<std::uint32_t>(buf, kFormatVersion);
-  PutLe<std::uint64_t>(buf, rows);
-  PutLe<std::uint64_t>(buf, d);
-  PutLe<std::uint64_t>(buf, label_column);
-  buf.push_back(has_header ? '\x01' : '\x00');
-  PutLe<std::uint64_t>(buf, src.size);
-  PutLe<std::uint64_t>(buf, src.mtime_ns);
+  std::string head;
+  head.reserve(AlignUp8(kFixedHeaderBytes + d));
+  head.append(kMagic, sizeof(kMagic));
+  PutLe<std::uint32_t>(head, kFormatVersion);
+  PutLe<std::uint64_t>(head, rows);
+  PutLe<std::uint64_t>(head, d);
+  PutLe<std::uint64_t>(head, label_column);
+  head.push_back(has_header ? '\x01' : '\x00');
+  PutLe<std::uint64_t>(head, src.size);
+  PutLe<std::uint64_t>(head, src.mtime_ns);
   for (std::size_t j = 0; j < d; ++j) {
-    buf.push_back(data.feature_kind(j) == FeatureKind::kCategorical ? '\x01'
-                                                                    : '\x00');
+    head.push_back(data.feature_kind(j) == FeatureKind::kCategorical ? '\x01'
+                                                                     : '\x00');
   }
-  buf.append(AlignUp8(buf.size()) - buf.size(), '\x00');
+  head.append(AlignUp8(head.size()) - head.size(), '\x00');
+
+  std::vector<std::string_view> ranges;
+  ranges.reserve(d + 3);
+  ranges.push_back(head);
   for (std::size_t j = 0; j < d; ++j) {
-    auto col = data.Column(j).values;
-    buf.append(reinterpret_cast<const char*>(col.data()),
-               col.size() * sizeof(double));
+    ranges.push_back(AsBytes(data.Column(j).values));
   }
-  for (std::size_t i = 0; i < rows; ++i) {
-    PutLe<std::int32_t>(buf, static_cast<std::int32_t>(data.Label(i)));
-  }
-  PutLe<std::uint32_t>(buf, Crc32(buf));
+  ranges.push_back(AsBytes(std::span<const int>(data.labels())));
+  std::uint32_t crc = 0;
+  for (const std::string_view range : ranges) crc = Crc32Update(crc, range);
+  std::string tail;
+  PutLe<std::uint32_t>(tail, crc);
+  ranges.push_back(tail);
 
   // Readers only ever see absent or complete.
-  return frame::PublishAtomically(SidecarPathFor(csv_path), buf).ok();
+  return frame::PublishAtomically(SidecarPathFor(csv_path), ranges).ok();
 }
 
 Dataset LoadCsvCached(const std::string& path, std::size_t label_column,
@@ -256,33 +282,28 @@ Dataset LoadCsvCached(const std::string& path, std::size_t label_column,
         "injected fault: transient data read failed for " + path,
         /*injected=*/true);
   }
-  const SidecarInfo info = InspectSidecar(path, label_column, has_header);
-  if (info.status == SidecarStatus::kValid) {
-    MappedSidecar m;
-    std::string reason;
-    // A race (sidecar replaced between inspect and map) degrades to the
-    // parser below; never an error.
-    if (MapSidecar(info.sidecar_path, &m, &reason)) {
-      const std::size_t rows = static_cast<std::size_t>(m.num_rows);
-      const std::size_t d = static_cast<std::size_t>(m.num_features);
-      std::vector<std::span<const double>> columns(d);
-      for (std::size_t j = 0; j < d; ++j) {
-        columns[j] = {m.columns + j * rows, rows};
-      }
-      std::vector<int> labels(rows);
-      for (std::size_t i = 0; i < rows; ++i) {
-        labels[i] = static_cast<int>(m.labels[i]);
-      }
-      std::vector<FeatureKind> kinds(d);
-      for (std::size_t j = 0; j < d; ++j) {
-        kinds[j] = m.kinds[j] != 0 ? FeatureKind::kCategorical
-                                   : FeatureKind::kNumerical;
-      }
-      Dataset data;
-      data.mutable_matrix().AdoptMapped(std::move(m.block), std::move(columns),
-                                        std::move(labels), std::move(kinds));
-      return data;
+  MappedSidecar m;
+  if (ClassifySidecar(path, label_column, has_header, &m).status ==
+      SidecarStatus::kValid) {
+    const std::size_t rows = static_cast<std::size_t>(m.num_rows);
+    const std::size_t d = static_cast<std::size_t>(m.num_features);
+    std::vector<std::span<const double>> columns(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      columns[j] = {m.columns + j * rows, rows};
     }
+    std::vector<int> labels(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      labels[i] = static_cast<int>(m.labels[i]);
+    }
+    std::vector<FeatureKind> kinds(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      kinds[j] = m.kinds[j] != 0 ? FeatureKind::kCategorical
+                                 : FeatureKind::kNumerical;
+    }
+    Dataset data;
+    data.mutable_matrix().AdoptMapped(std::move(m.block), std::move(columns),
+                                      std::move(labels), std::move(kinds));
+    return data;
   }
   Dataset data = LoadCsv(path, label_column, has_header);
   WriteSidecar(data, path, label_column, has_header);  // best effort

@@ -12,11 +12,13 @@ namespace spe {
 ///
 /// The first LoadCsvCached for a CSV parses it in memory and writes a
 /// column-major binary sidecar next to it (`<path>.spmc`, atomic
-/// tmp+rename publish). Subsequent loads mmap the sidecar read-only and
+/// tmp+rename publish streamed from the parsed columns, so no second
+/// image of the data is built). Subsequent loads mmap the sidecar
+/// read-only, CRC-check that mapping (which reads every page once) and
 /// adopt its columns zero-copy into the Dataset's DataMatrix — no parse,
-/// no materialization; the OS pages features in on demand. Labels are
-/// always copied out eagerly (4 bytes/row) so `labels()` stays a plain
-/// vector.
+/// no materialization, and the pages are the page cache's, shared with
+/// every other process mapping the file. Labels are always copied out
+/// eagerly (4 bytes/row) so `labels()` stays a plain vector.
 ///
 /// Sidecar layout (little-endian, version 1):
 ///
@@ -69,8 +71,9 @@ Dataset LoadCsvCached(const std::string& path, std::size_t label_column,
                       bool has_header = true);
 
 /// Writes the sidecar for `data` as parsed from `csv_path` (fingerprint
-/// taken from the file's current size/mtime). Returns false on IO error
-/// — callers treat the cache as optional.
+/// taken from the file's current size/mtime), straight from the
+/// dataset's columns and labels. Returns false on IO error — callers
+/// treat the cache as optional.
 bool WriteSidecar(const Dataset& data, const std::string& csv_path,
                   std::size_t label_column, bool has_header = true);
 

@@ -8,10 +8,14 @@
 // abort or throw. The scanner's torn-tail-versus-corruption policy is
 // checkpoint_test's job, not this suite's.
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -412,6 +416,35 @@ TEST(FrameTest, PublishAtomicallyReplacesWholeFiles) {
   ASSERT_TRUE(frame::PublishAtomically(path, "first version").ok());
   ASSERT_TRUE(frame::PublishAtomically(path, "second").ok());
   EXPECT_EQ(ReadFile(path), "second");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // Ranges land in order, back to back; empty ones anywhere are allowed,
+  // and no ranges at all publish an empty file.
+  const std::string_view parts[] = {"", "head|", "", "body|", "tail", ""};
+  ASSERT_TRUE(frame::PublishAtomically(path, parts).ok());
+  EXPECT_EQ(ReadFile(path), "head|body|tail");
+  ASSERT_TRUE(
+      frame::PublishAtomically(path, std::span<const std::string_view>()).ok());
+  EXPECT_EQ(ReadFile(path), "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A write that fails part-way (a full disk, modelled by the file-size
+  // limit, which binds root too, unlike directory permissions) is kIo:
+  // the partial tmp file is removed and the old file is left as it was.
+  ASSERT_TRUE(frame::PublishAtomically(path, "old contents").ok());
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = 4;
+  const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limited), 0);
+  const std::string body(1 << 16, 'x');
+  const std::string_view too_long[] = {"new ", body, "end"};
+  const frame::Error full = frame::PublishAtomically(path, too_long);
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+  EXPECT_EQ(full.cls, ErrorClass::kIo) << full.message;
+  EXPECT_EQ(ReadFile(path), "old contents");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
 

@@ -3,7 +3,11 @@
 // back to the parser, and the cache never changes observable values —
 // only load speed.
 
+#include <sys/stat.h>
+
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -236,6 +240,70 @@ TEST_F(MmapCacheTest, WriteSidecarRoundTripsExplicitly) {
   EXPECT_EQ(info.status, SidecarStatus::kValid);
   const Dataset loaded = LoadCsvCached(csv_path_, 2);
   ExpectSameValues(data, loaded);
+}
+
+// The sidecar's bytes are pinned to the v1 layout documented in
+// mmap_cache.h, assembled here field by field in little-endian order, so
+// sidecars already on disk stay valid however WriteSidecar produces
+// them. Three features (one categorical) put 49 + 3 = 52 header bytes
+// before the columns, so the padding to 56 is not empty.
+TEST_F(MmapCacheTest, SidecarBytesFollowTheV1Layout) {
+  Dataset data(3);
+  data.set_feature_kind(1, FeatureKind::kCategorical);
+  const double rows[][3] = {
+      {0.5, 2.0, -1.25}, {1.5, 0.0, 3.0}, {-2.0, 1.0, 0.125}, {4.0, 2.0, 7.5}};
+  const int labels[] = {0, 1, 0, 1};
+  for (std::size_t i = 0; i < 4; ++i) data.AddRow(rows[i], labels[i]);
+  SaveCsv(data, csv_path_);
+  const std::size_t label_column = 3;
+  ASSERT_TRUE(WriteSidecar(data, csv_path_, label_column));
+
+  struct stat st{};
+  ASSERT_EQ(::stat(csv_path_.c_str(), &st), 0);
+  const std::uint64_t source_size = static_cast<std::uint64_t>(st.st_size);
+  const std::uint64_t source_mtime_ns =
+      static_cast<std::uint64_t>(st.st_mtim.tv_sec) * 1000000000ull +
+      static_cast<std::uint64_t>(st.st_mtim.tv_nsec);
+
+  std::string expected;
+  const auto le = [&](std::uint64_t value, std::size_t bytes) {
+    for (std::size_t k = 0; k < bytes; ++k) {
+      expected.push_back(static_cast<char>((value >> (8 * k)) & 0xff));
+    }
+  };
+  expected += "SPMC";
+  le(1, 4);             // format version
+  le(4, 8);             // num_rows
+  le(3, 8);             // num_features
+  le(label_column, 8);  // label_column
+  le(1, 1);             // has_header
+  le(source_size, 8);
+  le(source_mtime_ns, 8);
+  ASSERT_EQ(expected.size(), 49u);
+  expected += std::string("\x00\x01\x00", 3);  // feature kinds
+  expected.append(4, '\0');                    // pad 52 -> 56
+  for (std::size_t j = 0; j < 3; ++j) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      le(std::bit_cast<std::uint64_t>(rows[i][j]), 8);
+    }
+  }
+  for (const int label : labels) le(static_cast<std::uint32_t>(label), 4);
+  le(Crc32(expected), 4);
+  ASSERT_EQ(expected.size(), 56u + 3 * 4 * 8 + 4 * 4 + 4);
+
+  std::string actual;
+  {
+    std::ifstream in(SidecarPathFor(csv_path_), std::ios::binary);
+    actual.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    ASSERT_EQ(actual[k], expected[k]) << "first differing byte at offset " << k;
+  }
+  const Dataset warm = LoadCsvCached(csv_path_, label_column);
+  ASSERT_TRUE(warm.matrix().mapped());
+  EXPECT_EQ(warm.feature_kind(1), FeatureKind::kCategorical);
+  ExpectSameValues(data, warm);
 }
 
 }  // namespace

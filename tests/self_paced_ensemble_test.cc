@@ -295,6 +295,36 @@ TEST(SelfPacedEnsembleDeathTest, NanProbabilityNamesTheMember) {
                "member 0 produced NaN probability");
 }
 
+// Base learner that turns NaN from its second Fit on (the count is
+// shared by its clones): the bootstrap f0 scores cleanly and f1 does not,
+// so the check after f1's probabilities join the running sum must name
+// member 1, not the state that was already checked.
+class LateNanBase final : public Classifier {
+ public:
+  explicit LateNanBase(std::shared_ptr<std::size_t> fits)
+      : fits_(std::move(fits)) {}
+  void Fit(const DatasetView&) override { ++*fits_; }
+  double PredictRow(std::span<const double> x) const override {
+    return *fits_ >= 2 ? std::numeric_limits<double>::quiet_NaN()
+                       : (x[0] > 0.0 ? 0.75 : 0.25);
+  }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<LateNanBase>(fits_);
+  }
+  std::string Name() const override { return "LateNanBase"; }
+
+ private:
+  std::shared_ptr<std::size_t> fits_;
+};
+
+TEST(SelfPacedEnsembleDeathTest, NanProbabilityNamesALaterMember) {
+  SelfPacedEnsemble model(
+      SelfPacedEnsembleConfig{},
+      std::make_unique<LateNanBase>(std::make_shared<std::size_t>(0)));
+  EXPECT_DEATH(model.Fit(OverlappingBlobs(200, 20, 45)),
+               "member 1 produced NaN probability");
+}
+
 TEST(SelfPacedEnsembleDeathTest, FitWithValidationNeedsPositives) {
   Dataset validation(2);
   validation.AddRow(std::vector<double>{0.0, 0.0}, 0);

@@ -1,12 +1,15 @@
 # Cross-process check of the training determinism contract, run by
 # ctest: the model artifact and the prediction output must be
 # byte-identical whether the process trains with SPE_THREADS=1 or
-# SPE_THREADS=8.
+# SPE_THREADS=8, and whichever way the CSV was loaded.
 #
 #   1. write a ~800-row imbalanced CSV (big enough that scoring and the
 #      hardness updates actually fan out at 8 threads)
-#   2. spe_cli train under SPE_THREADS=1 and SPE_THREADS=8
-#   3. byte-compare the two model bundles
+#   2. spe_cli train under SPE_THREADS=1 with no sidecar (parse, then
+#      publish <csv>.spmc; inspect must call it valid), under
+#      SPE_THREADS=8 (mmap of that sidecar) and under SPE_THREADS=1 with
+#      --no-cache (parse only)
+#   3. byte-compare the three model bundles
 #   4. spe_cli predict --scores-only with each artifact under each
 #      thread count; byte-compare all score files
 
@@ -39,6 +42,7 @@ foreach(i RANGE 0 799)
   endif()
 endforeach()
 file(WRITE ${dir}/train.csv "${csv}")
+file(REMOVE ${dir}/train.csv.spmc)  # a rerun's first train is cold again
 
 function(run_cli threads)
   execute_process(
@@ -54,18 +58,30 @@ endfunction()
 
 run_cli(1 train --data ${dir}/train.csv --n 10 --seed 3
         --model ${dir}/m_1t.model)
+execute_process(
+  COMMAND ${SPE_CLI} inspect --data ${dir}/train.csv
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "sidecar_state: valid")
+  message(FATAL_ERROR
+    "the cold train did not publish a valid sidecar (${rc}): ${out} ${err}")
+endif()
 run_cli(8 train --data ${dir}/train.csv --n 10 --seed 3
         --model ${dir}/m_8t.model)
+run_cli(1 train --data ${dir}/train.csv --n 10 --seed 3 --no-cache
+        --model ${dir}/m_nocache.model)
 
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${dir}/m_1t.model
-          ${dir}/m_8t.model
-  RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-    "model artifacts differ between SPE_THREADS=1 and SPE_THREADS=8 — "
-    "the training determinism contract is broken")
-endif()
+foreach(other m_8t m_nocache)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${dir}/m_1t.model
+            ${dir}/${other}.model
+    RESULT_VARIABLE same)
+  if(NOT same EQUAL 0)
+    message(FATAL_ERROR
+      "model artifact ${other} differs from the cold SPE_THREADS=1 run — "
+      "the training determinism contract is broken across thread counts "
+      "or load paths")
+  endif()
+endforeach()
 
 # Scoring: every (artifact, thread count) combination must emit the same
 # bytes. Scores are printed at max_digits10, so byte equality is bit
@@ -98,4 +114,4 @@ foreach(other scores_8t scores_8t_model8)
 endforeach()
 
 message(STATUS "train determinism ok: artifacts and scores byte-identical "
-               "for SPE_THREADS=1 vs 8")
+               "for SPE_THREADS=1 vs 8 and for cold, warm and uncached loads")
