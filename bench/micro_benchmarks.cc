@@ -72,18 +72,29 @@ void BM_SpeFit(benchmark::State& state) {
 }
 BENCHMARK(BM_SpeFit)->Arg(2000)->Arg(8000);
 
+// Args: (majority rows, skewed). Uniform hardness spreads the rows over
+// all 20 bins; skewed hardness (90% in [0, 0.1)) is the shape of a
+// trained ensemble, where one bin holds most rows and gives few of them.
 void BM_SelfPacedUnderSample(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const bool skewed = state.range(1) != 0;
   spe::Rng rng(4);
   std::vector<double> hardness(n);
-  for (double& h : hardness) h = rng.Uniform();
+  for (double& h : hardness) {
+    h = !skewed ? rng.Uniform()
+        : rng.Uniform() < 0.9 ? rng.Uniform(0.0, 0.1)
+                              : rng.Uniform(0.1, 1.0);
+  }
   for (auto _ : state) {
     const auto pick = spe::SelfPacedUnderSample(hardness, 0.3, 20, n / 50, rng);
     benchmark::DoNotOptimize(pick.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_SelfPacedUnderSample)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_SelfPacedUnderSample)
+    ->Args({10000, 0})
+    ->Args({100000, 0})
+    ->Args({200000, 1});
 
 // The O(n) vs O(n^2) re-sampling contrast behind Table V's time column.
 void BM_RandomUnderResample(benchmark::State& state) {

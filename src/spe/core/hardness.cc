@@ -88,24 +88,17 @@ HardnessBins ComputeHardnessBins(std::span<const double> hardness,
   // common case with tree bases — collapsing the paper's k = 20
   // resolution to a handful of effective bins. This also realizes the
   // "w.l.o.g. H in [0, 1]" normalization for unbounded functions (CE).
-  const double range = max_h - min_h;
-
   HardnessBins bins;
   bins.population.assign(num_bins, 0);
   bins.contribution.assign(num_bins, 0.0);
   bins.mean_hardness.assign(num_bins, 0.0);
-  bins.bin_of_sample.resize(hardness.size());
+  bins.min = min_h;
+  bins.max = max_h;
 
-  for (std::size_t i = 0; i < hardness.size(); ++i) {
-    std::size_t bin = 0;  // constant hardness: everything in bin 0
-    if (range > 0.0) {
-      const double normalized = (hardness[i] - min_h) / range;
-      bin = static_cast<std::size_t>(normalized * static_cast<double>(num_bins));
-      if (bin >= num_bins) bin = num_bins - 1;  // h == max -> top bin
-    }
-    bins.bin_of_sample[i] = bin;
+  for (const double h : hardness) {
+    const std::size_t bin = HardnessBinIndex(h, min_h, max_h, num_bins);
     ++bins.population[bin];
-    bins.contribution[bin] += hardness[i];
+    bins.contribution[bin] += h;
   }
   for (std::size_t b = 0; b < num_bins; ++b) {
     if (bins.population[b] > 0) {
@@ -114,18 +107,6 @@ HardnessBins ComputeHardnessBins(std::span<const double> hardness,
     }
   }
   return bins;
-}
-
-std::size_t HardnessBinIndex(double h, double min, double max,
-                             std::size_t num_bins) {
-  SPE_CHECK_GT(num_bins, 0u);
-  const double range = max - min;
-  if (!(range > 0.0)) return 0;  // degenerate training range: one bin
-  const double normalized = (h - min) / range;
-  if (normalized <= 0.0) return 0;  // below the training range
-  const std::size_t bin =
-      static_cast<std::size_t>(normalized * static_cast<double>(num_bins));
-  return bin >= num_bins ? num_bins - 1 : bin;  // h >= max -> top bin
 }
 
 }  // namespace spe

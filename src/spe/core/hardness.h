@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "spe/common/check.h"
+
 namespace spe {
 
 /// The "classification hardness" functions of §IV: any decomposable error
@@ -42,11 +44,14 @@ std::vector<double> ComputeHardness(const HardnessFn& fn,
 /// evenly (matching the authors' released implementation and realizing
 /// the paper's "w.l.o.g. H in [0,1]" normalization); the last bin is
 /// closed above. Constant hardness degenerates to a single occupied bin.
+/// Sample i's bin is HardnessBinIndex(hardness[i], min, max, k); nothing
+/// per sample is stored, so the result is O(k) whatever the input size.
 struct HardnessBins {
-  std::vector<std::size_t> population;    ///< samples per bin
-  std::vector<double> contribution;       ///< total hardness per bin
-  std::vector<double> mean_hardness;      ///< average hardness per bin (0 if empty)
-  std::vector<std::size_t> bin_of_sample; ///< bin index of each input sample
+  std::vector<std::size_t> population;  ///< samples per bin
+  std::vector<double> contribution;     ///< total hardness per bin
+  std::vector<double> mean_hardness;    ///< average hardness per bin (0 if empty)
+  double min = 0.0;                     ///< observed hardness range
+  double max = 0.0;
 };
 
 HardnessBins ComputeHardnessBins(std::span<const double> hardness,
@@ -74,11 +79,22 @@ struct HardnessHistogram {
   }
 };
 
-/// Bin index of hardness value `h` under a HardnessHistogram's geometry:
-/// ComputeHardnessBins's formula extended with clamping, so live values
-/// outside the training range land in the edge bins instead of aborting.
-std::size_t HardnessBinIndex(double h, double min, double max,
-                             std::size_t num_bins);
+/// Bin index of hardness value `h` in `num_bins` even bins over
+/// [min, max], last bin closed above. ComputeHardnessBins bins every
+/// sample through this function; under a HardnessHistogram's geometry,
+/// live values outside the training range land in the edge bins instead
+/// of aborting.
+inline std::size_t HardnessBinIndex(double h, double min, double max,
+                                    std::size_t num_bins) {
+  SPE_CHECK_GT(num_bins, 0u);
+  const double range = max - min;
+  if (!(range > 0.0)) return 0;  // degenerate training range: one bin
+  const double normalized = (h - min) / range;
+  if (normalized <= 0.0) return 0;  // below the training range
+  const std::size_t bin =
+      static_cast<std::size_t>(normalized * static_cast<double>(num_bins));
+  return bin >= num_bins ? num_bins - 1 : bin;  // h >= max -> top bin
+}
 
 /// Capability interface: models that carry a training-time hardness
 /// histogram (SelfPacedEnsemble after Fit; VotingEnsembleModel restored

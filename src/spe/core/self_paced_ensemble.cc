@@ -1,10 +1,10 @@
 #include "spe/core/self_paced_ensemble.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numbers>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -265,12 +265,13 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // hardness estimates; whether it votes in the final ensemble is the
     // include_bootstrap_model ablation. A resumed run skips all of this —
     // the replay above already folded f0's probabilities into prob_sum.
-    std::vector<std::size_t> initial_pick(neg_abs.size());
+    std::vector<std::size_t> initial_pick;
     if (neg_abs.size() > pos_abs.size()) {
       initial_pick =
           rng.SampleWithoutReplacement(neg_abs.size(), pos_abs.size());
     } else {
-      for (std::size_t i = 0; i < neg_abs.size(); ++i) initial_pick[i] = i;
+      initial_pick.resize(neg_abs.size());
+      std::iota(initial_pick.begin(), initial_pick.end(), std::size_t{0});
     }
     std::unique_ptr<Classifier> bootstrap = make_member(0);
     const DatasetView subset = rebuild_subset(initial_pick);
@@ -518,14 +519,8 @@ void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& majority) {
   });
   const HardnessBins bins = ComputeHardnessBins(hardness, config_.num_bins);
   training_hardness_.kind = HardnessName(config_.hardness);
-  double min_h = hardness[0];
-  double max_h = hardness[0];
-  for (const double h : hardness) {
-    min_h = std::min(min_h, h);
-    max_h = std::max(max_h, h);
-  }
-  training_hardness_.min = min_h;
-  training_hardness_.max = max_h;
+  training_hardness_.min = bins.min;
+  training_hardness_.max = bins.max;
   training_hardness_.counts.assign(bins.population.begin(),
                                    bins.population.end());
 }

@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "spe/common/check.h"
 #include "spe/obs/trace.h"
 
 namespace spe {
+namespace {
+
+/// Draws `count` entries of `pool` without replacement into
+/// pool[0, count), in place: the Index calls and swaps of
+/// Rng::SampleWithoutReplacement(pool.size(), count), which runs them on
+/// 0, 1, 2, .... Swaps move entries by position only, so where that
+/// returns pick r this leaves pool[r] as it was before the call.
+void PartialShuffle(std::span<std::uint32_t> pool, std::size_t count,
+                    Rng& rng) {
+  SPE_CHECK_LE(count, pool.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t j = i + rng.Index(pool.size() - i);
+    std::swap(pool[i], pool[j]);
+  }
+}
+
+}  // namespace
 
 std::vector<std::size_t> SelfPacedUnderSample(
     std::span<const double> majority_hardness, double alpha,
@@ -24,19 +43,14 @@ std::vector<std::size_t> SelfPacedUnderSample(
     return all;
   }
 
+  // The table below holds sample indices in 4 bytes.
+  SPE_CHECK_LE(n, std::size_t{std::numeric_limits<std::uint32_t>::max()})
+      << "SelfPacedUnderSample indexes the majority set in 32 bits";
+
   const HardnessBins bins = [&] {
     const obs::TraceSpan span("spe.fit.bin_harmonize");
     return ComputeHardnessBins(majority_hardness, num_bins);
   }();
-
-  // Membership lists per bin.
-  std::vector<std::vector<std::size_t>> members(num_bins);
-  for (std::size_t b = 0; b < num_bins; ++b) {
-    members[b].reserve(bins.population[b]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    members[bins.bin_of_sample[i]].push_back(i);
-  }
 
   // Unnormalized bin weights p_l = 1 / (h_l + alpha); empty bins get 0.
   // alpha = inf (allowed by the tan schedule's final iteration) makes all
@@ -56,10 +70,18 @@ std::vector<std::size_t> SelfPacedUnderSample(
     // (Tree bases routinely emit hardness exactly 0.)
     weight_sum += weight[b];
   }
+  // The one |N|-sized scratch buffer: 4 bytes per sample. Every draw runs
+  // in place on a slice of it with the Index calls and swaps of
+  // Rng::SampleWithoutReplacement, so the picks and the Rng state are
+  // exactly those of the authors' per-bin draws.
+  std::vector<std::uint32_t> table(n);
   if (weight_sum <= 0.0) {
     // Every non-empty bin is perfectly classified: plain random
     // under-sampling is the only sensible degenerate behaviour.
-    return rng.SampleWithoutReplacement(n, target_count);
+    std::iota(table.begin(), table.end(), std::uint32_t{0});
+    PartialShuffle(table, target_count, rng);
+    return std::vector<std::size_t>(table.begin(),
+                                    table.begin() + target_count);
   }
 
   // Apportion the target across bins by largest remainder so that the
@@ -67,16 +89,17 @@ std::vector<std::size_t> SelfPacedUnderSample(
   // shares are fractional (small |P|, many bins). Flooring instead would
   // leave most of the subset to an unweighted top-up, silently turning
   // SPE into random under-sampling on small-minority data.
+  const std::vector<std::size_t>& population = bins.population;
   std::vector<std::size_t> quota(num_bins, 0);
   std::vector<std::pair<double, std::size_t>> remainder;  // (frac, bin)
   std::size_t assigned = 0;
   for (std::size_t b = 0; b < num_bins; ++b) {
-    if (bins.population[b] == 0) continue;
+    if (population[b] == 0) continue;
     const double share =
         weight[b] / weight_sum * static_cast<double>(target_count);
-    quota[b] = std::min(static_cast<std::size_t>(share), members[b].size());
+    quota[b] = std::min(static_cast<std::size_t>(share), population[b]);
     assigned += quota[b];
-    if (quota[b] < members[b].size()) {
+    if (quota[b] < population[b]) {
       remainder.emplace_back(share - std::floor(share), b);
     }
   }
@@ -88,7 +111,7 @@ std::vector<std::size_t> SelfPacedUnderSample(
     bool progressed = false;
     for (auto& [frac, b] : remainder) {
       if (assigned >= target_count) break;
-      if (quota[b] >= members[b].size()) continue;
+      if (quota[b] >= population[b]) continue;
       ++quota[b];
       ++assigned;
       progressed = true;
@@ -99,13 +122,30 @@ std::vector<std::size_t> SelfPacedUnderSample(
   if (bin_population_out != nullptr) {
     bin_population_out->assign(quota.begin(), quota.end());
   }
-  std::vector<std::size_t> selected;
-  selected.reserve(target_count);
-  for (std::size_t b = 0; b < num_bins; ++b) {
-    for (std::size_t pick :
-         rng.SampleWithoutReplacement(members[b].size(), quota[b])) {
-      selected.push_back(members[b][pick]);
-    }
+  // Counting sort by bin: bin b's members, in ascending sample order,
+  // fill the table's slice [begin_b, begin_b + population[b]). A bin's
+  // draw then picks its members where a draw over 0 .. population[b] - 1
+  // picks their ranks, and bins draw in order. The output is allocated
+  // before the sort: reserved after it, `spe_cli train` peaked 0.9 MB
+  // higher in some 2-thread runs (heap layout; docs/performance.md,
+  // "Live heap is not peak RSS").
+  std::vector<std::size_t> selected(target_count);
+  std::vector<std::size_t> cursor(num_bins);  // a bin's next free entry
+  for (std::size_t b = 0, begin = 0; b < num_bins; ++b) {
+    cursor[b] = begin;
+    begin += population[b];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b =
+        HardnessBinIndex(majority_hardness[i], bins.min, bins.max, num_bins);
+    table[cursor[b]++] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t b = 0, begin = 0, slot = 0; b < num_bins; ++b) {
+    const std::span<std::uint32_t> slice(table.data() + begin, population[b]);
+    PartialShuffle(slice, quota[b], rng);
+    std::copy_n(slice.begin(), quota[b], selected.begin() + slot);
+    begin += population[b];
+    slot += quota[b];
   }
   return selected;
 }

@@ -29,6 +29,13 @@ namespace spe {
 ///
 /// Returns indices into `majority_hardness`.
 ///
+/// Scratch memory: 4 bytes per majority sample (one uint32 table holding
+/// every bin's members, bin by bin, where each bin's quota is drawn in
+/// place) plus O(target_count + num_bins), the returned vector included.
+/// The draws are those of Rng::SampleWithoutReplacement per bin, so the
+/// picks, their order and the Rng state afterwards do not depend on this
+/// layout. Requires fewer than 2^32 majority samples.
+///
 /// `bin_population_out`, when non-null, reports how many samples were
 /// drawn from each hardness bin (the Fig. 3 distribution): resized to
 /// `num_bins` on the harmonized path, cleared on the degenerate paths

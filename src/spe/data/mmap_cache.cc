@@ -159,6 +159,21 @@ bool MapSidecar(const std::string& sidecar_path, MappedSidecar* out,
   return true;
 }
 
+/// Drops this process's resident copy of the whole pages inside
+/// [data, data + bytes) of a read-only mapping (best effort). Rounding
+/// inward leaves the pages shared with neighbouring fields alone; a later
+/// touch would re-read the bytes from the file, but callers release only
+/// bytes they never read again.
+void ReleasePages(const void* data, std::size_t bytes) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(data);
+  const std::uintptr_t first = (begin + page - 1) / page * page;
+  const std::uintptr_t last = (begin + bytes) / page * page;
+  if (last > first) {
+    ::madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
+  }
+}
+
 /// Classifies the sidecar of `csv_path` against the parse options. When
 /// it is valid, `*mapped` holds the very mapping that was CRC-checked and
 /// fingerprinted, so a caller adopting it loads exactly the bytes judged
@@ -295,6 +310,7 @@ Dataset LoadCsvCached(const std::string& path, std::size_t label_column,
     for (std::size_t i = 0; i < rows; ++i) {
       labels[i] = static_cast<int>(m.labels[i]);
     }
+    ReleasePages(m.labels, rows * sizeof(std::int32_t));
     std::vector<FeatureKind> kinds(d);
     for (std::size_t j = 0; j < d; ++j) {
       kinds[j] = m.kinds[j] != 0 ? FeatureKind::kCategorical

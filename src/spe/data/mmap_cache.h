@@ -18,7 +18,9 @@ namespace spe {
 /// adopt its columns zero-copy into the Dataset's DataMatrix — no parse,
 /// no materialization, and the pages are the page cache's, shared with
 /// every other process mapping the file. Labels are always copied out
-/// eagerly (4 bytes/row) so `labels()` stays a plain vector.
+/// eagerly (4 bytes/row) so `labels()` stays a plain vector; the mapped
+/// label pages are then released (madvise MADV_DONTNEED on the whole
+/// pages inside the label region), so they are not resident twice.
 ///
 /// Sidecar layout (little-endian, version 1):
 ///

@@ -71,11 +71,16 @@ TEST(HardnessBinsTest, BinAssignmentSpansObservedRange) {
   // normalized value directly.
   const std::vector<double> hardness = {0.0, 0.15, 0.95, 1.0, 0.5};
   const HardnessBins bins = ComputeHardnessBins(hardness, 10);
-  EXPECT_EQ(bins.bin_of_sample[0], 0u);
-  EXPECT_EQ(bins.bin_of_sample[1], 1u);
-  EXPECT_EQ(bins.bin_of_sample[2], 9u);
-  EXPECT_EQ(bins.bin_of_sample[3], 9u);  // h == max goes to the top bin
-  EXPECT_EQ(bins.bin_of_sample[4], 5u);
+  EXPECT_EQ(bins.min, 0.0);
+  EXPECT_EQ(bins.max, 1.0);
+  const auto bin = [&](std::size_t i) {
+    return HardnessBinIndex(hardness[i], bins.min, bins.max, 10);
+  };
+  EXPECT_EQ(bin(0), 0u);
+  EXPECT_EQ(bin(1), 1u);
+  EXPECT_EQ(bin(2), 9u);
+  EXPECT_EQ(bin(3), 9u);  // h == max goes to the top bin
+  EXPECT_EQ(bin(4), 5u);
 }
 
 TEST(HardnessBinsTest, ConcentratedHardnessStillUsesAllBins) {
@@ -85,7 +90,8 @@ TEST(HardnessBinsTest, ConcentratedHardnessStillUsesAllBins) {
                                         0.10, 0.12, 0.14, 0.16, 0.18};
   const HardnessBins bins = ComputeHardnessBins(hardness, 10);
   for (std::size_t i = 0; i < hardness.size(); ++i) {
-    EXPECT_EQ(bins.bin_of_sample[i], std::min<std::size_t>(i, 9));
+    EXPECT_EQ(HardnessBinIndex(hardness[i], bins.min, bins.max, 10),
+              std::min<std::size_t>(i, 9));
   }
 }
 
@@ -100,9 +106,36 @@ TEST(HardnessBinsTest, UnboundedHardnessIsNormalized) {
   // Cross-entropy style values > 1: the grid must still cover them.
   const std::vector<double> hardness = {0.0, 2.0, 8.0};
   const HardnessBins bins = ComputeHardnessBins(hardness, 4);
-  EXPECT_EQ(bins.bin_of_sample[0], 0u);
-  EXPECT_EQ(bins.bin_of_sample[1], 1u);  // 2/8 = 0.25 -> bin 1
-  EXPECT_EQ(bins.bin_of_sample[2], 3u);
+  const auto bin = [&](std::size_t i) {
+    return HardnessBinIndex(hardness[i], bins.min, bins.max, 4);
+  };
+  EXPECT_EQ(bin(0), 0u);
+  EXPECT_EQ(bin(1), 1u);  // 2/8 = 0.25 -> bin 1
+  EXPECT_EQ(bin(2), 3u);
+}
+
+// Bins are not stored per sample: HardnessBinIndex over the reported
+// range must place every sample exactly where the population counted it,
+// ties at the maximum and constant inputs included.
+TEST(HardnessBinsTest, BinIndexReproducesPopulation) {
+  Rng rng(7);
+  std::vector<std::vector<double>> shapes(4, std::vector<double>(2000));
+  for (double& h : shapes[0]) h = rng.Uniform();
+  for (double& h : shapes[1]) {
+    h = rng.Uniform() < 0.9 ? rng.Uniform(0.0, 0.1) : rng.Uniform(0.1, 1.0);
+  }
+  for (double& h : shapes[2]) h = 0.25 * static_cast<double>(rng.Index(4));
+  for (double& h : shapes[3]) h = 0.3;
+  for (const std::vector<double>& hardness : shapes) {
+    for (const std::size_t k : {1u, 3u, 20u, 64u}) {
+      const HardnessBins bins = ComputeHardnessBins(hardness, k);
+      std::vector<std::size_t> population(k, 0);
+      for (const double h : hardness) {
+        ++population[HardnessBinIndex(h, bins.min, bins.max, k)];
+      }
+      EXPECT_EQ(population, bins.population) << "k = " << k;
+    }
+  }
 }
 
 TEST(HardnessBinsTest, MeanHardnessPerBin) {

@@ -4,6 +4,7 @@
 // only load speed.
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
@@ -106,6 +107,52 @@ TEST_F(MmapCacheTest, WarmLoadIsValueIdenticalToParse) {
   ExpectSameValues(cold, warm);
   // The warm copy really is backed by the sidecar mapping.
   EXPECT_TRUE(warm.matrix().mapped());
+}
+
+// A warm load releases the mapped label pages once labels() holds its
+// copy. With a label region several pages long the release really
+// happens, and nothing the dataset reads may change: columns and labels
+// stay bit-identical to a plain parse.
+TEST_F(MmapCacheTest, WarmLoadAfterLabelPageReleaseMatchesParse) {
+  WriteBlobsCsv(12, 3000, 300);
+  const Dataset parsed = LoadCsv(csv_path_, 2);
+  ASSERT_GT(parsed.num_rows() * sizeof(std::int32_t),
+            3 * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
+  (void)LoadCsvCached(csv_path_, 2);
+  const Dataset warm = LoadCsvCached(csv_path_, 2);
+  ASSERT_TRUE(warm.matrix().mapped());
+  ExpectSameValues(parsed, warm);
+  EXPECT_EQ(warm.labels(), parsed.labels());
+}
+
+// Each warm load maps the sidecar on its own and releases its own label
+// pages; two of them alive at once must still agree with each other.
+TEST_F(MmapCacheTest, TwoLiveWarmLoadsAgree) {
+  WriteBlobsCsv(13, 3000, 300);
+  (void)LoadCsvCached(csv_path_, 2);
+  const Dataset first = LoadCsvCached(csv_path_, 2);
+  const Dataset second = LoadCsvCached(csv_path_, 2);
+  ASSERT_TRUE(first.matrix().mapped());
+  ASSERT_TRUE(second.matrix().mapped());
+  ExpectSameValues(first, second);
+  ExpectSameValues(LoadCsv(csv_path_, 2), first);
+}
+
+// A label region shorter than a page holds no whole page, so the inward
+// rounding releases nothing; the load is still exact and the sidecar,
+// columns and CRC included, still classifies as valid afterwards.
+TEST_F(MmapCacheTest, LabelRegionSmallerThanAPageLoadsAndStaysValid) {
+  WriteBlobsCsv(14, 40, 10);
+  const Dataset parsed = LoadCsv(csv_path_, 2);
+  ASSERT_LT(parsed.num_rows() * sizeof(std::int32_t),
+            static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
+  (void)LoadCsvCached(csv_path_, 2);
+  const Dataset warm = LoadCsvCached(csv_path_, 2);
+  ASSERT_TRUE(warm.matrix().mapped());
+  ExpectSameValues(parsed, warm);
+  const SidecarInfo info = InspectSidecar(csv_path_, 2);
+  EXPECT_EQ(info.status, SidecarStatus::kValid) << info.detail;
+  ExpectSameValues(parsed, LoadCsvCached(csv_path_, 2));
 }
 
 TEST_F(MmapCacheTest, RewrittenSourceIsDetectedAsStale) {
