@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -551,15 +552,6 @@ int main(int argc, char** argv) {
   const double binary_agg =
       binary_wall_total > 0 ? binary_rows_total / binary_wall_total : 0.0;
 
-  spe::ServeStatsSnapshot s = scorer.stats().Snapshot();
-  const double throughput =
-      wall > 0 ? static_cast<double>(rows_per_producer * producers) / wall
-               : 0.0;
-  // The engine snapshot reports rows/sec since scorer construction; the
-  // replay window is the honest number, so patch it in for the report.
-  s.rows_per_sec = throughput;
-  s.elapsed_s = wall;
-  std::string json = spe::ToJson(s);
   std::string axis_json = "[";
   for (std::size_t i = 0; i < axis.size(); ++i) {
     const AxisPoint& p = axis[i];
@@ -573,17 +565,30 @@ int main(int argc, char** argv) {
     axis_json += entry;
   }
   axis_json += "]";
-  json.insert(1, "\"bench\":\"serve_throughput\",\"kernel\":\"" +
-                     std::string(scorer.kernel()) + "\",\"failures\":" +
-                     std::to_string(failures.load()) +
-                     ",\"connections_axis\":" + axis_json +
-                     ",\"line_rows_per_sec\":" +
-                     std::to_string(static_cast<long>(line_agg)) +
-                     ",\"binary_rows_per_sec\":" +
-                     std::to_string(static_cast<long>(binary_agg)) +
-                     ",\"dropped_connections\":" +
-                     std::to_string(dropped_total) + ",\"spans\":" +
-                     spe::obs::SpanSummariesJson() + ",");
+  // The engine block reports what the replay measured, plus the
+  // scorer's own batch counters.
+  const spe::ServerStats& stats = scorer.stats();
+  const long engine_rows = rows_per_producer * producers;
+  char engine[256];
+  std::snprintf(
+      engine, sizeof(engine),
+      "\"rows\":%ld,\"rows_per_sec\":%.1f,\"elapsed_s\":%.3f,"
+      "\"batches\":%" PRIu64 ",\"mean_batch_size\":%.2f",
+      engine_rows, wall > 0 ? static_cast<double>(engine_rows) / wall : 0.0,
+      wall, stats.batches(),
+      stats.batches() > 0 ? static_cast<double>(stats.batch_rows()) /
+                                static_cast<double>(stats.batches())
+                          : 0.0);
+  const std::string json =
+      "{\"bench\":\"serve_throughput\",\"kernel\":\"" +
+      std::string(scorer.kernel()) +
+      "\",\"failures\":" + std::to_string(failures.load()) +
+      ",\"connections_axis\":" + axis_json + ",\"line_rows_per_sec\":" +
+      std::to_string(static_cast<long>(line_agg)) +
+      ",\"binary_rows_per_sec\":" +
+      std::to_string(static_cast<long>(binary_agg)) +
+      ",\"dropped_connections\":" + std::to_string(dropped_total) +
+      ",\"spans\":" + spe::obs::SpanSummariesJson() + "," + engine + "}";
   std::printf("%s\n", json.c_str());
 
   if (failures.load() != 0) return 1;

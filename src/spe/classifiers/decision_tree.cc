@@ -126,19 +126,27 @@ std::int32_t DecisionTree::Build(const DatasetView& train,
 
   SplitCandidate best;
   for (int feature : features) {
+    // NaN (a missing value) sorts last: the other values fill the
+    // prefix in row order, NaNs the tail. `<` is a strict weak order
+    // only without NaN, so only the prefix is sorted, and thresholds
+    // come from it alone. NaN rows always count on the right, where
+    // `x <= threshold` being false sends them at predict time.
+    std::size_t ordered = 0;
+    std::size_t tail = count;
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t row = indices[begin + i];
-      entries[i] = Entry{train.At(row, static_cast<std::size_t>(feature)),
-                         weights[row], train.Label(row)};
+      const double value = train.At(row, static_cast<std::size_t>(feature));
+      entries[std::isnan(value) ? --tail : ordered++] =
+          Entry{value, weights[row], train.Label(row)};
     }
     std::sort(entries.begin(),
-              entries.begin() + static_cast<std::ptrdiff_t>(count),
+              entries.begin() + static_cast<std::ptrdiff_t>(ordered),
               [](const Entry& a, const Entry& b) { return a.value < b.value; });
 
     double left_total = 0.0;
     double left_positive = 0.0;
     std::size_t left_count = 0;
-    for (std::size_t i = 0; i + 1 < count; ++i) {
+    for (std::size_t i = 0; i + 1 < ordered; ++i) {
       left_total += entries[i].weight;
       left_positive += entries[i].weight * static_cast<double>(entries[i].label);
       ++left_count;

@@ -17,7 +17,10 @@ namespace spe {
 /// serving: consumers pop *batches*, waiting a bounded time for the
 /// batch to fill once the first item arrives. Producers choose their
 /// backpressure policy per call — Push blocks while the queue is full,
-/// TryPush sheds instead.
+/// TryPush sheds instead. Both take the item by reference and move from
+/// it only on success: a refused item is left intact, so callers can
+/// recover move-only payloads (completion callbacks, pooled buffers)
+/// instead of losing them inside the call.
 ///
 /// Close() makes the queue drainable: further pushes fail, but items
 /// already accepted remain poppable, and PopBatch returns them until
@@ -39,9 +42,9 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while the queue is full. Returns false (and drops `item`)
-  /// only if the queue is closed.
-  bool Push(T item) {
+  /// Blocks while the queue is full. Returns false, leaving `item`
+  /// intact, only if the queue is closed.
+  bool Push(T& item) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
     if (closed_) return false;
@@ -51,33 +54,10 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking push: returns false when full or closed (load
-  /// shedding — the caller owns telling the client "try later").
-  bool TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Like Push, but leaves `item` intact when the queue refuses it, so
-  /// callers can recover move-only payloads (completion callbacks,
-  /// pooled buffers) instead of losing them inside the call.
-  bool PushKeep(T& item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Like TryPush, but leaves `item` intact on refusal.
-  bool TryPushKeep(T& item) {
+  /// Non-blocking push: returns false, leaving `item` intact, when full
+  /// or closed (load shedding — the caller owns telling the client "try
+  /// later").
+  bool TryPush(T& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;

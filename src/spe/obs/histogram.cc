@@ -7,16 +7,6 @@
 
 namespace spe {
 namespace obs {
-namespace {
-
-void UpdateMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
-  std::uint64_t seen = slot.load(std::memory_order_relaxed);
-  while (seen < value &&
-         !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 GeometricHistogram::GeometricHistogram(int sub_bits, std::size_t num_buckets)
     : sub_bits_(sub_bits), counts_(num_buckets) {
@@ -62,40 +52,6 @@ void GeometricHistogram::Record(std::uint64_t value) {
   counts_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-  UpdateMax(max_, value);
-}
-
-double GeometricHistogram::Percentile(double q) const {
-  std::vector<std::uint64_t> counts(counts_.size());
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts[i] = counts_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0.0;
-  const double exact_max = static_cast<double>(max());
-  // Rank of the q-th sample (1-based); walk buckets until reached, then
-  // interpolate linearly inside the bucket.
-  const double rank = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const std::uint64_t next = cumulative + counts[i];
-    if (static_cast<double>(next) >= rank) {
-      const double lo = static_cast<double>(BucketLowerBound(i));
-      const double hi = i + 1 < counts.size()
-                            ? static_cast<double>(BucketLowerBound(i + 1))
-                            : exact_max;
-      const double frac = (rank - static_cast<double>(cumulative)) /
-                          static_cast<double>(counts[i]);
-      const double estimate = lo + (hi > lo ? (hi - lo) * frac : 0.0);
-      // Interpolation works on bucket bounds, which can exceed the
-      // largest value actually seen; the exact max caps it.
-      return estimate < exact_max ? estimate : exact_max;
-    }
-    cumulative = next;
-  }
-  return exact_max;
 }
 
 }  // namespace obs

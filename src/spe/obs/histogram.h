@@ -33,16 +33,11 @@ class GeometricHistogram {
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   std::uint64_t bucket_count(std::size_t index) const {
     return counts_[index].load(std::memory_order_relaxed);
   }
   std::size_t num_buckets() const { return counts_.size(); }
   int sub_bits() const { return sub_bits_; }
-
-  /// Percentile estimate (q in [0, 1]) by linear interpolation inside
-  /// the covering bucket, capped by the exact max. 0 when empty.
-  double Percentile(double q) const;
 
   /// Bucket for `value`, clamped to the last bucket.
   std::size_t BucketIndex(std::uint64_t value) const;
@@ -65,7 +60,6 @@ class GeometricHistogram {
   std::vector<std::atomic<std::uint64_t>> counts_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace obs

@@ -126,12 +126,12 @@ void BatchScorer::SubmitCallback(std::vector<double> features,
   req.done = std::move(done);
   req.enqueued = std::chrono::steady_clock::now();
   req.deadline = deadline;
-  // The Keep variants leave `req` intact on refusal, so the rejection
-  // can travel through the caller's own callback with its pooled
-  // feature buffer attached — nothing is lost inside the queue.
+  // A refused push leaves `req` intact, so the rejection can travel
+  // through the caller's own callback with its pooled feature buffer
+  // attached — nothing is lost inside the queue.
   const bool accepted = config_.overflow == OverflowPolicy::kBlock
-                            ? queue_.PushKeep(req)
-                            : queue_.TryPushKeep(req);
+                            ? queue_.Push(req)
+                            : queue_.TryPush(req);
   if (!accepted) {
     const bool closed = queue_.closed();
     if (!closed) stats_.RecordShed();
@@ -173,7 +173,7 @@ std::vector<double> BatchScorer::ScoreBatch(const DatasetView& rows) {
     req.enqueued = std::chrono::steady_clock::now();
     // Offline scoring always blocks: shedding rows out of a file-scoring
     // run would silently truncate the output.
-    SPE_CHECK(queue_.Push(std::move(req))) << "scorer is shut down";
+    SPE_CHECK(queue_.Push(req)) << "scorer is shut down";
   }
   latch.Wait();
   return probs;

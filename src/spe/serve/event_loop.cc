@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "spe/common/check.h"
-#include "spe/serve/server_stats.h"
 #include "spe/serve/wire.h"
 
 namespace spe::serve {
@@ -64,15 +63,14 @@ ssize_t WriteAdopted(int fd, bool pollable, const char* data,
 
 /// One queued response slot. Responses are written strictly in deque
 /// order per session; a slot is written once `ready` (kScore and
-/// kReload resolve asynchronously) or, for the snapshot kinds, rendered
-/// lazily the moment the slot reaches the head — after every earlier
-/// response has been formatted into the output buffer, so the snapshot
-/// covers every request answered before it.
+/// kReload resolve asynchronously) or, for kMetrics, rendered lazily
+/// the moment the slot reaches the head — after every earlier response
+/// has been formatted into the output buffer, so the exposition covers
+/// every request answered before it.
 struct EventLoop::Pending {
   enum class Kind : unsigned char {
     kImmediate,  // response already formatted (parse errors, width errors)
     kScore,      // waiting on a scorer callback
-    kStats,      // rendered at deque head
     kMetrics,    // rendered at deque head
     kReload,     // fired at deque head, waiting on the reload callback
   };
@@ -551,9 +549,6 @@ void EventLoop::EnqueueTextRequest(Conn& c, std::string_view line) {
   switch (req.kind) {
     case RequestKind::kEmpty:
       return;  // never queued, no response
-    case RequestKind::kStats:
-      pending->kind = Pending::Kind::kStats;
-      break;
     case RequestKind::kMetrics:
       pending->kind = Pending::Kind::kMetrics;
       break;
@@ -665,9 +660,6 @@ void EventLoop::ParseBinary(Conn& c) {
         SubmitScore(c, pending, std::move(features), frame.deadline_ms);
         continue;
       }
-      case wire::FrameType::kStats:
-        pending->kind = Pending::Kind::kStats;
-        break;
       case wire::FrameType::kMetrics:
         pending->kind = Pending::Kind::kMetrics;
         break;
@@ -745,20 +737,10 @@ void EventLoop::PumpPending(Conn& c) {
         case Pending::Kind::kScore:
           waiting = !head.ready.load(std::memory_order_acquire);
           break;
-        case Pending::Kind::kStats: {
-          // Rendered only now — at the head, with every earlier
-          // response already formatted into c.out — so the snapshot
-          // covers every request answered before it.
-          std::string text = ToJson(scorer_.stats().Snapshot());
-          if (head.binary) {
-            wire::AppendTextResponse(head.response, text);
-          } else {
-            head.response = std::move(text) + '\n';
-          }
-          head.kind = Pending::Kind::kImmediate;
-          break;
-        }
         case Pending::Kind::kMetrics: {
+          // Rendered only now — at the head, with every earlier
+          // response already formatted into c.out — so the exposition
+          // covers every request answered before it.
           std::string text = obs::MetricsRegistry::Global().RenderText();
           while (!text.empty() && text.back() == '\n') text.pop_back();
           if (head.binary) {

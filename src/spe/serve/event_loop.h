@@ -76,10 +76,10 @@ struct EventLoopCounters {
 ///
 /// Ordering and lifecycle semantics, per session:
 ///   - responses come back in request order;
-///   - STATS / !stats snapshots are rendered only after every earlier
+///   - a !stats exposition is rendered only after every earlier
 ///     response on the session has been formatted (appended to its
-///     output buffer), so they cover every request answered before
-///     them; the write to the wire itself may still be pending;
+///     output buffer), so it covers every request answered before it;
+///     the write to the wire itself may still be pending;
 ///   - !reload fires only after every request read before it has been
 ///     answered *and written*, and parsing resumes when the reload's
 ///     OK/ERR is on the wire;

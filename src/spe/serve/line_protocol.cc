@@ -189,11 +189,6 @@ ServeRequest ParseRequestLine(std::string_view line) {
     r.kind = RequestKind::kEmpty;
     return r;
   }
-  if (line.substr(i) == "STATS") {
-    ServeRequest r;
-    r.kind = RequestKind::kStats;
-    return r;
-  }
   if (line.substr(i) == "!stats") {
     ServeRequest r;
     r.kind = RequestKind::kMetrics;

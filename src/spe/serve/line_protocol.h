@@ -17,9 +17,9 @@ namespace spe {
 ///   JSON: `{"id":17,"features":[0.5]}`  -> `{"id":17,"proba":0.08731...}`
 ///
 /// A line whose first non-space byte is '{' is JSON; anything else is
-/// CSV. The literal line `STATS` requests a stats snapshot; the literal
-/// line `!stats` requests the full metrics exposition (multi-line,
-/// Prometheus text format, terminated by `# EOF`); `!reload [PATH]`
+/// CSV. The literal line `!stats` requests the metrics exposition
+/// (multi-line, Prometheus text format, terminated by `# EOF`) — the
+/// server's one stats surface; `!reload [PATH]`
 /// asks the server to hot-swap its model to the artifact at PATH (or
 /// re-read the startup artifact when PATH is omitted) — answered with
 /// one `OK ...` or `ERR ...` line once the swap has happened, in
@@ -46,7 +46,6 @@ inline constexpr std::size_t kMaxIdBytes = 256;
 
 enum class RequestKind {
   kScore,    // features parsed, ready to submit
-  kStats,    // STATS command — one-line JSON snapshot
   kMetrics,  // !stats command — multi-line metrics exposition
   kReload,   // !reload [PATH] — hot-swap the served model (spe_serve)
   kEmpty,    // blank line — ignore, no response
@@ -77,7 +76,7 @@ ServeRequest ParseRequestLine(std::string_view line);
 
 /// Response line (no trailing newline) for a scored request. Degraded
 /// results are marked with `"degraded":true` in JSON responses; CSV
-/// responses stay a bare number (degradation is visible via STATS).
+/// responses stay a bare number (degradation is counted on `!stats`).
 std::string FormatScoreResponse(const ServeRequest& request, double proba,
                                 bool degraded = false);
 

@@ -1,9 +1,5 @@
 #include "spe/serve/server_stats.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <ostream>
-
 #include "spe/obs/metrics.h"
 
 namespace spe {
@@ -36,11 +32,7 @@ std::uint64_t ServerStats::BucketLowerBound(std::size_t index) {
 }
 
 ServerStats::ServerStats()
-    : start_(std::chrono::steady_clock::now()),
-      latency_(kLatencySubBits, kLatencyBuckets),
-      // sub_bits=0 gives size 0 its own bucket, so the power-of-two
-      // buckets the snapshot exposes start one slot later.
-      batch_(0, kBatchBuckets + 1) {}
+    : latency_(kLatencySubBits, kLatencyBuckets), batch_(0, kBatchBuckets) {}
 
 void ServerStats::RecordRequest(std::uint64_t latency_us) {
   latency_.Record(latency_us);
@@ -62,112 +54,18 @@ void ServerStats::RecordDeadlineExpired() {
   deadline_expired_.fetch_add(1, std::memory_order_relaxed);
 }
 
-ServeStatsSnapshot ServerStats::Snapshot() const {
-  ServeStatsSnapshot s;
-  s.rows = latency_.count();
-  s.batches = batch_.count();
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  s.degraded_batches = degraded_batches_.load(std::memory_order_relaxed);
-  s.degraded_rows = degraded_rows_.load(std::memory_order_relaxed);
-  s.max_us = latency_.max();
-  s.max_batch_size = batch_.max();
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  s.elapsed_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
-          .count();
-  s.rows_per_sec =
-      s.elapsed_s > 0 ? static_cast<double>(s.rows) / s.elapsed_s : 0.0;
-  s.p50_us = latency_.Percentile(0.50);
-  s.p95_us = latency_.Percentile(0.95);
-  s.p99_us = latency_.Percentile(0.99);
-  const std::uint64_t batch_rows = batch_.sum();
-  s.mean_batch_size =
-      s.batches > 0 ? static_cast<double>(batch_rows) /
-                          static_cast<double>(s.batches)
-                    : 0.0;
-  // The snapshot's bucket i is [2^i, 2^(i+1)), which is the backing
-  // histogram's bucket i+1; fold the histogram's size-0 bucket into
-  // slot 0 so no batch ever goes unreported. Trim trailing empty
-  // buckets so the JSON stays short.
-  std::size_t top = 0;
-  std::vector<std::uint64_t> batch_hist(kBatchBuckets);
-  for (std::size_t i = 0; i < kBatchBuckets; ++i) {
-    batch_hist[i] = batch_.bucket_count(i + 1);
-    if (i == 0) batch_hist[i] += batch_.bucket_count(0);
-    if (batch_hist[i] != 0) top = i + 1;
-  }
-  batch_hist.resize(top);
-  s.batch_size_hist = std::move(batch_hist);
-  return s;
-}
-
 void ServerStats::AppendExposition(std::string& out) const {
-  AppendCounter(out, "spe_serve_requests_total", latency_.count());
-  AppendCounter(out, "spe_serve_batches_total", batch_.count());
-  AppendCounter(out, "spe_serve_batch_rows_total", batch_.sum());
-  AppendCounter(out, "spe_serve_shed_total",
-                shed_.load(std::memory_order_relaxed));
-  AppendCounter(out, "spe_serve_deadline_expired_total",
-                deadline_expired_.load(std::memory_order_relaxed));
-  AppendCounter(out, "spe_serve_degraded_batches_total",
-                degraded_batches_.load(std::memory_order_relaxed));
-  AppendCounter(out, "spe_serve_degraded_rows_total",
-                degraded_rows_.load(std::memory_order_relaxed));
+  AppendCounter(out, "spe_serve_requests_total", rows());
+  AppendCounter(out, "spe_serve_batches_total", batches());
+  AppendCounter(out, "spe_serve_batch_rows_total", batch_rows());
+  AppendCounter(out, "spe_serve_shed_total", shed());
+  AppendCounter(out, "spe_serve_deadline_expired_total", deadline_expired());
+  AppendCounter(out, "spe_serve_degraded_batches_total", degraded_batches());
+  AppendCounter(out, "spe_serve_degraded_rows_total", degraded_rows());
   out += "# TYPE spe_serve_latency_us histogram\n";
   obs::AppendHistogramExposition(out, "spe_serve_latency_us", latency_);
   out += "# TYPE spe_serve_batch_size histogram\n";
   obs::AppendHistogramExposition(out, "spe_serve_batch_size", batch_);
 }
-
-std::string ToJson(const ServeStatsSnapshot& s) {
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "{\"rows\":%" PRIu64 ",\"rows_per_sec\":%.1f,\"batches\":%" PRIu64
-                ",\"mean_batch_size\":%.2f,\"max_batch_size\":%" PRIu64
-                ",\"shed\":%" PRIu64 ",\"deadline_expired\":%" PRIu64
-                ",\"degraded_batches\":%" PRIu64 ",\"degraded_rows\":%" PRIu64
-                ",\"latency_us\":{\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f,"
-                "\"max\":%" PRIu64 "},\"elapsed_s\":%.3f",
-                s.rows, s.rows_per_sec, s.batches, s.mean_batch_size,
-                s.max_batch_size, s.shed, s.deadline_expired,
-                s.degraded_batches, s.degraded_rows, s.p50_us, s.p95_us,
-                s.p99_us, s.max_us, s.elapsed_s);
-  std::string out(buf);
-  out += ",\"batch_size_hist\":[";
-  for (std::size_t i = 0; i < s.batch_size_hist.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(s.batch_size_hist[i]);
-  }
-  out += "]}";
-  return out;
-}
-
-StatsReporter::StatsReporter(const ServerStats& stats, std::ostream& os,
-                             std::chrono::milliseconds interval)
-    : stats_(stats), os_(os), interval_(interval) {
-  thread_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) {
-      // Unlock while formatting/writing so Stop never waits on the
-      // stream.
-      lock.unlock();
-      os_ << ToJson(stats_.Snapshot()) << '\n' << std::flush;
-      lock.lock();
-    }
-  });
-}
-
-void StatsReporter::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-StatsReporter::~StatsReporter() { Stop(); }
 
 }  // namespace spe

@@ -2,51 +2,21 @@
 #define SPE_SERVE_SERVER_STATS_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "spe/obs/histogram.h"
 
 namespace spe {
 
-/// Point-in-time view of a ServerStats. Percentiles are estimated from
-/// the fixed-bucket histogram (geometric buckets, 8 per power of two,
-/// so estimates carry at most ~12.5% relative error); max is exact.
-struct ServeStatsSnapshot {
-  std::uint64_t rows = 0;      // completed single-row requests
-  std::uint64_t batches = 0;   // micro-batches dispatched to the model
-  std::uint64_t shed = 0;      // requests rejected by load shedding
-  std::uint64_t deadline_expired = 0;  // failed while queued, never scored
-  std::uint64_t degraded_batches = 0;  // scored with an ensemble prefix
-  std::uint64_t degraded_rows = 0;     // rows inside those batches
-  double elapsed_s = 0.0;      // since stats creation / last Reset
-  double rows_per_sec = 0.0;   // rows / elapsed_s
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  std::uint64_t max_us = 0;
-  double mean_batch_size = 0.0;
-  std::uint64_t max_batch_size = 0;
-  /// batch_size_hist[i] counts batches with size in [2^i, 2^(i+1)).
-  std::vector<std::uint64_t> batch_size_hist;
-};
-
-/// Renders a snapshot as a single-line JSON object (stable key order,
-/// suitable for log scraping and for the bench report).
-std::string ToJson(const ServeStatsSnapshot& s);
-
 /// Lock-free (atomic counter) request/latency accounting shared by every
 /// worker and producer thread of a BatchScorer, built on the shared
 /// obs::GeometricHistogram geometry. All Record* methods are safe to
-/// call concurrently; Snapshot is safe concurrently with recording (it
-/// reads a consistent-enough view for monitoring — counts may be
-/// mid-update across histograms, which is fine for observability).
+/// call concurrently. The metrics exposition (AppendExposition) is the
+/// one rendering of these counters; the accessors read them one at a
+/// time, so a reader racing the recorders can see counts mid-update
+/// across counters, which is fine for observability.
 class ServerStats {
  public:
   ServerStats();
@@ -67,7 +37,22 @@ class ServerStats {
   /// being scored).
   void RecordDeadlineExpired();
 
-  ServeStatsSnapshot Snapshot() const;
+  /// Completed single-row requests (spe_serve_requests_total).
+  std::uint64_t rows() const { return latency_.count(); }
+  /// Micro-batches dispatched to the model (spe_serve_batches_total).
+  std::uint64_t batches() const { return batch_.count(); }
+  /// Rows inside those batches (spe_serve_batch_rows_total).
+  std::uint64_t batch_rows() const { return batch_.sum(); }
+  std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
+  std::uint64_t deadline_expired() const {
+    return deadline_expired_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t degraded_batches() const {
+    return degraded_batches_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t degraded_rows() const {
+    return degraded_rows_.load(std::memory_order_relaxed);
+  }
 
   /// Appends this instance's metrics in exposition format: the
   /// spe_serve_* counter family plus the spe_serve_latency_us and
@@ -87,42 +72,16 @@ class ServerStats {
   static std::uint64_t BucketLowerBound(std::size_t index);
 
  private:
-  // Snapshot exposes batch buckets as [2^i, 2^(i+1)) for i < 24; the
-  // backing histogram needs one extra slot because its sub_bits=0
-  // layout gives size 0 a bucket of its own.
-  static constexpr std::size_t kBatchBuckets = 24;
+  // Power-of-two batch-size buckets: sub_bits=0 gives size 0 a bucket
+  // of its own, then bucket i + 1 holds sizes [2^i, 2^(i+1)) for i < 24.
+  static constexpr std::size_t kBatchBuckets = 25;
 
-  std::chrono::steady_clock::time_point start_;
   obs::GeometricHistogram latency_;
   obs::GeometricHistogram batch_;
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> degraded_batches_{0};
   std::atomic<std::uint64_t> degraded_rows_{0};
-};
-
-/// Background thread that prints a one-line JSON snapshot of a
-/// ServerStats to `os` every `interval`. The destructor (or Stop) joins
-/// the thread promptly — it does not wait out the current interval.
-class StatsReporter {
- public:
-  StatsReporter(const ServerStats& stats, std::ostream& os,
-                std::chrono::milliseconds interval);
-  ~StatsReporter();
-
-  StatsReporter(const StatsReporter&) = delete;
-  StatsReporter& operator=(const StatsReporter&) = delete;
-
-  void Stop();
-
- private:
-  const ServerStats& stats_;
-  std::ostream& os_;
-  const std::chrono::milliseconds interval_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
 };
 
 }  // namespace spe

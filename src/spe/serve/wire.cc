@@ -80,7 +80,6 @@ std::string ValidateRequestHeader(const FrameHeader& h) {
       if (h.payload_len < floor) return "score frame payload too short";
       return "";
     }
-    case FrameType::kStats:
     case FrameType::kMetrics:
     case FrameType::kReload:
       return "";

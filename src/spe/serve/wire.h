@@ -41,7 +41,7 @@ namespace spe::wire {
 /// kFlagDegraded set when an overloaded server answered with an
 /// ensemble prefix); a refused row answers kError (u64 id + UTF-8
 /// message, same error taxonomy as the line protocol); the control
-/// frames kStats/kMetrics/kReload answer kText carrying the exact text
+/// frames kMetrics/kReload answer kText carrying the exact text
 /// the line protocol would have written (minus the trailing newline —
 /// the frame is the delimiter).
 ///
@@ -73,7 +73,8 @@ enum Flags : unsigned char {
 enum class FrameType : unsigned char {
   // client -> server
   kScore = 0x01,    // u64 id [f64 deadline_ms] features
-  kStats = 0x02,    // empty payload; answers kText (JSON snapshot)
+  // 0x02 is retired: clients that still send it must keep getting
+  // "unknown frame type 2", so it is never reassigned.
   kMetrics = 0x03,  // empty payload; answers kText (exposition)
   kReload = 0x04,   // payload = artifact path; answers kText (OK/ERR)
   // server -> client
@@ -136,8 +137,8 @@ void AppendScoreRequest(std::string& out, std::uint64_t id,
                         const double* features, std::size_t count,
                         bool f32 = false, double deadline_ms = -1.0);
 
-/// Client: control frame (kStats / kMetrics have empty payloads;
-/// kReload carries the artifact path).
+/// Client: control frame (kMetrics has an empty payload; kReload
+/// carries the artifact path).
 void AppendControlRequest(std::string& out, FrameType type,
                           std::string_view payload = {});
 

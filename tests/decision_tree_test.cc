@@ -1,3 +1,7 @@
+#include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,6 +116,34 @@ TEST(DecisionTreeTest, DeterministicAcrossFits) {
   const auto pa = a.PredictProba(test);
   const auto pb = b.PredictProba(test);
   for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+}
+
+// NaN encodes a missing value. A column holding NaN must still give a
+// well-defined split search: the same tree whatever the row order, the
+// perfect finite split found, and NaN rows routed right — where the
+// training partition counted them.
+TEST(DecisionTreeTest, NanColumnFitsTheSameTreeForEveryRowOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<double, int>> rows;
+  for (int x = 1; x <= 12; ++x) rows.emplace_back(x, x <= 7 ? 0 : 1);
+  for (int i = 0; i < 3; ++i) rows.emplace_back(nan, 1);
+  Rng rng(17);
+  std::string first;
+  for (int order = 0; order < 200; ++order) {
+    rng.Shuffle(rows);
+    Dataset data(1);
+    for (const auto& [x, y] : rows) data.AddRow(std::vector<double>{x}, y);
+    DecisionTree tree;
+    tree.Fit(data);
+    std::ostringstream model;
+    tree.SaveModel(model);
+    if (order == 0) first = model.str();
+    ASSERT_EQ(model.str(), first) << "row order " << order;
+    ASSERT_GT(tree.Depth(), 0) << "row order " << order;
+    EXPECT_EQ(tree.PredictRow(std::vector<double>{nan}), 1.0);
+    EXPECT_EQ(tree.PredictRow(std::vector<double>{7.0}), 0.0);
+    EXPECT_EQ(tree.PredictRow(std::vector<double>{8.0}), 1.0);
+  }
 }
 
 TEST(DecisionTreeTest, FeatureSubsamplingStillLearns) {

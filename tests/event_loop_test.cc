@@ -386,6 +386,26 @@ TEST(EventLoopTest, PartialTrailingBinaryFrameIsDroppedAtEof) {
   close(fd);
 }
 
+TEST(EventLoopTest, RetiredStatsFrameIsRefusedAndConnectionStaysOpen) {
+  // The retired frame type 0x02 is refused like any unknown type: its
+  // payload is skipped and the next frame is still scored.
+  LoopHarness harness;
+  const int fd = harness.Connect();
+  std::string frames;
+  wire::AppendHeader(frames, static_cast<wire::FrameType>(0x02), 0, 3);
+  frames += "abc";
+  const double row[] = {1.0, 2.0};
+  wire::AppendScoreRequest(frames, 5, row, 2);
+  SendAll(fd, frames);
+  const wire::DecodedResponse refusal = RecvFrame(fd);
+  EXPECT_EQ(refusal.type, wire::FrameType::kError);
+  EXPECT_EQ(refusal.text, "unknown frame type 2");
+  const wire::DecodedResponse scored = RecvFrame(fd);
+  EXPECT_EQ(scored.type, wire::FrameType::kScoreOk);
+  EXPECT_EQ(scored.id, 5u);
+  close(fd);
+}
+
 TEST(EventLoopTest, CapacityRefusalLineArrivesWhole) {
   serve::EventLoopConfig config;
   config.max_connections = 1;
@@ -506,16 +526,21 @@ TEST(EventLoopTest, AdoptedPipePairServesATextSession) {
   ASSERT_EQ(pipe(responses), 0);
   {
     AdoptedSession session(requests[0], responses[1]);
+    // `STATS` is retired: it is an ordinary malformed CSV row now, and
+    // the row after it is still scored.
     SendAll(requests[1],
-            "1.0,2.0\n{\"id\":3,\"features\":[4.0,4.0]}\nSTATS\n");
-    const std::vector<std::string> lines = RecvLines(responses[0], 3);
-    ASSERT_EQ(lines.size(), 3u);
-    const ScoreResult truth =
-        testing::SubmitFuture(session.scorer(), {1.0, 2.0}).get();
+            "1.0,2.0\n{\"id\":3,\"features\":[4.0,4.0]}\nSTATS\n3.0,4.0\n");
+    const std::vector<std::string> lines = RecvLines(responses[0], 4);
+    ASSERT_EQ(lines.size(), 4u);
     ServeRequest csv;
-    EXPECT_EQ(lines[0], FormatScoreResponse(csv, truth.proba, truth.degraded));
+    const ScoreResult first =
+        testing::SubmitFuture(session.scorer(), {1.0, 2.0}).get();
+    EXPECT_EQ(lines[0], FormatScoreResponse(csv, first.proba, first.degraded));
     EXPECT_EQ(lines[1].rfind("{\"id\":3,\"proba\":", 0), 0u) << lines[1];
-    EXPECT_NE(lines[2].find("rows_per_sec"), std::string::npos) << lines[2];
+    EXPECT_EQ(lines[2], "ERR bad number at column 1");
+    const ScoreResult last =
+        testing::SubmitFuture(session.scorer(), {3.0, 4.0}).get();
+    EXPECT_EQ(lines[3], FormatScoreResponse(csv, last.proba, last.degraded));
     close(requests[1]);  // EOF ends the session
     EXPECT_TRUE(session.Returned());
   }
@@ -599,7 +624,7 @@ TEST(EventLoopTest, AdoptedPipeHeldOpenDrainsOnRequest) {
     session.loop().RequestDrain();
     EXPECT_TRUE(session.Returned());
     EXPECT_EQ(session.loop().counters().text_requests.load(), 1u);
-    EXPECT_EQ(session.scorer().stats().Snapshot().rows, 1u);
+    EXPECT_EQ(session.scorer().stats().rows(), 1u);
   }
   for (const int fd : {requests[0], requests[1], responses[0], responses[1]}) {
     close(fd);

@@ -63,7 +63,6 @@ void CheckParseInvariants(std::string_view line) {
       }
       EXPECT_LE(request.id.size(), kMaxIdBytes + 2);  // quotes included
       break;
-    case RequestKind::kStats:
     case RequestKind::kMetrics:
     case RequestKind::kEmpty:
       EXPECT_TRUE(request.error.empty());

@@ -70,20 +70,37 @@ TEST(BoundedQueueTest, PopBatchRespectsMaxItems) {
 
 TEST(BoundedQueueTest, TryPushShedsWhenFull) {
   BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
+  for (int i = 1; i <= 2; ++i) EXPECT_TRUE(q.TryPush(i));
+  int refused = 3;
+  EXPECT_FALSE(q.TryPush(refused));
   std::vector<int> batch;
   q.PopBatch(batch, 8, std::chrono::microseconds(0));
   EXPECT_EQ(batch.size(), 2u);
 }
 
+TEST(BoundedQueueTest, RefusedPushLeavesTheItemIntact) {
+  // Both pushes move from the item only on success, so a move-only
+  // payload the queue refuses stays with the caller.
+  BoundedQueue<std::unique_ptr<int>> q(1);
+  auto first = std::make_unique<int>(1);
+  ASSERT_TRUE(q.Push(first));
+  EXPECT_EQ(first, nullptr);
+  auto shed = std::make_unique<int>(2);
+  EXPECT_FALSE(q.TryPush(shed));  // full
+  ASSERT_NE(shed, nullptr);
+  EXPECT_EQ(*shed, 2);
+  q.Close();
+  EXPECT_FALSE(q.Push(shed));  // closed
+  ASSERT_NE(shed, nullptr);
+  EXPECT_EQ(*shed, 2);
+}
+
 TEST(BoundedQueueTest, CloseDrainsRemainingItems) {
   BoundedQueue<int> q(8);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
+  for (int i = 1; i <= 2; ++i) ASSERT_TRUE(q.Push(i));
   q.Close();
-  EXPECT_FALSE(q.Push(3));
+  int late = 3;
+  EXPECT_FALSE(q.Push(late));
   std::vector<int> batch;
   EXPECT_EQ(q.PopBatch(batch, 1, std::chrono::microseconds(0)), 1u);
   EXPECT_EQ(q.PopBatch(batch, 8, std::chrono::microseconds(0)), 1u);
@@ -92,8 +109,12 @@ TEST(BoundedQueueTest, CloseDrainsRemainingItems) {
 
 TEST(BoundedQueueTest, BlockedPushWakesWhenConsumerDrains) {
   BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
-  std::thread producer([&] { EXPECT_TRUE(q.Push(2)); });
+  int first = 1;
+  ASSERT_TRUE(q.Push(first));
+  std::thread producer([&] {
+    int second = 2;
+    EXPECT_TRUE(q.Push(second));
+  });
   std::vector<int> batch;
   // Eventually both items flow through; the producer unblocks.
   std::size_t seen = 0;
@@ -132,7 +153,7 @@ TEST(BatchScorerTest, ServedBitIdenticalToDirectPredictProba) {
     EXPECT_EQ(std::memcmp(&served[i], &direct[i], sizeof(double)), 0)
         << "row " << i << ": " << served[i] << " vs " << direct[i];
   }
-  EXPECT_EQ(scorer.stats().Snapshot().rows, test.num_rows());
+  EXPECT_EQ(scorer.stats().rows(), test.num_rows());
 }
 
 TEST(BatchScorerTest, MultiThreadedProducersRandomizedDelays) {
@@ -179,12 +200,12 @@ TEST(BatchScorerTest, MultiThreadedProducersRandomizedDelays) {
   for (auto& t : producers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  const ServeStatsSnapshot s = scorer.stats().Snapshot();
+  const ServerStats& s = scorer.stats();
   // Each round, the producers partition the test set exactly once.
-  EXPECT_EQ(s.rows, static_cast<std::uint64_t>(kRounds) * test.num_rows());
-  EXPECT_GT(s.batches, 0u);
-  EXPECT_GE(s.mean_batch_size, 1.0);
-  EXPECT_EQ(s.shed, 0u);
+  EXPECT_EQ(s.rows(), static_cast<std::uint64_t>(kRounds) * test.num_rows());
+  EXPECT_GT(s.batches(), 0u);
+  EXPECT_GE(s.batch_rows(), s.batches());  // mean batch size >= 1
+  EXPECT_EQ(s.shed(), 0u);
 }
 
 TEST(BatchScorerTest, ShutdownDrainsEveryAcceptedRequest) {
@@ -212,7 +233,7 @@ TEST(BatchScorerTest, ShutdownDrainsEveryAcceptedRequest) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
-  EXPECT_EQ(scorer.stats().Snapshot().rows, test.num_rows());
+  EXPECT_EQ(scorer.stats().rows(), test.num_rows());
 
   // After shutdown, new submissions are refused through the completion.
   auto rejected = testing::SubmitFuture(
@@ -263,7 +284,7 @@ TEST(BatchScorerTest, ShedPolicyRejectsWhenQueueFull) {
   }
   EXPECT_GT(ok, 0);
   EXPECT_GT(shed, 0);
-  EXPECT_EQ(static_cast<std::uint64_t>(shed), scorer.stats().Snapshot().shed);
+  EXPECT_EQ(static_cast<std::uint64_t>(shed), scorer.stats().shed());
 }
 
 // The synchronous entry points ride the callback channel too: a model
@@ -380,9 +401,9 @@ TEST(BatchScorerTest, ExpiredDeadlineFailsFastWithoutScoring) {
   EXPECT_EQ(testing::SubmitFuture(scorer, {1.0, 2.0}).get().proba, 0.5);
   EXPECT_EQ(counter->calls(), 2u);
 
-  const ServeStatsSnapshot s = scorer.stats().Snapshot();
-  EXPECT_EQ(s.deadline_expired, 1u);
-  EXPECT_EQ(s.rows, 2u);  // only scored rows count as served
+  const ServerStats& s = scorer.stats();
+  EXPECT_EQ(s.deadline_expired(), 1u);
+  EXPECT_EQ(s.rows(), 2u);  // only scored rows count as served
 }
 
 // ---------------------------------------------------------- degradation
@@ -491,10 +512,10 @@ TEST(BatchScorerTest, WatermarksEngageAndRestoreWithHysteresis) {
   EXPECT_EQ(last.proba, 0.75);
   EXPECT_FALSE(scorer.degraded());
 
-  const ServeStatsSnapshot s = scorer.stats().Snapshot();
-  EXPECT_EQ(s.degraded_batches, 5u);
-  EXPECT_EQ(s.degraded_rows, 5u);
-  EXPECT_EQ(s.rows, 7u);
+  const ServerStats& s = scorer.stats();
+  EXPECT_EQ(s.degraded_batches(), 5u);
+  EXPECT_EQ(s.degraded_rows(), 5u);
+  EXPECT_EQ(s.rows(), 7u);
 }
 
 TEST(BatchScorerTest, DegradedResultsBitIdenticalToPrefixScoring) {
@@ -537,7 +558,7 @@ TEST(BatchScorerTest, DegradedResultsBitIdenticalToPrefixScoring) {
         << "request " << k << (r.degraded ? " (degraded)" : "");
     degraded_rows += r.degraded ? 1u : 0u;
   }
-  EXPECT_EQ(scorer.stats().Snapshot().degraded_rows, degraded_rows);
+  EXPECT_EQ(scorer.stats().degraded_rows(), degraded_rows);
 }
 
 TEST(BatchScorerDeathTest, WatermarksRequirePrefixCapableModel) {
@@ -577,7 +598,12 @@ TEST(LineProtocolTest, JsonNumericIdAndKeyOrder) {
 TEST(LineProtocolTest, SpecialLines) {
   EXPECT_EQ(ParseRequestLine("").kind, RequestKind::kEmpty);
   EXPECT_EQ(ParseRequestLine("   ").kind, RequestKind::kEmpty);
-  EXPECT_EQ(ParseRequestLine("STATS").kind, RequestKind::kStats);
+  // `STATS` is retired: an ordinary malformed CSV row.
+  const ServeRequest stats = ParseRequestLine("STATS");
+  EXPECT_EQ(stats.kind, RequestKind::kInvalid);
+  EXPECT_EQ(FormatErrorResponse(stats, stats.error),
+            "ERR bad number at column 1");
+  EXPECT_EQ(ParseRequestLine("!stats").kind, RequestKind::kMetrics);
 }
 
 TEST(LineProtocolTest, MalformedLinesReportErrors) {
@@ -692,70 +718,55 @@ TEST(ServerStatsTest, BucketBoundsAreMonotone) {
   }
 }
 
-TEST(ServerStatsTest, PercentilesTrackUniformLatencies) {
+TEST(ServerStatsTest, LatencyHistogramReachesTheExposition) {
   ServerStats stats;
   for (std::uint64_t us = 1; us <= 1000; ++us) stats.RecordRequest(us);
-  const ServeStatsSnapshot s = stats.Snapshot();
-  EXPECT_EQ(s.rows, 1000u);
-  EXPECT_EQ(s.max_us, 1000u);
-  // Geometric buckets guarantee <= 12.5% relative error.
-  EXPECT_NEAR(s.p50_us, 500.0, 0.15 * 500);
-  EXPECT_NEAR(s.p95_us, 950.0, 0.15 * 950);
-  EXPECT_NEAR(s.p99_us, 990.0, 0.15 * 990);
-  EXPECT_GE(s.p95_us, s.p50_us);
-  EXPECT_GE(s.p99_us, s.p95_us);
+  EXPECT_EQ(stats.rows(), 1000u);
+  std::string out;
+  stats.AppendExposition(out);
+  // Values below 8 us get exact buckets; buckets are cumulative.
+  EXPECT_NE(out.find("spe_serve_latency_us_bucket{le=\"7\"} 7\n"),
+            std::string::npos) << out;
+  EXPECT_NE(out.find("spe_serve_latency_us_bucket{le=\"+Inf\"} 1000\n"),
+            std::string::npos) << out;
+  EXPECT_NE(out.find("spe_serve_latency_us_sum 500500\n"), std::string::npos);
+  EXPECT_NE(out.find("spe_serve_latency_us_count 1000\n"), std::string::npos);
 }
 
-TEST(ServerStatsTest, BatchHistogramAndJson) {
+TEST(ServerStatsTest, BatchHistogramReachesTheExposition) {
   ServerStats stats;
   stats.RecordBatch(1);
   stats.RecordBatch(3);
   stats.RecordBatch(200);
   stats.RecordShed();
-  const ServeStatsSnapshot s = stats.Snapshot();
-  EXPECT_EQ(s.batches, 3u);
-  EXPECT_EQ(s.shed, 1u);
-  EXPECT_EQ(s.max_batch_size, 200u);
-  EXPECT_NEAR(s.mean_batch_size, 68.0, 1e-9);
-  ASSERT_EQ(s.batch_size_hist.size(), 8u);  // 200 -> bucket 7
-  EXPECT_EQ(s.batch_size_hist[0], 1u);
-  EXPECT_EQ(s.batch_size_hist[1], 1u);
-  EXPECT_EQ(s.batch_size_hist[7], 1u);
-  const std::string json = ToJson(s);
-  EXPECT_NE(json.find("\"rows\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"shed\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_size_hist\":[1,1,0,0,0,0,0,1]"),
-            std::string::npos);
+  EXPECT_EQ(stats.batches(), 3u);
+  EXPECT_EQ(stats.batch_rows(), 204u);
+  EXPECT_EQ(stats.shed(), 1u);
+  EXPECT_EQ(stats.rows(), 0u);
+  std::string out;
+  stats.AppendExposition(out);
+  // Power-of-two buckets, cumulative: 1 in [1,2), 3 in [2,4), 200 in
+  // [128,256).
+  for (const char* line : {"spe_serve_batch_size_bucket{le=\"1\"} 1\n",
+                           "spe_serve_batch_size_bucket{le=\"3\"} 2\n",
+                           "spe_serve_batch_size_bucket{le=\"127\"} 2\n",
+                           "spe_serve_batch_size_bucket{le=\"255\"} 3\n",
+                           "spe_serve_batch_size_bucket{le=\"+Inf\"} 3\n"}) {
+    EXPECT_NE(out.find(line), std::string::npos) << line << out;
+  }
 }
 
-TEST(ServerStatsTest, RobustnessCountersAndJsonKeys) {
+TEST(ServerStatsTest, RobustnessCounters) {
   ServerStats stats;
   stats.RecordBatch(3, /*degraded=*/true);
   stats.RecordBatch(5, /*degraded=*/false);
   stats.RecordBatch(2, /*degraded=*/true);
   stats.RecordDeadlineExpired();
   stats.RecordDeadlineExpired();
-  const ServeStatsSnapshot s = stats.Snapshot();
-  EXPECT_EQ(s.batches, 3u);
-  EXPECT_EQ(s.degraded_batches, 2u);
-  EXPECT_EQ(s.degraded_rows, 5u);
-  EXPECT_EQ(s.deadline_expired, 2u);
-  const std::string json = ToJson(s);
-  EXPECT_NE(json.find("\"deadline_expired\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"degraded_batches\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"degraded_rows\":5"), std::string::npos) << json;
-}
-
-TEST(StatsReporterTest, EmitsSnapshotsAndStopsPromptly) {
-  ServerStats stats;
-  stats.RecordRequest(10);
-  std::ostringstream os;
-  {
-    StatsReporter reporter(stats, os, std::chrono::milliseconds(20));
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  }  // destructor must not wait out a full interval
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"rows\":1"), std::string::npos);
+  EXPECT_EQ(stats.batches(), 3u);
+  EXPECT_EQ(stats.degraded_batches(), 2u);
+  EXPECT_EQ(stats.degraded_rows(), 5u);
+  EXPECT_EQ(stats.deadline_expired(), 2u);
 }
 
 }  // namespace

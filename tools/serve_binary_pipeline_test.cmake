@@ -8,7 +8,9 @@
 #      rows over binary frames — the outputs must be byte-identical
 #   4. an oversized frame must be refused with the usage exit code while
 #      the connection (and every row sent after it) keeps working
-#   5. SIGTERM must drain the TCP server to exit 0
+#   5. a kMetrics frame returns the exposition; the retired --stats
+#      client flag is unknown
+#   6. SIGTERM must drain the TCP server to exit 0
 
 foreach(var SPE_CLI SPE_SERVE SPE_WIRE_CLIENT WORK_DIR)
   if(NOT DEFINED ${var})
@@ -122,13 +124,23 @@ if ! cmp -s <(tail -n +2 oversize.txt) truth.txt; then
 fi
 
 # ---- f32 frames score (values may differ: features are rounded) ----
-"$client" --port "$port" --f32 --stats < rows.csv > f32.txt
+# The trailing kMetrics frame answers the exposition, which counts
+# every row scored so far: 5 per run, three runs.
+"$client" --port "$port" --f32 --metrics < rows.csv > f32.txt
 rc=$?
 if [ "$rc" -ne 0 ]; then
   echo "f32 client failed ($rc)" >&2; kill -9 "$pid"; exit 98
 fi
-if ! grep -q "rows_per_sec" f32.txt; then
-  echo "binary STATS response missing" >&2; kill -9 "$pid"; exit 99
+if ! grep -qx "spe_serve_requests_total 15" f32.txt ||
+   ! grep -qx "# EOF" f32.txt; then
+  echo "binary metrics response missing:" >&2; cat f32.txt >&2
+  kill -9 "$pid"; exit 99
+fi
+"$client" --port "$port" --stats < rows.csv > stats.txt 2> stats_err.txt
+rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "unknown flag --stats" stats_err.txt; then
+  echo "retired --stats client flag not refused (rc $rc)" >&2
+  kill -9 "$pid"; exit 103
 fi
 
 # ---- SIGTERM drains the TCP server to exit 0 -----------------------

@@ -6,11 +6,14 @@
 #   3. a legacy (headerless) artifact is refused with the corrupt-artifact
 #      exit code and the reason
 #   4. SPE_FAULTS=score_delay_ms + --default-deadline-ms: every request
-#      expires in the queue and comes back DEADLINE_EXCEEDED, unscored
+#      expires in the queue and comes back DEADLINE_EXCEEDED, unscored,
+#      and the --metrics-dump exposition counts the expirations
 #   5. SPE_FAULTS=score_delay_ms + watermark flags: backlog builds behind
-#      the slowed worker and responses are marked "degraded":true
+#      the slowed worker, responses are marked "degraded":true and the
+#      dump counts degraded batches
 #   6. flag-parsing hardening: duplicate flags, unknown flags and
-#      garbage values are usage errors, not silently misread config
+#      garbage values are usage errors, not silently misread config;
+#      the retired --stats-interval-ms accepts only 0
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -121,6 +124,7 @@ file(WRITE ${dir}/deadline_requests.txt
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env SPE_FAULTS=score_delay_ms=200
     ${SPE_SERVE} --model ${dir}/m.model --stdio --default-deadline-ms 20
+    --metrics-dump ${dir}/deadline_metrics.txt
   INPUT_FILE ${dir}/deadline_requests.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -137,8 +141,9 @@ list(LENGTH lines n)
 if(NOT n EQUAL 3)
   message(FATAL_ERROR "expected 3 responses, got ${n}: ${out}")
 endif()
-if(NOT err MATCHES "\"deadline_expired\":3")
-  message(FATAL_ERROR "stats did not count expirations: ${err}")
+file(READ ${dir}/deadline_metrics.txt dump)
+if(NOT dump MATCHES "spe_serve_deadline_expired_total 3\n")
+  message(FATAL_ERROR "metrics did not count expirations: ${dump}")
 endif()
 
 # ---- 5. backlog behind a slowed worker engages degradation ------------
@@ -155,6 +160,7 @@ execute_process(
     ${SPE_SERVE} --model ${dir}/m.model --stdio
     --workers 1 --max-batch 1 --max-delay-us 0
     --degrade-high 2 --degrade-low 1 --degrade-prefix 1
+    --metrics-dump ${dir}/degrade_metrics.txt
   INPUT_FILE ${dir}/degrade_requests.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -163,8 +169,9 @@ endif()
 if(NOT out MATCHES "\"degraded\":true")
   message(FATAL_ERROR "no response was marked degraded: ${out}")
 endif()
-if(NOT err MATCHES "\"degraded_batches\":[1-9]")
-  message(FATAL_ERROR "stats did not count degraded batches: ${err}")
+file(READ ${dir}/degrade_metrics.txt dump)
+if(NOT dump MATCHES "spe_serve_degraded_batches_total [1-9]")
+  message(FATAL_ERROR "metrics did not count degraded batches: ${dump}")
 endif()
 
 # ---- 6. flag-parsing hardening ----------------------------------------
@@ -204,6 +211,28 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --bogus")
   message(FATAL_ERROR "unknown cli flag not rejected with exit 2: rc=${rc} ${err}")
+endif()
+
+# --stats-interval-ms is retired: the exposition (`!stats`,
+# --metrics-dump) is the one stats surface. 0 still starts, so command
+# lines that switched the periodic JSON line off keep working; any
+# other value is a usage error that points at the exposition.
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio --stats-interval-ms 5
+  INPUT_FILE ${dir}/empty.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "!stats" OR
+   NOT err MATCHES "--metrics-dump")
+  message(FATAL_ERROR "--stats-interval-ms 5 not refused with exit 2 "
+                      "pointing at the exposition: rc=${rc} ${err}")
+endif()
+file(WRITE ${dir}/one_row.txt "1.5,0.25\n")
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio --stats-interval-ms 0
+  INPUT_FILE ${dir}/one_row.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "^[0-9.eE+-]+\n$")
+  message(FATAL_ERROR "--stats-interval-ms 0 did not serve: rc=${rc} ${out} ${err}")
 endif()
 
 execute_process(

@@ -1,8 +1,10 @@
 # End-to-end check of the offline->online pipeline, run by ctest:
 #   1. write a tiny CSV training set
 #   2. spe_cli train -> model bundle
-#   3. pipe CSV + JSON + STATS request lines through `spe_serve --stdio`
-#   4. assert one response line per request and sane shapes
+#   3. pipe CSV + JSON request lines, plus the retired `STATS` command,
+#      through `spe_serve --stdio`
+#   4. assert one response line per request and sane shapes: `STATS`
+#      is an ordinary malformed row now, and the row after it is scored
 # Driven with `cmake -P` so it needs no shell beyond what CMake provides.
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
@@ -37,7 +39,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 file(WRITE ${dir}/requests.txt
-  "1.5,0.25\n-2.5,-1.75\n{\"id\":7,\"features\":[1.5,0.25]}\nSTATS\nnot,a,number\n")
+  "1.5,0.25\n-2.5,-1.75\n{\"id\":7,\"features\":[1.5,0.25]}\nSTATS\n0.5,0.5\nnot,a,number\n")
 
 execute_process(
   COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio
@@ -50,23 +52,27 @@ endif()
 string(REGEX REPLACE "\n$" "" trimmed "${out}")
 string(REPLACE "\n" ";" lines "${trimmed}")
 list(LENGTH lines n)
-if(NOT n EQUAL 5)
-  message(FATAL_ERROR "expected 5 response lines, got ${n}: ${out}")
+if(NOT n EQUAL 6)
+  message(FATAL_ERROR "expected 6 response lines, got ${n}: ${out}")
 endif()
 list(GET lines 0 l0)
 list(GET lines 2 l2)
 list(GET lines 3 l3)
 list(GET lines 4 l4)
+list(GET lines 5 l5)
 if(NOT l0 MATCHES "^[0-9.eE+-]+$")
   message(FATAL_ERROR "bad CSV score response: ${l0}")
 endif()
 if(NOT l2 MATCHES "^\\{\"id\":7,\"proba\":")
   message(FATAL_ERROR "bad JSON score response: ${l2}")
 endif()
-if(NOT l3 MATCHES "rows_per_sec")
-  message(FATAL_ERROR "bad STATS response: ${l3}")
+if(NOT l3 STREQUAL "ERR bad number at column 1")
+  message(FATAL_ERROR "retired STATS not refused as a bad row: ${l3}")
 endif()
-if(NOT l4 MATCHES "^ERR ")
-  message(FATAL_ERROR "bad error response: ${l4}")
+if(NOT l4 MATCHES "^[0-9.eE+-]+$")
+  message(FATAL_ERROR "row after STATS not scored: ${l4}")
+endif()
+if(NOT l5 MATCHES "^ERR ")
+  message(FATAL_ERROR "bad error response: ${l5}")
 endif()
 message(STATUS "serve pipeline ok: ${trimmed}")

@@ -5,11 +5,15 @@
 # is *held open* the whole time — the only way the server can exit is
 # the signal, never EOF:
 #
-#   1. train a tiny model, start spe_serve --stdio reading the fifo
+#   1. train a tiny model, start spe_serve --stdio --metrics-dump reading
+#      the fifo
 #   2. write one scoring request, wait for its response
 #   3. kill -TERM the server while its stdin is still open
-#   4. the server must exit 0, announce the drain on stderr, and print
-#      the final stats snapshot counting the answered request
+#   4. the server must exit 0, announce the drain on stderr, and publish
+#      a metrics dump counting the answered request; stderr carries logs
+#      only, never a counter snapshot
+#   5. a dump that cannot be written at drain (a 1 KiB file-size limit)
+#      must exit 3, name the path, and leave no partial exposition
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -55,7 +59,7 @@ cd "$dir" || exit 90
 rm -f in.fifo
 mkfifo in.fifo || exit 90
 
-"$serve" --model m.model --stdio --workers 1 \
+"$serve" --model m.model --stdio --workers 1 --metrics-dump metrics.txt \
   < in.fifo > out.txt 2> err.txt &
 pid=$!
 # Watchdog: a hung drain must fail the test, not wedge ctest. The
@@ -95,10 +99,39 @@ if ! grep -q "received SIGTERM, draining" err.txt; then
   cat err.txt >&2
   exit 93
 fi
-if ! grep -q '"rows":1' err.txt; then
-  echo "final stats snapshot missing the answered request:" >&2
-  cat err.txt >&2
+if ! grep -qx "spe_serve_requests_total 1" metrics.txt; then
+  echo "metrics dump missing the answered request:" >&2
+  cat metrics.txt >&2
   exit 94
+fi
+if grep -q '{"rows"' err.txt; then
+  echo "stderr carries a stats snapshot:" >&2
+  cat err.txt >&2
+  exit 95
+fi
+
+# A failed dump write: with SIGXFSZ ignored, a write past the 1 KiB
+# limit fails with EFBIG instead of killing the process. The startup
+# writability probe passes; the multi-KiB exposition at drain does not.
+rm -f dump.txt dump.txt.tmp
+echo "1.5,0.25" > one.csv
+( trap '' XFSZ; ulimit -f 1
+  exec "$serve" --model m.model --stdio --metrics-dump dump.txt \
+    < one.csv > dump_out.txt 2> dump_err.txt )
+rc=$?
+if [ "$rc" -ne 3 ]; then
+  echo "failed --metrics-dump write exited $rc (wanted 3)" >&2
+  cat dump_err.txt >&2
+  exit 96
+fi
+if ! grep -q "metrics-dump dump.txt" dump_err.txt; then
+  echo "dump failure does not name the path:" >&2
+  cat dump_err.txt >&2
+  exit 97
+fi
+if [ -s dump.txt ] || [ -e dump.txt.tmp ]; then
+  echo "a partial exposition was left behind" >&2
+  exit 98
 fi
 exit 0
 ]=])
@@ -111,4 +144,4 @@ if(NOT rc EQUAL 0)
 endif()
 
 message(STATUS "SIGTERM drain ok: stdio server drained and exited 0 "
-               "with its stdin still open")
+               "with its stdin still open; a failed dump exits 3")

@@ -5,7 +5,7 @@
 //             [--workers W] [--queue-capacity C] [--overflow block|shed]
 //             [--default-deadline-ms D] [--degrade-high H --degrade-low L
 //              --degrade-prefix K] [--max-connections M]
-//             [--stats-interval-ms MS] [--metrics-dump FILE]
+//             [--metrics-dump FILE]
 //             [--shadow FILE] [--shadow-sample N]
 //             [--drift-threshold PSI] [--drift-min-count N]
 //
@@ -18,7 +18,13 @@
 // micro-batches: --port serves concurrent TCP connections (up to
 // --max-connections); --stdio adopts stdin/stdout as one session (what
 // tests and shell pipelines use) and exits at stdin EOF. Any flag not
-// listed above is a usage error (exit 2), like a repeated one.
+// listed above is a usage error (exit 2), like a repeated one. The
+// retired --stats-interval-ms still parses but accepts only 0, so
+// command lines that pass 0 keep starting.
+//
+// Stats: the metrics exposition (docs/observability.md) is the one
+// stats surface — a `!stats` line or kMetrics frame returns it live,
+// and --metrics-dump publishes it at drain. stderr carries logs only.
 //
 // Robustness: requests may carry "deadline_ms" (JSON) or inherit
 // --default-deadline-ms; a request that is still queued past its
@@ -40,15 +46,16 @@
 //
 // Shutdown drains: on SIGINT/SIGTERM (or stdin EOF) the listener stops
 // accepting, sessions stop reading, every accepted request is still
-// scored and written, and a final stats snapshot goes to stderr. Both
-// signals behave identically in both --stdio and --port mode: a
+// scored and written, and the --metrics-dump exposition is published.
+// Both signals behave identically in both --stdio and --port mode: a
 // dedicated signal thread (sigwait) asks the event loop to drain, so a
 // SIGTERM from an orchestrator gets the same graceful drain as an
 // interactive Ctrl-C.
 //
 // Exit codes follow spe/common/exit_codes.h: 0 ok (including a drained
-// shutdown), 1 runtime error, 2 usage, 3 I/O failure, 4 corrupt
-// artifact, 5 injected fault (docs/robustness.md).
+// shutdown), 1 runtime error, 2 usage, 3 I/O failure (including a
+// --metrics-dump that could not be written), 4 corrupt artifact, 5
+// injected fault (docs/robustness.md).
 
 #include <atomic>
 #include <condition_variable>
@@ -57,7 +64,6 @@
 #include <cstdlib>
 #include <deque>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -68,13 +74,13 @@
 #include <unistd.h>
 
 #include "spe/common/exit_codes.h"
+#include "spe/common/frame.h"
 #include "spe/common/parse.h"
 #include "spe/lifecycle/model_registry.h"
 #include "spe/obs/metrics.h"
 #include "spe/serve/batch_scorer.h"
 #include "spe/serve/event_loop.h"
 #include "spe/serve/line_protocol.h"
-#include "spe/serve/server_stats.h"
 
 namespace {
 
@@ -105,12 +111,11 @@ namespace {
       "  --max-connections M   concurrent TCP connections; further\n"
       "                        connects are refused with an error line\n"
       "                        (default 256, 0 = unlimited)\n"
-      "  --stats-interval-ms M periodic stats line to stderr (0 = off,\n"
-      "                        default 10000 for --port, 0 for --stdio)\n"
-      "  --metrics-dump FILE   write the final metrics exposition to FILE\n"
-      "                        after the server drains (FILE must be\n"
-      "                        writable at startup — fail fast, not after\n"
-      "                        a day of traffic)\n"
+      "  --metrics-dump FILE   publish the final metrics exposition to\n"
+      "                        FILE (tmp + rename) after the server drains;\n"
+      "                        FILE must be writable at startup (fail\n"
+      "                        fast, not after a day of traffic) and a\n"
+      "                        failed write exits 3\n"
       "  --shadow FILE         also load FILE as a shadow version: it\n"
       "                        scores a sample of live batches and the\n"
       "                        prediction diffs are exported as\n"
@@ -123,14 +128,14 @@ namespace {
       "                        (default 512)\n"
       "unknown and repeated flags are usage errors (exit 2)\n"
       "protocol: one request per line — CSV features (`0.2,1.5`) or JSON\n"
-      "(`{\"id\":1,\"features\":[0.2,1.5],\"deadline_ms\":50}`); `STATS`\n"
-      "returns a one-line stats snapshot; `!stats` returns the metrics\n"
-      "exposition (multi-line, ends with `# EOF`); `!reload [PATH]`\n"
-      "hot-swaps the served model to PATH (default: the --model artifact,\n"
-      "re-read) and answers OK/ERR once the swap happened — in-flight\n"
-      "requests finish on the old version, none are dropped; SIGHUP\n"
-      "triggers the same reload of the --model path; responses come back\n"
-      "in request order. Degraded-mode JSON responses carry "
+      "(`{\"id\":1,\"features\":[0.2,1.5],\"deadline_ms\":50}`); `!stats`\n"
+      "returns the metrics exposition (multi-line, ends with `# EOF`),\n"
+      "the server's one stats surface; `!reload [PATH]` hot-swaps the\n"
+      "served model to PATH (default: the --model artifact, re-read)\n"
+      "and answers OK/ERR once the swap happened — in-flight requests\n"
+      "finish on the old version, none are dropped; SIGHUP triggers the\n"
+      "same reload of the --model path; responses come back in request\n"
+      "order. Degraded-mode JSON responses carry "
       "\"degraded\":true.\n"
       "fault injection: set SPE_FAULTS=score_delay_ms=..,"
       "model_io_fail_rate=..,seed=.. (docs/serving.md)\n");
@@ -316,7 +321,7 @@ class ReloadCoordinator {
 
 /// Serves on one event loop until it drains: TCP connections when
 /// `port` > 0, else a single session adopted on stdin/stdout. Then
-/// prints the final stats snapshot and writes the metrics dump.
+/// publishes the metrics dump.
 int RunServer(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
               const std::string& host, int port, double default_deadline_ms,
               std::size_t max_connections, const std::string& dump_path) {
@@ -353,26 +358,18 @@ int RunServer(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
     std::lock_guard<std::mutex> lock(g_loop_mu);
     g_loop = nullptr;
   }
-  const auto& counters = loop.counters();
-  if (counters.refused.load(std::memory_order_relaxed) > 0) {
-    std::fprintf(stderr, "spe_serve: refused %llu connections at capacity\n",
-                 static_cast<unsigned long long>(
-                     counters.refused.load(std::memory_order_relaxed)));
-  }
   scorer.Shutdown();
-  std::fprintf(stderr, "%s\n", spe::ToJson(scorer.stats().Snapshot()).c_str());
-  // Drained, so the dump is final — and written while the loop still
-  // exists, so its spe_serve_loop_* collector is part of it.
+  // Drained, so the dump is final — and rendered while the loop still
+  // exists, so its spe_serve_loop_* collector is part of it. Published
+  // by tmp + rename: a failed write leaves no partial exposition.
   if (!dump_path.empty()) {
-    std::FILE* f = std::fopen(dump_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write --metrics-dump %s\n",
-                   dump_path.c_str());
+    const spe::frame::Error error = spe::frame::PublishAtomically(
+        dump_path, spe::obs::MetricsRegistry::Global().RenderText());
+    if (!error.ok()) {
+      std::fprintf(stderr, "error: --metrics-dump %s: %s\n",
+                   dump_path.c_str(), error.message.c_str());
       return spe::kExitIo;
     }
-    const std::string text = spe::obs::MetricsRegistry::Global().RenderText();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
   }
   return 0;
 }
@@ -381,11 +378,11 @@ int RunServer(spe::BatchScorer& scorer, ReloadCoordinator& reloader,
 
 int main(int argc, char** argv) {
   // Signal setup must precede every thread spawn (scorer workers, the
-  // reload coordinator, the stats reporter) so they all inherit the
-  // blocked mask and only the signal thread ever sees
-  // SIGINT/SIGTERM/SIGHUP. The thread is detached: at a signal-free
-  // shutdown (stdin EOF) it is still parked in sigwait, and process
-  // exit reaps it — it touches only globals, never the stack.
+  // reload coordinator) so they all inherit the blocked mask and only
+  // the signal thread ever sees SIGINT/SIGTERM/SIGHUP. The thread is
+  // detached: at a signal-free shutdown (stdin EOF) it is still parked
+  // in sigwait, and process exit reaps it — it touches only globals,
+  // never the stack.
   sigset_t blocked;
   sigemptyset(&blocked);
   sigaddset(&blocked, SIGINT);
@@ -460,6 +457,12 @@ int main(int argc, char** argv) {
       GetDoubleFlag(flags, "default-deadline-ms", 0.0, 0.0);
   const std::size_t max_connections = static_cast<std::size_t>(
       GetIntFlag(flags, "max-connections", 256, 0, 1 << 20));
+  if (flags.count("stats-interval-ms") > 0 &&
+      spe::ParseInt64(flags.at("stats-interval-ms")) != 0) {
+    Usage("--stats-interval-ms accepts only 0: the periodic stats line is "
+          "gone; read the metrics exposition with `!stats` or "
+          "--metrics-dump FILE");
+  }
   config.shadow_every = static_cast<std::size_t>(
       GetIntFlag(flags, "shadow-sample", 8, 0, 1 << 20));
 
@@ -515,14 +518,6 @@ int main(int argc, char** argv) {
 
   spe::BatchScorer scorer(registry, config);
   ReloadCoordinator reloader(registry, model_path);
-  const long interval_ms =
-      GetIntFlag(flags, "stats-interval-ms", use_stdio ? 0 : 10000, 0,
-                 86'400'000);
-  std::unique_ptr<spe::StatsReporter> reporter;
-  if (interval_ms > 0) {
-    reporter = std::make_unique<spe::StatsReporter>(
-        scorer.stats(), std::cerr, std::chrono::milliseconds(interval_ms));
-  }
   return RunServer(scorer, reloader, get("host", "127.0.0.1"), port,
                    default_deadline_ms, max_connections, dump_path);
 }

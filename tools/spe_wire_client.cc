@@ -1,7 +1,7 @@
 // spe_wire_client — binary-protocol scoring client for spe_serve.
 //
 //   spe_wire_client --port P [--host ADDR] [--f32] [--deadline-ms D]
-//                   [--stats] [--metrics] [--reload PATH] [--oversize]
+//                   [--metrics] [--reload PATH] [--oversize]
 //
 // Reads CSV feature rows from stdin (the same lines the text protocol
 // accepts), sends each as one binary kScore frame (id = 1-based row
@@ -9,8 +9,8 @@
 // line per response: "%.17g" for a score — byte-identical to the text
 // protocol's CSV response for the same row — or "ERR <message>" for a
 // refusal, which also matches the text protocol line. Control flags
-// append a kStats / kMetrics / kReload frame after the rows and print
-// the kText body the server answers.
+// append a kMetrics / kReload frame after the rows and print the kText
+// body the server answers.
 //
 // --oversize prepends a frame whose declared payload exceeds the 1 MiB
 // cap (the payload is actually sent; the server must discard it in
@@ -51,9 +51,8 @@ namespace {
   if (message != nullptr) std::fprintf(stderr, "error: %s\n\n", message);
   std::fprintf(stderr,
                "usage: spe_wire_client --port P [--host ADDR] [--f32]\n"
-               "                       [--deadline-ms D] [--stats]\n"
-               "                       [--metrics] [--reload PATH]\n"
-               "                       [--oversize]\n"
+               "                       [--deadline-ms D] [--metrics]\n"
+               "                       [--reload PATH] [--oversize]\n"
                "reads CSV rows on stdin, scores them over the binary wire\n"
                "protocol, prints one response line per frame.\n");
   std::exit(2);
@@ -101,8 +100,7 @@ int main(int argc, char** argv) {
         key == "reload") {
       if (i + 1 >= argc) Usage(("missing value for --" + key).c_str());
       value = argv[++i];
-    } else if (key != "f32" && key != "stats" && key != "metrics" &&
-               key != "oversize") {
+    } else if (key != "f32" && key != "metrics" && key != "oversize") {
       Usage(("unknown flag --" + key).c_str());
     }
     if (!flags.emplace(key, value).second) {
@@ -152,10 +150,6 @@ int main(int argc, char** argv) {
     }
     spe::wire::AppendScoreRequest(requests, ++row, parsed.features.data(),
                                   parsed.features.size(), f32, deadline_ms);
-    ++expected;
-  }
-  if (flags.count("stats")) {
-    spe::wire::AppendControlRequest(requests, spe::wire::FrameType::kStats);
     ++expected;
   }
   if (flags.count("metrics")) {
