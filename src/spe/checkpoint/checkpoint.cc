@@ -7,10 +7,12 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
 #include "spe/common/frame.h"
+#include "spe/common/parse.h"
 #include "spe/io/model_io.h"
 
 namespace spe {
@@ -93,7 +95,9 @@ bool ParseMemberLog(const std::string& log, LoadResult* result) {
       result->core.bootstrap_blob = std::move(blob);
     } else if (kind == "member") {
       std::istringstream blob_in(blob);
-      result->members.Add(LoadClassifier(blob_in));
+      std::unique_ptr<Classifier> member;
+      if (!DecodeClassifier(blob_in, kAnyWidth, &member).ok()) return false;
+      result->members.Add(std::move(member));
     } else {
       return false;
     }

@@ -37,20 +37,23 @@ struct SplitCandidate {
 
 }  // namespace
 
-// Split-finding scratch, allocated once per Fit and reused by every
-// node (only the first `count` entries are live at a node; the sort
-// runs on exactly that prefix, so reuse cannot change which split
-// wins). Hoisting this out of Build removes an allocation plus a full
-// re-reserve per node, which dominated deep-tree fits.
+// Split-finding scratch, allocated once per Fit and shared by every
+// node: 4d + 9 bytes per fitted row with `indices`. Each feature is
+// sorted once; a node's rows then fill the same range [begin, end) of
+// `indices` and of every feature's order, so a node scans its segment
+// in place and a split stably partitions the segments into its
+// children's (SLIQ/SPRINT presorting: Mehta et al., EDBT 1996; Shafer
+// et al., VLDB 1996).
 struct DecisionTree::BuildScratch {
-  // (value, weight, label) triples sorted per candidate feature.
-  struct Entry {
-    double value;
-    double weight;
-    int label;
-  };
-  std::vector<Entry> entries;
-  std::vector<int> features;  // candidate features for the current node
+  std::size_t num_rows = 0;
+  // order[f * num_rows + i]: row positions by feature f's value, finite
+  // values ascending (ties in ascending row order), NaNs last.
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint8_t> goes_left;  // per row: side of the last split
+  // Right rows during a partition; a node's rows in per-node sort order
+  // when tied values carry different weights (Build).
+  std::vector<std::uint32_t> spill;
+  std::vector<int> features;            // candidate features for the node
 };
 
 DecisionTree::DecisionTree(const DecisionTreeConfig& config) : config_(config) {}
@@ -60,34 +63,64 @@ void DecisionTree::Fit(const DatasetView& train) { FitWeighted(train, {}); }
 void DecisionTree::FitWeighted(const DatasetView& train,
                                const std::vector<double>& weights) {
   train.CheckAlive();
-  SPE_CHECK_GT(train.num_rows(), 0u);
-  std::vector<double> w = weights;
-  if (w.empty()) {
-    w.assign(train.num_rows(), 1.0);
-  } else {
-    SPE_CHECK_EQ(w.size(), train.num_rows());
+  const std::size_t n = train.num_rows();
+  SPE_CHECK_GT(n, 0u);
+  if (!weights.empty()) {
+    SPE_CHECK_EQ(weights.size(), n);
   }
+  // Row positions live in 4 bytes.
+  SPE_CHECK_LE(n, std::size_t{std::numeric_limits<std::uint32_t>::max()})
+      << "DecisionTree indexes its training rows in 32 bits";
 
   nodes_.clear();
-  importances_.assign(train.num_features(), 0.0);
-  std::vector<std::size_t> indices(train.num_rows());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  Rng rng(config_.seed);
+  const std::size_t d = train.num_features();
+  importances_.assign(d, 0.0);
   BuildScratch scratch;
-  scratch.entries.resize(train.num_rows());
-  Build(train, w, indices, 0, indices.size(), /*depth=*/0, scratch, rng);
+  scratch.num_rows = n;
+  scratch.order.resize(d * n);
+  {
+    // One column at a time, gathered so the sort compares contiguous
+    // values; freed before the per-row buffers below are allocated.
+    std::vector<double> column(n);
+    for (std::size_t f = 0; f < d; ++f) {
+      // NaN (a missing value) sorts last: `<` is a strict weak order
+      // only without NaN, so only the finite prefix is sorted, and
+      // thresholds come from it alone.
+      std::uint32_t* order = scratch.order.data() + f * n;
+      std::size_t finite = 0;
+      std::size_t tail = n;
+      for (std::uint32_t row = 0; row < n; ++row) {
+        column[row] = train.At(row, f);
+        order[std::isnan(column[row]) ? --tail : finite++] = row;
+      }
+      std::sort(order, order + finite, [&](std::uint32_t a, std::uint32_t b) {
+        return column[a] < column[b] || (column[a] == column[b] && a < b);
+      });
+    }
+  }
+  scratch.goes_left.resize(n);
+  scratch.spill.resize(n);
+  std::vector<std::uint32_t> indices(n);
+  std::iota(indices.begin(), indices.end(), std::uint32_t{0});
+  Rng rng(config_.seed);
+  Build(train, weights, indices, 0, n, /*depth=*/0, scratch, rng);
 }
 
 std::int32_t DecisionTree::Build(const DatasetView& train,
-                                 const std::vector<double>& weights,
-                                 std::vector<std::size_t>& indices,
+                                 std::span<const double> weights,
+                                 std::vector<std::uint32_t>& indices,
                                  std::size_t begin, std::size_t end, int depth,
                                  BuildScratch& scratch, Rng& rng) {
+  // Unit-weight fits read no weight vector.
+  const auto weight = [&](std::size_t row) {
+    return weights.empty() ? 1.0 : weights[row];
+  };
   double total = 0.0;
   double positive = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
-    total += weights[indices[i]];
-    positive += weights[indices[i]] * static_cast<double>(train.Label(indices[i]));
+    const double w = weight(indices[i]);
+    total += w;
+    positive += w * static_cast<double>(train.Label(indices[i]));
   }
 
   auto make_leaf = [&]() -> std::int32_t {
@@ -120,53 +153,77 @@ std::int32_t DecisionTree::Build(const DatasetView& train,
     }
   }
 
-  // Only the first `count` scratch entries are live at this node.
-  using Entry = BuildScratch::Entry;
-  std::vector<Entry>& entries = scratch.entries;
-
+  // Scans `rows`, the node's rows by ascending value of `feature` with
+  // NaN rows last, into `best`: the first strictly lower score wins, in
+  // feature order and then value order. NaN rows count on the right,
+  // where `x <= threshold` being false sends them at predict time.
+  // Returns false, leaving `best` as it was, on meeting tied values of
+  // different weights when `check_ties` is set.
   SplitCandidate best;
-  for (int feature : features) {
-    // NaN (a missing value) sorts last: the other values fill the
-    // prefix in row order, NaNs the tail. `<` is a strict weak order
-    // only without NaN, so only the prefix is sorted, and thresholds
-    // come from it alone. NaN rows always count on the right, where
-    // `x <= threshold` being false sends them at predict time.
-    std::size_t ordered = 0;
-    std::size_t tail = count;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t row = indices[begin + i];
-      const double value = train.At(row, static_cast<std::size_t>(feature));
-      entries[std::isnan(value) ? --tail : ordered++] =
-          Entry{value, weights[row], train.Label(row)};
-    }
-    std::sort(entries.begin(),
-              entries.begin() + static_cast<std::ptrdiff_t>(ordered),
-              [](const Entry& a, const Entry& b) { return a.value < b.value; });
-
+  const auto scan = [&](const std::uint32_t* rows, int feature,
+                        bool check_ties) {
+    const auto column = static_cast<std::size_t>(feature);
+    SplitCandidate found;
     double left_total = 0.0;
     double left_positive = 0.0;
     std::size_t left_count = 0;
-    for (std::size_t i = 0; i + 1 < ordered; ++i) {
-      left_total += entries[i].weight;
-      left_positive += entries[i].weight * static_cast<double>(entries[i].label);
+    double value = train.At(rows[0], column);
+    for (std::size_t i = 0; i + 1 < count && !std::isnan(value); ++i) {
+      const double w = weight(rows[i]);
+      left_total += w;
+      left_positive += w * static_cast<double>(train.Label(rows[i]));
       ++left_count;
+      const double next = train.At(rows[i + 1], column);
+      if (std::isnan(next)) break;
       // Can only split between distinct feature values.
-      if (entries[i].value == entries[i + 1].value) continue;
-      if (left_count < config_.min_samples_leaf ||
-          count - left_count < config_.min_samples_leaf) {
+      if (next == value) {
+        if (check_ties && weight(rows[i + 1]) != w) return false;
         continue;
       }
-      const double right_total = total - left_total;
-      const double right_positive = positive - left_positive;
-      const double score =
-          left_total * Impurity(config_.criterion, left_total, left_positive) +
-          right_total * Impurity(config_.criterion, right_total, right_positive);
-      if (score < best.score) {
-        best.score = score;
-        best.feature = feature;
-        best.threshold = (entries[i].value + entries[i + 1].value) / 2.0;
+      if (left_count >= config_.min_samples_leaf &&
+          count - left_count >= config_.min_samples_leaf) {
+        const double right_total = total - left_total;
+        const double right_positive = positive - left_positive;
+        const double score =
+            left_total * Impurity(config_.criterion, left_total, left_positive) +
+            right_total *
+                Impurity(config_.criterion, right_total, right_positive);
+        if (score < found.score) {
+          found.score = score;
+          found.feature = feature;
+          found.threshold = (value + next) / 2.0;
+        }
       }
+      value = next;
     }
+    if (found.score < best.score) best = found;
+    return true;
+  };
+  const std::size_t n = scratch.num_rows;
+  for (int feature : features) {
+    const auto column = static_cast<std::size_t>(feature);
+    if (scan(scratch.order.data() + column * n + begin, feature,
+             !weights.empty())) {
+      continue;
+    }
+    // Tied values with different weights: the partial sums depend on the
+    // order of the tied rows, and the trees must be those of a per-node
+    // gather-and-sort search (DecisionTreeOracleTest). Rows gathered in
+    // `indices` order (NaN rows to the tail) and std::sorted by value
+    // alone are permuted exactly as that search's (value, weight, label)
+    // entries: the sort's moves follow its comparisons, which see the
+    // same values.
+    std::uint32_t* sorted = scratch.spill.data();
+    std::size_t ordered = 0;
+    std::size_t tail = count;
+    for (std::size_t i = begin; i < end; ++i) {
+      sorted[std::isnan(train.At(indices[i], column)) ? --tail : ordered++] =
+          indices[i];
+    }
+    std::sort(sorted, sorted + ordered, [&](std::uint32_t a, std::uint32_t b) {
+      return train.At(a, column) < train.At(b, column);
+    });
+    scan(sorted, feature, /*check_ties=*/false);
   }
 
   // No usable split (all candidate features constant) or no impurity
@@ -180,7 +237,9 @@ std::int32_t DecisionTree::Build(const DatasetView& train,
   auto middle = std::partition(
       indices.begin() + static_cast<std::ptrdiff_t>(begin),
       indices.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t row) { return train.At(row, split_feature) <= best.threshold; });
+      [&](std::uint32_t row) {
+        return train.At(row, split_feature) <= best.threshold;
+      });
   const auto mid =
       static_cast<std::size_t>(middle - indices.begin());
   // The threshold is a midpoint between two distinct sorted values, so
@@ -188,6 +247,31 @@ std::int32_t DecisionTree::Build(const DatasetView& train,
   if (mid == begin || mid == end) return make_leaf();
 
   importances_[split_feature] += total * node_impurity - best.score;
+
+  // Children that may split again need their rows in every feature's
+  // order: the split feature's segment already has its left rows first
+  // (they are its values <= threshold); every other segment is stably
+  // partitioned, so each child keeps its value order.
+  if (depth + 1 < config_.max_depth) {
+    for (std::size_t i = begin; i < end; ++i) {
+      scratch.goes_left[indices[i]] = i < mid ? 1 : 0;
+    }
+    for (std::size_t f = 0; f < static_cast<std::size_t>(d); ++f) {
+      if (f == split_feature) continue;
+      std::uint32_t* order = scratch.order.data() + f * n;
+      std::size_t kept = begin;
+      std::size_t spilled = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t row = order[i];
+        if (scratch.goes_left[row] != 0) {
+          order[kept++] = row;
+        } else {
+          scratch.spill[spilled++] = row;
+        }
+      }
+      std::copy_n(scratch.spill.begin(), spilled, order + kept);
+    }
+  }
 
   // Reserve our slot before recursing (children get later indices).
   nodes_.emplace_back();
@@ -308,17 +392,10 @@ void DecisionTree::SaveModel(std::ostream& os) const {
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
-DecisionTree DecisionTree::LoadModel(std::istream& is) {
-  std::string keyword;
-  std::size_t count = 0;
-  is >> keyword >> count;
-  SPE_CHECK(is.good() && keyword == "nodes") << "malformed tree model";
+DecisionTree DecisionTree::LoadModel(std::istream& is,
+                                     std::size_t num_features) {
   DecisionTree tree;
-  tree.nodes_.resize(count);
-  for (Node& n : tree.nodes_) {
-    is >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
-  }
-  SPE_CHECK(!is.fail()) << "truncated tree model";
+  tree.nodes_ = ReadNodeTable(is, num_features, "tree model");
   return tree;
 }
 

@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "spe/classifiers/classifier.h"
+#include "spe/classifiers/tree_node.h"
 #include "spe/common/rng.h"
 #include "spe/kernels/program.h"
 
@@ -38,6 +40,18 @@ struct DecisionTreeConfig {
 /// same `<= threshold` rule as numerical ones (ordinal treatment) — the
 /// standard single-machine simplification, also what LightGBM does when
 /// categorical support is off.
+///
+/// Split search is exact and presorted: Fit sorts each feature once
+/// (finite values ascending, NaN last), each node scans its rows in
+/// that order, and a split stably partitions every feature's order into
+/// the children's. A candidate threshold is the midpoint of two adjacent
+/// distinct finite values; NaN rows count on the right, where
+/// `x <= threshold` being false sends them. The trees are those of a
+/// per-node gather-and-std::sort search, bit for bit: tied rows of equal
+/// weight sum alike in any order, and a node whose tied values carry
+/// different weights re-sorts that feature's rows the per-node way
+/// (weighted fits on tie-heavy data, e.g. later AdaBoost stages).
+/// Scratch: 4d + 9 bytes per training row for d features.
 class DecisionTree final : public Classifier, public kernels::FlatCompilable {
  public:
   explicit DecisionTree(const DecisionTreeConfig& config = {});
@@ -61,8 +75,10 @@ class DecisionTree final : public Classifier, public kernels::FlatCompilable {
 
   /// Text serialization of the fitted tree (see spe/io/model_io.h for
   /// the polymorphic entry points). Save requires a fitted model.
+  /// LoadModel reads a tree scoring rows of `num_features` and throws
+  /// MalformedPayload on a node table that is not one (ReadNodeTable).
   void SaveModel(std::ostream& os) const;
-  static DecisionTree LoadModel(std::istream& is);
+  static DecisionTree LoadModel(std::istream& is, std::size_t num_features);
 
   /// Per-feature importance: total weighted impurity decrease collected
   /// by this feature's splits, normalized to sum to 1 (all-zero when the
@@ -76,22 +92,16 @@ class DecisionTree final : public Classifier, public kernels::FlatCompilable {
                    kernels::MemberOp& op) const override;
 
  private:
-  struct Node {
-    // Internal node when feature >= 0, leaf otherwise.
-    int feature = -1;
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;  // positive-class probability at a leaf
-  };
+  // A leaf's value is its positive-class probability.
+  using Node = TreeNode;
 
-  // Per-Fit reusable split-finding buffers (defined in the .cc); Build
-  // used to allocate these per node, which dominated deep-tree fits.
+  // Per-Fit split-finding buffers: every feature's presorted row order
+  // (defined in the .cc).
   struct BuildScratch;
 
-  std::int32_t Build(const DatasetView& train,
-                     const std::vector<double>& weights,
-                     std::vector<std::size_t>& indices, std::size_t begin,
+  // `weights` is empty for a unit-weight fit.
+  std::int32_t Build(const DatasetView& train, std::span<const double> weights,
+                     std::vector<std::uint32_t>& indices, std::size_t begin,
                      std::size_t end, int depth, BuildScratch& scratch,
                      Rng& rng);
 

@@ -56,9 +56,11 @@ class Gbdt final : public Classifier, public kernels::FlatCompilable {
 
   /// Text serialization of the fitted booster. The feature binner is not
   /// saved — fitted trees carry raw-value thresholds, so a loaded model
-  /// predicts but cannot resume training.
+  /// predicts but cannot resume training. LoadModel reads a booster
+  /// scoring rows of `num_features` and throws MalformedPayload on
+  /// bytes SaveModel could not have written.
   void SaveModel(std::ostream& os) const;
-  static Gbdt LoadModel(std::istream& is);
+  static Gbdt LoadModel(std::istream& is, std::size_t num_features);
 
   /// Per-feature importance: total split gain across all trees,
   /// normalized to sum to 1 (all-zero when no tree found any split).

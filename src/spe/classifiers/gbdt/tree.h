@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "spe/classifiers/gbdt/binning.h"
+#include "spe/classifiers/tree_node.h"
 
 namespace spe {
 
@@ -46,9 +47,11 @@ class RegressionTree {
   std::size_t NumLeaves() const;
   std::size_t NumNodes() const { return nodes_.size(); }
 
-  /// Text serialization (used by Gbdt::SaveModel).
+  /// Text serialization (used by Gbdt::SaveModel). Load reads a tree
+  /// scoring rows of `num_features` and throws MalformedPayload on a
+  /// node table that is not one (ReadNodeTable).
   void Save(std::ostream& os) const;
-  static RegressionTree Load(std::istream& is);
+  static RegressionTree Load(std::istream& is, std::size_t num_features);
 
   /// Total split gain collected per feature during Fit (empty for
   /// loaded trees). Feeds Gbdt::FeatureImportances.
@@ -61,13 +64,8 @@ class RegressionTree {
   std::int32_t LowerToFlat(kernels::FlatProgram& program) const;
 
  private:
-  struct Node {
-    int feature = -1;          // -1 => leaf
-    double threshold = 0.0;    // raw-value split: x <= threshold -> left
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;        // leaf output
-  };
+  // Raw-value split (x <= threshold -> left); a leaf holds its output.
+  using Node = TreeNode;
 
   std::vector<Node> nodes_;
   std::vector<double> split_gains_;

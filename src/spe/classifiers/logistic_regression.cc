@@ -8,6 +8,7 @@
 #include <string>
 
 #include "spe/common/check.h"
+#include "spe/common/parse.h"
 #include "spe/common/rng.h"
 
 namespace spe {
@@ -109,17 +110,23 @@ void LogisticRegression::SaveModel(std::ostream& os) const {
   scaler_.Save(os);
 }
 
-LogisticRegression LogisticRegression::LoadModel(std::istream& is) {
+LogisticRegression LogisticRegression::LoadModel(std::istream& is,
+                                                 std::size_t num_features) {
   std::string keyword;
   std::size_t dim = 0;
   is >> keyword >> dim;
-  SPE_CHECK(is.good() && keyword == "dim") << "malformed LR model";
+  // PredictRow requires rows exactly `dim` wide, weights and scaler alike.
+  PayloadCheck(is.good() && keyword == "dim" && dim > 0 &&
+                   dim <= BytesLeft(is) / 2 &&
+                   (num_features == kAnyWidth || dim == num_features),
+               "malformed LR model");
   LogisticRegression model;
   model.w_.resize(dim);
   for (double& w : model.w_) is >> w;
   is >> keyword >> model.bias_;
-  SPE_CHECK(is.good() && keyword == "bias") << "malformed LR model";
+  PayloadCheck(is.good() && keyword == "bias", "malformed LR model");
   model.scaler_ = FeatureScaler::Load(is);
+  PayloadCheck(model.scaler_.means().size() == dim, "malformed LR model");
   return model;
 }
 

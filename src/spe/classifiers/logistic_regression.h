@@ -41,8 +41,12 @@ class LogisticRegression final : public Classifier {
   double bias() const { return bias_; }
 
   /// Text serialization of the fitted model (weights + scaler).
+  /// LoadModel reads a model scoring rows of `num_features` (kAnyWidth:
+  /// unchecked) and throws MalformedPayload on bytes SaveModel could not
+  /// have written.
   void SaveModel(std::ostream& os) const;
-  static LogisticRegression LoadModel(std::istream& is);
+  static LogisticRegression LoadModel(std::istream& is,
+                                      std::size_t num_features);
 
  private:
   LogisticRegressionConfig config_;

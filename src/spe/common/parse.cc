@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <istream>
 #include <string>
 
 namespace spe {
@@ -118,6 +119,17 @@ bool ParseDoublePrefix(std::string_view s, std::size_t& i, double* out,
   i = static_cast<std::size_t>(r.ptr - s.data());
   *out = v;
   return true;
+}
+
+std::size_t BytesLeft(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  return end > here ? static_cast<std::size_t>(end - here) : 0;
 }
 
 }  // namespace spe

@@ -1,7 +1,11 @@
 #ifndef SPE_COMMON_PARSE_H_
 #define SPE_COMMON_PARSE_H_
 
+#include <cstddef>
+#include <iosfwd>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 
 namespace spe {
@@ -38,6 +42,30 @@ std::optional<double> ParseFiniteDouble(std::string_view text);
 /// non-finite number" in its error taxonomy.
 bool ParseDoublePrefix(std::string_view s, std::size_t& i, double* out,
                        bool* out_of_range = nullptr);
+
+/// Thrown by the model payload readers (each model's LoadModel, behind
+/// spe/io/model_io.h) on bytes that do not describe a model this library
+/// could have written. The bundle decoder turns it into a kMalformed
+/// refusal; the aborting library loaders turn it into an abort.
+class MalformedPayload : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Throws MalformedPayload(message) unless `ok`.
+inline void PayloadCheck(bool ok, const char* message) {
+  if (!ok) throw MalformedPayload(message);
+}
+
+/// Bytes from the read position of `is` to its end: the bound a payload
+/// reader puts on a count before anything is sized from it. A stream
+/// that cannot report its position is unbounded.
+std::size_t BytesLeft(std::istream& is);
+
+/// The row width a payload is read against when its container records
+/// none (checkpoint member logs): split features and weight vectors are
+/// then not checked against a width.
+inline constexpr std::size_t kAnyWidth = std::numeric_limits<std::size_t>::max();
 
 }  // namespace spe
 

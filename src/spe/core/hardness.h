@@ -1,6 +1,8 @@
 #ifndef SPE_CORE_HARDNESS_H_
 #define SPE_CORE_HARDNESS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -23,6 +25,21 @@ enum class HardnessKind {
 
 /// A hardness function: (predicted probability, label) -> hardness >= 0.
 using HardnessFn = std::function<double(double prob, int label)>;
+
+/// The built-in hardness functions. MakeHardness wraps these, and
+/// MajorityHardness inlines them, so both forms give the same bits.
+inline double AbsoluteErrorHardness(double prob, int label) {
+  return std::abs(prob - static_cast<double>(label));
+}
+inline double SquaredErrorHardness(double prob, int label) {
+  const double d = prob - static_cast<double>(label);
+  return d * d;
+}
+inline double CrossEntropyHardness(double prob, int label) {
+  constexpr double kEps = 1e-12;
+  const double p = std::clamp(prob, kEps, 1.0 - kEps);
+  return label == 1 ? -std::log(p) : -std::log(1.0 - p);
+}
 
 /// Builds the hardness function for `kind`.
 HardnessFn MakeHardness(HardnessKind kind);
@@ -56,6 +73,56 @@ struct HardnessBins {
 
 HardnessBins ComputeHardnessBins(std::span<const double> hardness,
                                  std::size_t num_bins);
+
+/// The hardness of every majority sample (label 0) under a running
+/// ensemble, evaluated where it is read instead of stored: sample m's
+/// hardness is fn(prob_sum[m] / prob_count, 0), the value an |N|-sized
+/// hardness vector would hold. The built-in kinds are inlined into each
+/// pass; a custom closure is called through its HardnessFn.
+struct MajorityHardness {
+  std::span<const double> prob_sum;
+  std::size_t prob_count = 1;
+  HardnessKind kind = HardnessKind::kAbsoluteError;
+  const HardnessFn* custom = nullptr;  ///< replaces `kind` when non-null
+
+  std::size_t size() const { return prob_sum.size(); }
+
+  /// Returns visit(at), where at(m) is sample m's hardness.
+  template <typename Visitor>
+  decltype(auto) Visit(Visitor&& visit) const {
+    const std::span<const double> sum = prob_sum;
+    const double count = static_cast<double>(prob_count);
+    if (custom != nullptr) {
+      const HardnessFn& fn = *custom;
+      return visit([sum, count, &fn](std::size_t m) {
+        return fn(sum[m] / count, 0);
+      });
+    }
+    if (kind == HardnessKind::kSquaredError) {
+      return visit([sum, count](std::size_t m) {
+        return SquaredErrorHardness(sum[m] / count, 0);
+      });
+    }
+    if (kind == HardnessKind::kCrossEntropy) {
+      return visit([sum, count](std::size_t m) {
+        return CrossEntropyHardness(sum[m] / count, 0);
+      });
+    }
+    return visit([sum, count](std::size_t m) {
+      return AbsoluteErrorHardness(sum[m] / count, 0);
+    });
+  }
+};
+
+HardnessBins ComputeHardnessBins(const MajorityHardness& hardness,
+                                 std::size_t num_bins);
+
+/// ComputeHardnessBins over `n` samples whose hardness is at(i), read
+/// twice per sample: the range, then the bins. Both overloads above are
+/// this function; the self-paced sampler calls it with its own at.
+template <typename HardnessAt>
+HardnessBins ComputeHardnessBinsAt(std::size_t n, HardnessAt at,
+                                   std::size_t num_bins);
 
 /// A frozen hardness-bin histogram: the training-time distribution of
 /// hardness over the majority set under the *final* ensemble, pinned at
@@ -94,6 +161,54 @@ inline std::size_t HardnessBinIndex(double h, double min, double max,
   const std::size_t bin =
       static_cast<std::size_t>(normalized * static_cast<double>(num_bins));
   return bin >= num_bins ? num_bins - 1 : bin;  // h >= max -> top bin
+}
+
+template <typename HardnessAt>
+HardnessBins ComputeHardnessBinsAt(std::size_t n, HardnessAt at,
+                                   std::size_t num_bins) {
+  SPE_CHECK_GT(num_bins, 0u);
+  SPE_CHECK_GT(n, 0u);
+
+  double min_h = at(0);
+  double max_h = min_h;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double h = at(i);
+    // NaN fails h >= 0 too, but "must be non-negative" sends whoever
+    // debugs it hunting for a sign bug; name the real failure and where.
+    SPE_CHECK(!std::isnan(h))
+        << "hardness is NaN for sample " << i
+        << " (a base learner emitted a NaN probability?)";
+    SPE_CHECK_GE(h, 0.0) << "hardness must be non-negative, got " << h
+                         << " for sample " << i;
+    min_h = std::min(min_h, h);
+    max_h = std::max(max_h, h);
+  }
+  // Bins span the *observed* hardness range [min, max] (the authors'
+  // implementation does the same). A fixed [0, 1] grid would waste most
+  // bins whenever an ensemble's hardness concentrates near 0 — the
+  // common case with tree bases — collapsing the paper's k = 20
+  // resolution to a handful of effective bins. This also realizes the
+  // "w.l.o.g. H in [0, 1]" normalization for unbounded functions (CE).
+  HardnessBins bins;
+  bins.population.assign(num_bins, 0);
+  bins.contribution.assign(num_bins, 0.0);
+  bins.mean_hardness.assign(num_bins, 0.0);
+  bins.min = min_h;
+  bins.max = max_h;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const double h = at(i);
+    const std::size_t bin = HardnessBinIndex(h, min_h, max_h, num_bins);
+    ++bins.population[bin];
+    bins.contribution[bin] += h;
+  }
+  for (std::size_t b = 0; b < num_bins; ++b) {
+    if (bins.population[b] > 0) {
+      bins.mean_hardness[b] =
+          bins.contribution[b] / static_cast<double>(bins.population[b]);
+    }
+  }
+  return bins;
 }
 
 /// Capability interface: models that carry a training-time hardness

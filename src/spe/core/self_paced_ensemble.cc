@@ -12,7 +12,6 @@
 #include "spe/common/check.h"
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
-#include "spe/common/parallel.h"
 #include "spe/common/rng.h"
 #include "spe/core/self_paced_sampler.h"
 #include "spe/io/model_io.h"
@@ -23,10 +22,6 @@
 
 namespace spe {
 namespace {
-
-// Rows per worker for the element-wise hardness updates: memory-bound
-// loops only pay for fan-out on large majorities.
-constexpr std::size_t kUpdateGrain = 4096;
 
 // A NaN probability would silently poison every later hardness update
 // (prob_sum is cumulative), and the eventual "hardness must be
@@ -116,9 +111,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   for (std::size_t& r : pos_abs) r = base.RowIndex(r);
   for (std::size_t& r : neg_abs) r = base.RowIndex(r);
   const DatasetView majority = base.WithIndices(neg_abs);
-  const HardnessFn hardness_fn = config_.custom_hardness
-                                     ? config_.custom_hardness
-                                     : MakeHardness(config_.hardness);
 
   auto make_member = [&](std::size_t index) {
     std::unique_ptr<Classifier> member = base_prototype_->Clone();
@@ -159,9 +151,10 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
 
   // Running sum of member probabilities over the majority set: F_i is the
   // average of f_0 .. f_{i-1} (Algorithm 1 line 4). PredictProba chunks
-  // the majority rows across threads; the element-wise loops below do the
-  // same, and both are bit-identical for any thread count because each
-  // element is touched by exactly one fixed computation.
+  // the majority rows across threads, bit-identically for any thread
+  // count because each element is touched by exactly one fixed
+  // computation. Hardness is never stored: the sampler evaluates
+  // fn(prob_sum[m] / prob_count, 0) where it reads it (MajorityHardness).
   std::vector<double> prob_sum;
   std::size_t prob_count = 0;
   std::size_t start_iteration = 1;
@@ -303,20 +296,14 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
                           resumed_manifest_bytes);
   }
 
-  std::vector<double> hardness(majority.num_rows());
   const bool instrumented = obs::Enabled();
   std::vector<std::size_t> bin_population;
   for (std::size_t i = start_iteration; i <= n; ++i) {
-    // Lines 4-6: hardness of each majority sample w.r.t. the ensemble.
-    {
-      const obs::TraceSpan span("spe.fit.hardness");
-      ParallelForGrain(0, majority.num_rows(), kUpdateGrain,
-                       [&](std::size_t m) {
-                         hardness[m] = hardness_fn(
-                             prob_sum[m] / static_cast<double>(prob_count), 0);
-                       });
-    }
-    // Lines 7-9: self-paced under-sampling with alpha_i.
+    // Lines 4-9: hardness of each majority sample w.r.t. the ensemble,
+    // then self-paced under-sampling with alpha_i.
+    const MajorityHardness hardness{
+        prob_sum, prob_count, config_.hardness,
+        config_.custom_hardness ? &config_.custom_hardness : nullptr};
     const double alpha = AlphaAt(config_.schedule, i, n);
     std::vector<std::size_t> pick;
     {
@@ -388,7 +375,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   // The loop's per-majority-row state is dead; free it before the
   // baseline pass allocates its own.
   std::vector<double>().swap(prob_sum);
-  std::vector<double>().swap(hardness);
   // The final checkpoint (i == n) publishes concurrently with the
   // baseline pass below; the drain both surfaces any publish error and
   // guarantees the file is in place before Fit returns (spe_cli retires
@@ -511,13 +497,11 @@ void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& majority) {
   training_hardness_ = HardnessHistogram();
   if (config_.custom_hardness || ensemble_.size() == 0) return;
   const obs::TraceSpan span("spe.fit.hardness_baseline");
-  // Hardness overwrites the probabilities in place: one |N| vector.
-  std::vector<double> hardness = PredictProba(majority);
-  const HardnessFn hardness_fn = MakeHardness(config_.hardness);
-  ParallelForGrain(0, hardness.size(), kUpdateGrain, [&](std::size_t m) {
-    hardness[m] = hardness_fn(hardness[m], 0);
-  });
-  const HardnessBins bins = ComputeHardnessBins(hardness, config_.num_bins);
+  // One |N| vector: the probabilities, binned through the hardness
+  // function where they are read (x / 1 is x, bit for bit).
+  const std::vector<double> probs = PredictProba(majority);
+  const HardnessBins bins = ComputeHardnessBins(
+      MajorityHardness{probs, 1, config_.hardness}, config_.num_bins);
   training_hardness_.kind = HardnessName(config_.hardness);
   training_hardness_.min = bins.min;
   training_hardness_.max = bins.max;

@@ -26,15 +26,15 @@ void PartialShuffle(std::span<std::uint32_t> pool, std::size_t count,
   }
 }
 
-}  // namespace
-
-std::vector<std::size_t> SelfPacedUnderSample(
-    std::span<const double> majority_hardness, double alpha,
-    std::size_t num_bins, std::size_t target_count, Rng& rng,
-    std::vector<std::size_t>* bin_population_out) {
+/// The sampler over `n` samples whose hardness is at(i), read three
+/// times per sample: the bins' range and counts, then the counting sort.
+template <typename HardnessAt>
+std::vector<std::size_t> UnderSample(std::size_t n, HardnessAt at,
+                                     double alpha, std::size_t num_bins,
+                                     std::size_t target_count, Rng& rng,
+                                     std::vector<std::size_t>* bin_population_out) {
   SPE_CHECK_GE(alpha, 0.0);
   if (bin_population_out != nullptr) bin_population_out->clear();
-  const std::size_t n = majority_hardness.size();
   SPE_CHECK_GT(n, 0u);
   if (target_count >= n) {
     // Fewer majority samples than requested: take everything.
@@ -49,7 +49,7 @@ std::vector<std::size_t> SelfPacedUnderSample(
 
   const HardnessBins bins = [&] {
     const obs::TraceSpan span("spe.fit.bin_harmonize");
-    return ComputeHardnessBins(majority_hardness, num_bins);
+    return ComputeHardnessBinsAt(n, at, num_bins);
   }();
 
   // Unnormalized bin weights p_l = 1 / (h_l + alpha); empty bins get 0.
@@ -137,7 +137,7 @@ std::vector<std::size_t> SelfPacedUnderSample(
   }
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t b =
-        HardnessBinIndex(majority_hardness[i], bins.min, bins.max, num_bins);
+        HardnessBinIndex(at(i), bins.min, bins.max, num_bins);
     table[cursor[b]++] = static_cast<std::uint32_t>(i);
   }
   for (std::size_t b = 0, begin = 0, slot = 0; b < num_bins; ++b) {
@@ -148,6 +148,28 @@ std::vector<std::size_t> SelfPacedUnderSample(
     slot += quota[b];
   }
   return selected;
+}
+
+}  // namespace
+
+std::vector<std::size_t> SelfPacedUnderSample(
+    std::span<const double> majority_hardness, double alpha,
+    std::size_t num_bins, std::size_t target_count, Rng& rng,
+    std::vector<std::size_t>* bin_population_out) {
+  return UnderSample(
+      majority_hardness.size(),
+      [majority_hardness](std::size_t i) { return majority_hardness[i]; },
+      alpha, num_bins, target_count, rng, bin_population_out);
+}
+
+std::vector<std::size_t> SelfPacedUnderSample(
+    const MajorityHardness& majority_hardness, double alpha,
+    std::size_t num_bins, std::size_t target_count, Rng& rng,
+    std::vector<std::size_t>* bin_population_out) {
+  return majority_hardness.Visit([&](auto at) {
+    return UnderSample(majority_hardness.size(), at, alpha, num_bins,
+                       target_count, rng, bin_population_out);
+  });
 }
 
 }  // namespace spe

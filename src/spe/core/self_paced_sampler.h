@@ -46,6 +46,15 @@ std::vector<std::size_t> SelfPacedUnderSample(
     std::size_t num_bins, std::size_t target_count, Rng& rng,
     std::vector<std::size_t>* bin_population_out = nullptr);
 
+/// The same draw with each sample's hardness evaluated where it is read
+/// (three times per sample) instead of stored: what SelfPacedEnsemble
+/// runs, so its loop holds no |N|-sized hardness vector. Identical picks,
+/// quotas and Rng state to the overload above given the stored values.
+std::vector<std::size_t> SelfPacedUnderSample(
+    const MajorityHardness& majority_hardness, double alpha,
+    std::size_t num_bins, std::size_t target_count, Rng& rng,
+    std::vector<std::size_t>* bin_population_out = nullptr);
+
 }  // namespace spe
 
 #endif  // SPE_CORE_SELF_PACED_SAMPLER_H_

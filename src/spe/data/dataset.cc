@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "spe/common/check.h"
+#include "spe/common/parse.h"
 
 namespace spe {
 
@@ -232,7 +233,9 @@ FeatureScaler FeatureScaler::Load(std::istream& is) {
   std::string keyword;
   std::size_t dim = 0;
   is >> keyword >> dim;
-  SPE_CHECK(is.good() && keyword == "scaler") << "malformed scaler";
+  // A scaler line is at least 6 bytes ("m s c\n").
+  PayloadCheck(is.good() && keyword == "scaler" && dim <= BytesLeft(is) / 6,
+               "malformed scaler");
   FeatureScaler scaler;
   scaler.means_.resize(dim);
   scaler.stds_.resize(dim);
@@ -243,7 +246,7 @@ FeatureScaler FeatureScaler::Load(std::istream& is) {
     scaler.kinds_[j] =
         categorical != 0 ? FeatureKind::kCategorical : FeatureKind::kNumerical;
   }
-  SPE_CHECK(!is.fail()) << "truncated scaler";
+  PayloadCheck(!is.fail(), "truncated scaler");
   return scaler;
 }
 

@@ -336,7 +336,8 @@ class FeatureScaler {
   const std::vector<double>& means() const { return means_; }
   const std::vector<double>& stds() const { return stds_; }
 
-  /// Text serialization (used by the model persistence layer).
+  /// Text serialization (used by the model persistence layer). Load
+  /// throws MalformedPayload on bytes Save could not have written.
   void Save(std::ostream& os) const;
   static FeatureScaler Load(std::istream& is);
 

@@ -114,18 +114,6 @@ void SaveEnsembleMembers(const VotingEnsemble& members, std::ostream& os) {
   }
 }
 
-VotingEnsemble LoadEnsembleMembers(std::istream& is) {
-  std::string keyword;
-  std::size_t count = 0;
-  is >> keyword >> count;
-  SPE_CHECK(is.good() && keyword == "members") << "malformed ensemble model";
-  VotingEnsemble members;
-  for (std::size_t i = 0; i < count; ++i) {
-    members.Add(LoadClassifier(is));
-  }
-  return members;
-}
-
 }  // namespace
 
 VotingEnsembleModel::VotingEnsembleModel(VotingEnsemble members)
@@ -228,54 +216,90 @@ void SaveClassifier(const Classifier& model, std::ostream& os) {
 
 namespace {
 
+std::unique_ptr<Classifier> ReadClassifier(std::istream& is,
+                                           std::size_t num_features);
+
 /// Restores a model whose "spe-model VERSION TAG" preamble has already
-/// been consumed.
-std::unique_ptr<Classifier> LoadTagged(int version, const std::string& tag,
-                                       std::istream& is) {
-  SPE_CHECK_EQ(version, kFormatVersion);
+/// been consumed. Throws MalformedPayload on anything SaveClassifier
+/// could not have written; no count sizes anything before it is bounded
+/// by the bytes left.
+std::unique_ptr<Classifier> ReadTagged(int version, const std::string& tag,
+                                       std::istream& is,
+                                       std::size_t num_features) {
+  PayloadCheck(version == kFormatVersion, "unsupported model payload version");
 
   if (tag == "DecisionTree") {
-    return std::make_unique<DecisionTree>(DecisionTree::LoadModel(is));
+    return std::make_unique<DecisionTree>(
+        DecisionTree::LoadModel(is, num_features));
   }
   if (tag == "Gbdt") {
-    return std::make_unique<Gbdt>(Gbdt::LoadModel(is));
+    return std::make_unique<Gbdt>(Gbdt::LoadModel(is, num_features));
   }
   if (tag == "LogisticRegression") {
     return std::make_unique<LogisticRegression>(
-        LogisticRegression::LoadModel(is));
+        LogisticRegression::LoadModel(is, num_features));
   }
+  // A nested model takes at least 16 bytes: "spe-model 1 Gbdt" alone does.
+  constexpr std::size_t kMinModelBytes = 16;
+  std::string keyword;
+  std::size_t count = 0;
   if (tag == "AdaBoost") {
-    std::string keyword;
     AdaBoostConfig config;
-    std::size_t stage_count = 0;
     is >> keyword >> config.learning_rate;
-    SPE_CHECK(is.good() && keyword == "learning_rate") << "malformed AdaBoost";
-    is >> keyword >> stage_count;
-    SPE_CHECK(is.good() && keyword == "stages") << "malformed AdaBoost";
-    config.n_estimators = stage_count;
+    PayloadCheck(is.good() && keyword == "learning_rate", "malformed AdaBoost");
+    is >> keyword >> count;
+    PayloadCheck(is.good() && keyword == "stages" && count > 0 &&
+                     count <= BytesLeft(is) / kMinModelBytes,
+                 "malformed AdaBoost");
+    config.n_estimators = count;
     std::vector<std::unique_ptr<Classifier>> stages;
-    stages.reserve(stage_count);
-    for (std::size_t i = 0; i < stage_count; ++i) {
-      stages.push_back(LoadClassifier(is));
+    stages.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      stages.push_back(ReadClassifier(is, num_features));
     }
     return AdaBoost::FromTrainedStages(config, std::move(stages));
   }
   if (tag == "VotingEnsemble") {
-    return std::make_unique<VotingEnsembleModel>(LoadEnsembleMembers(is));
+    is >> keyword >> count;
+    PayloadCheck(is.good() && keyword == "members" && count > 0 &&
+                     count <= BytesLeft(is) / kMinModelBytes,
+                 "malformed ensemble model");
+    VotingEnsemble members;
+    for (std::size_t i = 0; i < count; ++i) {
+      members.Add(ReadClassifier(is, num_features));
+    }
+    return std::make_unique<VotingEnsembleModel>(std::move(members));
   }
-  SPE_CHECK(false) << "unknown model tag: " << tag;
-  return nullptr;  // unreachable
+  throw MalformedPayload("unknown model tag: " + tag);
 }
 
-}  // namespace
-
-std::unique_ptr<Classifier> LoadClassifier(std::istream& is) {
+std::unique_ptr<Classifier> ReadClassifier(std::istream& is,
+                                           std::size_t num_features) {
   std::string magic;
   int version = 0;
   std::string tag;
   is >> magic >> version >> tag;
-  SPE_CHECK(is.good() && magic == kMagic) << "not an spe model stream";
-  return LoadTagged(version, tag, is);
+  PayloadCheck(is.good() && magic == kMagic, "not an spe model stream");
+  return ReadTagged(version, tag, is, num_features);
+}
+
+}  // namespace
+
+frame::Error DecodeClassifier(std::istream& is, std::size_t num_features,
+                              std::unique_ptr<Classifier>* model) {
+  try {
+    *model = ReadClassifier(is, num_features);
+  } catch (const MalformedPayload& error) {
+    return {frame::ErrorClass::kMalformed, error.what()};
+  }
+  return {};
+}
+
+std::unique_ptr<Classifier> LoadClassifier(std::istream& is) {
+  std::unique_ptr<Classifier> model;
+  const frame::Error error = DecodeClassifier(is, kAnyWidth, &model);
+  SPE_CHECK(error.ok()) << error.message;
+  return model;
 }
 
 std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path) {
@@ -365,7 +389,13 @@ frame::Error DecodeModelBundle(std::string_view bytes, ModelBundle* bundle) {
 
   std::istringstream payload_is(
       std::string(rest.substr(0, header.payload_bytes)));
-  bundle->model = LoadClassifier(payload_is);
+  // A payload that passes its CRC can still be hand-made: it is parsed
+  // against the header's row width and refused, not trusted.
+  error = DecodeClassifier(payload_is, static_cast<std::size_t>(num_features),
+                           &bundle->model);
+  if (!error.ok()) {
+    return {error.cls, "malformed model artifact payload: " + error.message};
+  }
   bundle->num_features = static_cast<std::size_t>(num_features);
   bundle->format_version = header.version;
   bundle->payload_bytes = static_cast<std::size_t>(header.payload_bytes);

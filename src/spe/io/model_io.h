@@ -76,9 +76,19 @@ class VotingEnsembleModel final : public Classifier,
 /// training set itself) and on unfitted models.
 void SaveClassifier(const Classifier& model, std::ostream& os);
 
-/// Restores a classifier from a bare payload stream written by
-/// SaveClassifier; it predicts identically to the saved one. Artifacts
-/// on disk are bundles, loaded by the bundle functions below.
+/// The payload decoder: restores a classifier from a bare payload stream
+/// written by SaveClassifier (it predicts identically to the saved one)
+/// into `model`, or returns kMalformed, never aborting, on bytes
+/// SaveClassifier could not have written: an unknown tag or keyword, a
+/// count past the bytes left, a truncated field, a node table that is
+/// not a tree (spe/classifiers/tree_node.h), or a split feature or
+/// weight vector that does not fit rows of `num_features` (kAnyWidth
+/// where the container records no width). `model` is untouched then.
+frame::Error DecodeClassifier(std::istream& is, std::size_t num_features,
+                              std::unique_ptr<Classifier>* model);
+
+/// DecodeClassifier at kAnyWidth + CHECK, for trusted payloads.
+/// Artifacts on disk are bundles, loaded by the bundle functions below.
 std::unique_ptr<Classifier> LoadClassifier(std::istream& is);
 
 /// The model of the bundle at `path`: LoadModelBundleFromFile(path).model.
@@ -132,9 +142,11 @@ void SaveModelBundleToFile(const Classifier& model, std::size_t num_features,
 /// malformed header (the histogram line included), unsupported version
 /// (1, or past 3), truncated, corrupt — and never aborts on them. Both
 /// header lines, the payload length and its CRC-32 are checked before a
-/// payload byte is parsed; a payload that passes its CRC is trusted to
-/// parse. Bytes past the payload are ignored. A v3 histogram is also
-/// installed on a VotingEnsembleModel, so a re-save round-trips.
+/// payload byte is parsed; a payload that passes its CRC is then decoded
+/// against the header's num_features by DecodeClassifier, which refuses
+/// a hand-made one as malformed. Bytes past the payload are ignored. A
+/// v3 histogram is also installed on a VotingEnsembleModel, so a re-save
+/// round-trips.
 frame::Error DecodeModelBundle(std::string_view bytes, ModelBundle* bundle);
 
 /// Reads the file at `path` once and decodes it. Open/read failures are

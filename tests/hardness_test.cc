@@ -237,5 +237,60 @@ TEST(SelfPacedSamplerTest, AlphaControlsTrivialSampleShare) {
   }
 }
 
+// ------------------------------------- Hardness evaluated where read --
+
+// MajorityHardness must reproduce the stored hardness vector the fit
+// used to keep, fn(prob_sum[m] / prob_count, 0), bit for bit: the same
+// bins from ComputeHardnessBins, the same picks, quotas and Rng state
+// from SelfPacedUnderSample, for every built-in kind (inlined) and for
+// a custom closure (called through its HardnessFn).
+TEST(MajorityHardnessTest, MatchesTheStoredHardnessVector) {
+  const HardnessFn custom = [](double prob, int label) {
+    return std::sqrt(std::abs(prob - label));
+  };
+  Rng gen(12);
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t n = 1 + gen.Index(5000);
+    const std::size_t count = 1 + gen.Index(11);
+    std::vector<double> prob_sum(n);
+    // Tree-like sums: many exact ties, values in [0, count].
+    for (double& s : prob_sum) {
+      s = gen.Uniform() < 0.5 ? std::floor(gen.Uniform(0.0, 4.0)) / 3.0 * count
+                              : gen.Uniform(0.0, static_cast<double>(count));
+    }
+    for (int kind = 0; kind < 4; ++kind) {
+      MajorityHardness accessor{prob_sum, count,
+                                static_cast<HardnessKind>(kind % 3),
+                                kind == 3 ? &custom : nullptr};
+      const HardnessFn fn =
+          kind == 3 ? custom : MakeHardness(static_cast<HardnessKind>(kind));
+      std::vector<double> stored(n);
+      for (std::size_t m = 0; m < n; ++m) {
+        stored[m] = fn(prob_sum[m] / static_cast<double>(count), 0);
+      }
+      const HardnessBins expected = ComputeHardnessBins(stored, 20);
+      const HardnessBins got = ComputeHardnessBins(accessor, 20);
+      ASSERT_EQ(got.population, expected.population) << trial << "/" << kind;
+      ASSERT_EQ(got.contribution, expected.contribution) << trial << "/" << kind;
+      ASSERT_EQ(got.min, expected.min);
+      ASSERT_EQ(got.max, expected.max);
+
+      const double alpha = gen.Uniform() < 0.2 ? 0.0 : gen.Uniform(0.0, 3.0);
+      const std::size_t target = 1 + gen.Index(n);
+      Rng expected_rng(trial);
+      Rng got_rng(trial);
+      std::vector<std::size_t> expected_bins;
+      std::vector<std::size_t> got_bins;
+      ASSERT_EQ(SelfPacedUnderSample(accessor, alpha, 20, target, got_rng,
+                                     &got_bins),
+                SelfPacedUnderSample(stored, alpha, 20, target, expected_rng,
+                                     &expected_bins))
+          << trial << "/" << kind;
+      ASSERT_EQ(got_bins, expected_bins);
+      ASSERT_EQ(got_rng.Index(1u << 30), expected_rng.Index(1u << 30));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spe

@@ -1,9 +1,10 @@
 // Failure-path tests for model_io bundle loading: legacy artifacts are
 // refused, integrity violations (truncation, bit rot) abort the loaders
 // with messages that name the real problem, the decoder reports the
-// same conditions as classified errors without aborting, and the v3
-// hardness-histogram line round-trips byte-identically through save ->
-// load -> re-save.
+// same conditions as classified errors without aborting, hand-made
+// payloads that pass their CRC are still refused as malformed, and the
+// v3 hardness-histogram line round-trips byte-identically through
+// save -> load -> re-save.
 
 #include <cstdint>
 #include <filesystem>
@@ -15,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "spe/common/crc32.h"
 #include "spe/common/fault.h"
+#include "spe/common/frame.h"
 #include "spe/common/retry.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/io/model_io.h"
@@ -168,6 +171,117 @@ TEST(ModelIoFailureTest, DecoderClassifiesEveryFailureWithoutAborting) {
   for (const std::string& p : {good, truncated, lying, corrupt, garbage}) {
     std::filesystem::remove(p);
   }
+}
+
+// A hand-made v2 bundle around `payload` with a correct header: right
+// length, right CRC. Only the payload decoder stands between these
+// bytes and a served model.
+std::string HandMadeBundle(const std::string& payload,
+                           std::size_t num_features = 2) {
+  return "spe-bundle 2 num_features " + std::to_string(num_features) +
+         " payload_bytes " + std::to_string(payload.size()) + " crc32 " +
+         frame::CrcHex(Crc32(payload)) + "\n" + payload;
+}
+
+const char kTree[] = "spe-model 1 DecisionTree\n";
+const char kLeaves[] = "-1 0 -1 -1 0.25\n-1 0 -1 -1 0.75\n";
+
+// Every probe passes its CRC; each must be refused as malformed, with no
+// model handed out — not decoded into a model that crashes, hangs or
+// reads past the row when it scores.
+void ExpectMalformedPayload(const std::string& payload, const char* why) {
+  ModelBundle bundle;
+  const frame::Error error = DecodeModelBundle(HandMadeBundle(payload), &bundle);
+  EXPECT_EQ(error.cls, frame::ErrorClass::kMalformed) << why << ": "
+                                                      << error.message;
+  EXPECT_NE(error.message.find("malformed model artifact payload"),
+            std::string::npos)
+      << why << ": " << error.message;
+  EXPECT_EQ(bundle.model, nullptr) << why;
+}
+
+TEST(ModelIoFailureTest, HandMadeBundleOfAValidTreeLoads) {
+  const std::string payload =
+      std::string(kTree) + "nodes 3\n1 0.5 1 2 0.5\n" + kLeaves;
+  ModelBundle bundle;
+  const frame::Error error = DecodeModelBundle(HandMadeBundle(payload), &bundle);
+  ASSERT_TRUE(error.ok()) << error.message;
+  EXPECT_EQ(bundle.model->PredictRow(std::vector<double>{0.0, 0.4}), 0.25);
+  EXPECT_EQ(bundle.model->PredictRow(std::vector<double>{0.0, 0.6}), 0.75);
+}
+
+TEST(ModelIoFailureTest, TreeChildPastTheNodeCountIsMalformed) {
+  ExpectMalformedPayload(
+      std::string(kTree) + "nodes 3\n0 0.5 1 7 0.5\n" + kLeaves,
+      "child index 7 of 3 nodes");
+}
+
+// A cycle: a walk through it never reaches a leaf.
+TEST(ModelIoFailureTest, TreeNodeThatIsItsOwnChildIsMalformed) {
+  ExpectMalformedPayload(
+      std::string(kTree) + "nodes 3\n0 0.5 0 2 0.5\n" + kLeaves,
+      "left child is the node itself");
+}
+
+// Two parents sharing children: no cycle, but 2^k root-to-leaf paths
+// for the load-time depth walk.
+TEST(ModelIoFailureTest, TreeNodeWithTwoParentsIsMalformed) {
+  std::string payload = std::string(kTree) + "nodes 41\n";
+  for (int i = 0; i < 40; ++i) {
+    payload += "0 0.5 " + std::to_string(i + 1) + " " +
+               std::to_string(i + 1) + " 0.5\n";
+  }
+  ExpectMalformedPayload(payload + "-1 0 -1 -1 0.5\n", "shared children");
+}
+
+TEST(ModelIoFailureTest, LeafWithChildrenIsMalformed) {
+  ExpectMalformedPayload(
+      std::string(kTree) + "nodes 3\n0 0.5 1 2 0.5\n-1 0 2 -1 0.25\n" +
+          "-1 0 -1 -1 0.75\n",
+      "leaf pointing at a node");
+}
+
+// The split feature must index into the bundle's rows: feature 9 of a
+// 2-wide row would be read from past the row and scored.
+TEST(ModelIoFailureTest, SplitFeaturePastTheRowIsMalformed) {
+  ExpectMalformedPayload(
+      std::string(kTree) + "nodes 3\n9 0.5 1 2 0.5\n" + kLeaves,
+      "feature 9 of 2");
+}
+
+TEST(ModelIoFailureTest, NodeCountPastThePayloadIsMalformed) {
+  ExpectMalformedPayload(std::string(kTree) + "nodes 99999999999\n" + kLeaves,
+                         "nodes 99999999999");
+}
+
+// GBDT trees read through the same node-table check.
+TEST(ModelIoFailureTest, GbdtTreeChildPastTheNodeCountIsMalformed) {
+  const std::string head =
+      "spe-model 1 Gbdt\nbase_score 0\nlearning_rate 0.1\ntrees 1\n";
+  ExpectMalformedPayload(head + "nodes 3\n0 0.5 1 5 0\n" + kLeaves,
+                         "gbdt child index 5 of 3 nodes");
+  ExpectMalformedPayload(head + "nodes 3\n4 0.5 1 2 0\n" + kLeaves,
+                         "gbdt feature 4 of 2");
+}
+
+TEST(ModelIoFailureTest, UnknownModelTagIsMalformed) {
+  ExpectMalformedPayload("spe-model 1 Mystery\nnodes 1\n-1 0 -1 -1 0.5\n",
+                         "unknown tag");
+}
+
+TEST(ModelIoFailureTest, MissingEnsembleMemberIsMalformed) {
+  ExpectMalformedPayload(std::string("spe-model 1 VotingEnsemble\nmembers 3\n") +
+                             kTree + "nodes 1\n-1 0 -1 -1 0.5\n",
+                         "members 3, one present");
+  ExpectMalformedPayload(std::string("spe-model 1 VotingEnsemble\nmembers 0\n"),
+                         "members 0");
+}
+
+TEST(ModelIoFailureTest, LinearModelOfTheWrongWidthIsMalformed) {
+  ExpectMalformedPayload(
+      "spe-model 1 LogisticRegression\ndim 3\n1 2 3 \nbias 0\nscaler 3\n"
+      "0 1 0\n0 1 0\n0 1 0\n",
+      "3 weights for 2-wide rows");
 }
 
 TEST(ModelIoFailureTest, TransientWriteFaultThrowsWithoutPublishing) {

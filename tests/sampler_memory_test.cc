@@ -1,13 +1,16 @@
-// Scratch-memory guard for SelfPacedUnderSample: a count of live heap
-// bytes, not a timing. This executable replaces the global operator
-// new/delete with a counting pair, so the peak of live bytes during one
-// call is exact and the same on every machine.
+// Heap guards for self-paced training: counts of live heap bytes, not
+// timings. This executable replaces the global operator new/delete with
+// a counting pair, so the peak of live bytes during one call is exact
+// and the same on every machine.
 //
-// The sampler's documented bound is 4 bytes per majority sample (its one
-// uint32 table) plus O(target + bins), the returned vector included. The
-// guard allows 4n + 16·target + 64 KiB; per-sample size_t scaffolds
-// (bin-of-sample array, per-bin member lists, per-bin size_t draw
-// pools) cost about 24 bytes per sample and fail it.
+// SelfPacedUnderSample: the documented bound is 4 bytes per majority
+// sample (its one uint32 table) plus O(target + bins), the returned
+// vector included. The guard allows 4n + 16·target + 64 KiB; per-sample
+// size_t scaffolds (bin-of-sample array, per-bin member lists, per-bin
+// size_t draw pools) cost about 24 bytes per sample and fail it.
+//
+// SelfPacedEnsemble::Fit: the whole fit's peak above the loaded data, in
+// bytes per majority row (see the case below).
 
 #include <atomic>
 #include <cstddef>
@@ -20,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include "spe/common/rng.h"
+#include "spe/core/self_paced_ensemble.h"
 #include "spe/core/self_paced_sampler.h"
+#include "spe/data/synthetic.h"
 
 namespace {
 
@@ -143,6 +148,40 @@ TEST(SamplerMemoryTest, RandomFallbackStaysWithinFourBytesPerRow) {
   EXPECT_LE(scratch, kBoundBytes)
       << scratch << " B is " << static_cast<double>(scratch) / kRows
       << " B per majority row";
+}
+
+// The fit's peak live heap above the loaded data, per majority row, on
+// the paper's checkerboard at IR 10 with SPE's default DT base. The
+// peak falls inside a member fit, where the loop's per-majority-row
+// state (the running probability sum and the majority index, 16 B) is
+// live beside the tree's split scratch over the 2|P| subset (4d + 9 B
+// per fitted row). A stored |N|-sized hardness vector (+8 B per row) or
+// the per-node sort's 40 B per fitted row (+4 B per majority row here)
+// each break the bound.
+TEST(SamplerMemoryTest, SelfPacedFitStaysWithin32BytesPerMajorityRow) {
+  CheckerboardConfig checker;
+  checker.num_minority = 20000;
+  checker.num_majority = 200000;
+  Rng gen(5);
+  const Dataset data = MakeCheckerboard(checker, gen);
+  SelfPacedEnsembleConfig config;
+  config.n_estimators = 10;
+  // A tiny fit first creates the process-wide state a first fit builds
+  // lazily (trace ring, worker pool), which is not per-row.
+  {
+    CheckerboardConfig tiny = checker;
+    tiny.num_minority = 20;
+    tiny.num_majority = 200;
+    SelfPacedEnsemble warm_up(config);
+    warm_up.Fit(MakeCheckerboard(tiny, gen));
+  }
+  const std::size_t before = ResetPeak();
+  SelfPacedEnsemble model(config);
+  model.Fit(data);
+  const double per_row = static_cast<double>(g_peak_bytes.load() - before) /
+                         static_cast<double>(checker.num_majority);
+  EXPECT_LE(per_row, 32.0) << per_row << " B per majority row";
+  EXPECT_EQ(model.NumMembers(), 10u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 #   2. corrupted / truncated artifacts must be rejected with a clear error
 #      and the corrupt-artifact exit code (4, spe/common/exit_codes.h)
 #   3. a legacy (headerless) artifact is refused with the corrupt-artifact
-#      exit code and the reason
+#      exit code and the reason, and so is a hand-made bundle whose
+#      payload passes its CRC but splits on a feature past the row
 #   4. SPE_FAULTS=score_delay_ms + --default-deadline-ms: every request
 #      expires in the queue and comes back DEADLINE_EXCEEDED, unscored,
 #      and the --metrics-dump exposition counts the expirations
@@ -113,6 +114,32 @@ if(NOT rc EQUAL 4)
 endif()
 if(NOT err MATCHES "not an spe model stream")
   message(FATAL_ERROR "legacy refusal does not name the reason: ${err}")
+endif()
+
+# ---- 3b. a CRC-valid hand-made payload is still decoded, not trusted --
+# The tree splits on feature 9 of a 2-wide row: scoring it would read
+# past the row. 8b64db8e is the CRC-32 of exactly this payload.
+set(payload "spe-model 1 DecisionTree\nnodes 3\n9 0.5 1 2 0.5\n-1 0 -1 -1 0\n-1 0 -1 -1 0.7\n")
+string(LENGTH "${payload}" payload_len)
+file(WRITE ${dir}/hand_made.model
+  "spe-bundle 2 num_features 2 payload_bytes ${payload_len} crc32 8b64db8e\n${payload}")
+execute_process(
+  COMMAND ${SPE_CLI} predict --data ${dir}/train.csv --model ${dir}/hand_made.model
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 4)
+  message(FATAL_ERROR
+    "hand-made payload must make spe_cli exit 4, got ${rc}: ${out} ${err}")
+endif()
+if(NOT err MATCHES "malformed model artifact payload")
+  message(FATAL_ERROR "hand-made payload refusal does not name the reason: ${err}")
+endif()
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/hand_made.model --stdio
+  INPUT_FILE ${dir}/one_row.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 4)
+  message(FATAL_ERROR
+    "hand-made payload must make spe_serve exit 4, got ${rc}: ${out} ${err}")
 endif()
 
 # ---- 4. injected scoring delay expires queued deadlines ---------------
