@@ -89,9 +89,15 @@ BENCHMARK(BM_SpeFit)->Arg(2000)->Arg(8000);
 // Args: (majority rows, skewed). Uniform hardness spreads the rows over
 // all 20 bins; skewed hardness (90% in [0, 0.1)) is the shape of a
 // trained ensemble, where one bin holds most rows and gives few of them.
+// Args: (majority samples n, skewed hardness, row form). The row form
+// is what SelfPacedEnsemble runs: hardness read through
+// MajorityHardness (AE of prob_sum[m] / 1, the same values) and picks
+// returned as rows of a view whose n label-0 rows are interleaved with
+// n / 10 positives (IR 10, as on the checkerboard).
 void BM_SelfPacedUnderSample(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool skewed = state.range(1) != 0;
+  const bool row_form = state.range(2) != 0;
   spe::Rng rng(4);
   std::vector<double> hardness(n);
   for (double& h : hardness) {
@@ -99,16 +105,30 @@ void BM_SelfPacedUnderSample(benchmark::State& state) {
         : rng.Uniform() < 0.9 ? rng.Uniform(0.0, 0.1)
                               : rng.Uniform(0.1, 1.0);
   }
+  spe::Dataset rows(1);
+  if (row_form) {
+    rows.Reserve(n + n / 10);
+    const std::vector<double> x = {0.0};
+    for (std::size_t m = 0; m < n; ++m) {
+      if (m % 10 == 5) rows.AddRow(x, 1);
+      rows.AddRow(x, 0);
+    }
+  }
+  const spe::MajorityHardness accessor{hardness, 1};
   for (auto _ : state) {
-    const auto pick = spe::SelfPacedUnderSample(hardness, 0.3, 20, n / 50, rng);
+    const auto pick =
+        row_form ? spe::SelfPacedUnderSample(accessor, rows, 0.3, 20, n / 50,
+                                             rng)
+                 : spe::SelfPacedUnderSample(hardness, 0.3, 20, n / 50, rng);
     benchmark::DoNotOptimize(pick.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SelfPacedUnderSample)
-    ->Args({10000, 0})
-    ->Args({100000, 0})
-    ->Args({200000, 1});
+    ->Args({10000, 0, 0})
+    ->Args({100000, 0, 0})
+    ->Args({200000, 1, 0})
+    ->Args({200000, 1, 1});
 
 // The O(n) vs O(n^2) re-sampling contrast behind Table V's time column.
 void BM_RandomUnderResample(benchmark::State& state) {

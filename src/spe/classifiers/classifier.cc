@@ -1,5 +1,6 @@
 #include "spe/classifiers/classifier.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "spe/common/check.h"
@@ -132,19 +133,28 @@ std::vector<double> VotingEnsemble::PredictProba(const DatasetView& data) const 
 
 std::vector<double> VotingEnsemble::PredictProbaPrefix(const DatasetView& data,
                                                        std::size_t k) const {
+  std::vector<double> out(data.num_rows());
+  PredictProbaPrefixInto(data, k, out);
+  return out;
+}
+
+void VotingEnsemble::PredictProbaPrefixInto(const DatasetView& data,
+                                            std::size_t k,
+                                            std::span<double> sum) const {
   SPE_CHECK(!members_.empty());
   SPE_CHECK_GT(k, 0u);
   data.CheckAlive();
+  SPE_CHECK_EQ(sum.size(), data.num_rows());
   const std::size_t n = k < members_.size() ? k : members_.size();
-  std::vector<double> sum(data.num_rows(), 0.0);
   // Fast path: every member lowered into the flat kernel, which
   // replays the reduction below — members in index order, one final
   // multiply by 1/n — with blocked SoA tree walks instead of per-row
   // pointer chasing. Bits are identical either way.
   if (const kernels::FlatForest* flat = flat_kernel()) {
     flat->PredictPrefixInto(data, n, sum);
-    return sum;
+    return;
   }
+  std::fill(sum.begin(), sum.end(), 0.0);
   // Determinism contract: the reduction visits members in index order,
   // so each element accumulates contributions in one fixed sequence and
   // the float result is bit-identical for any thread count. Parallelism
@@ -155,7 +165,6 @@ std::vector<double> VotingEnsemble::PredictProbaPrefix(const DatasetView& data,
   }
   const double inv = 1.0 / static_cast<double>(n);
   for (double& v : sum) v *= inv;
-  return sum;
 }
 
 double VotingEnsemble::PredictRow(std::span<const double> x) const {

@@ -57,7 +57,12 @@ class Classifier {
   virtual double PredictViewRow(const DatasetView& data, std::size_t row) const;
 
   /// Batched prediction; the default loops over PredictViewRow,
-  /// classifiers with cheaper batch paths override it.
+  /// classifiers with cheaper batch paths override it. A row's
+  /// probability must not depend on the other rows of the batch, and
+  /// concurrent calls on one model must be safe: serving batches rows
+  /// arbitrarily across workers, and SelfPacedEnsemble scores its
+  /// majority set in blocks on several threads at once, and both rely
+  /// on the same bits as one whole batch.
   virtual std::vector<double> PredictProba(const DatasetView& data) const;
 
   /// Adds this model's batch probabilities element-wise into `acc`
@@ -121,6 +126,11 @@ class VotingEnsemble {
   /// k < n members and pay proportionally less compute. Requires k >= 1.
   std::vector<double> PredictProbaPrefix(const DatasetView& data,
                                          std::size_t k) const;
+
+  /// PredictProbaPrefix written into `out` (out.size() ==
+  /// data.num_rows()) instead of a new vector; the same bits.
+  void PredictProbaPrefixInto(const DatasetView& data, std::size_t k,
+                              std::span<double> out) const;
 
   /// Mean member probability for a single row.
   double PredictRow(std::span<const double> x) const;

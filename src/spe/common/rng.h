@@ -56,19 +56,22 @@ class Rng {
   }
 
   /// `count` distinct indices sampled uniformly from [0, n) without
-  /// replacement. Requires count <= n.
+  /// replacement. Requires count <= n. The result owns storage for
+  /// exactly `count` entries.
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n, std::size_t count) {
     SPE_CHECK_LE(count, n);
-    // Partial Fisher-Yates: O(n) memory but O(count) swaps; fine at the
-    // dataset sizes this library targets.
+    // Partial Fisher-Yates: O(count) swaps on a transient pool of n
+    // slots; fine at the dataset sizes this library targets.
     std::vector<std::size_t> pool(n);
     std::iota(pool.begin(), pool.end(), std::size_t{0});
     for (std::size_t i = 0; i < count; ++i) {
       std::size_t j = i + Index(n - i);
       std::swap(pool[i], pool[j]);
     }
-    pool.resize(count);
-    return pool;
+    if (count == n) return pool;
+    // Copied out rather than resized: a resized pool would keep all n
+    // slots' capacity for as long as the caller holds the picks.
+    return std::vector<std::size_t>(pool.begin(), pool.begin() + count);
   }
 
   /// `count` indices sampled uniformly from [0, n) with replacement.

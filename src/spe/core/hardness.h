@@ -79,6 +79,11 @@ HardnessBins ComputeHardnessBins(std::span<const double> hardness,
 /// hardness is fn(prob_sum[m] / prob_count, 0), the value an |N|-sized
 /// hardness vector would hold. The built-in kinds are inlined into each
 /// pass; a custom closure is called through its HardnessFn.
+///
+/// m is an ordinal, not a row: SelfPacedEnsemble keys prob_sum by the
+/// m-th label-0 row of its training view, in view order, and the row
+/// form of SelfPacedUnderSample maps each pick back to that row, so no
+/// |N|-sized index list is needed beside prob_sum.
 struct MajorityHardness {
   std::span<const double> prob_sum;
   std::size_t prob_count = 1;

@@ -1,10 +1,10 @@
 #include "spe/core/self_paced_ensemble.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <numbers>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -12,6 +12,7 @@
 #include "spe/common/check.h"
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
+#include "spe/common/parallel.h"
 #include "spe/common/rng.h"
 #include "spe/core/self_paced_sampler.h"
 #include "spe/io/model_io.h"
@@ -34,6 +35,68 @@ void CheckProbsAreNotNan(const std::vector<double>& probs,
         << "base learner member " << member_index
         << " produced NaN probability for majority row " << m;
   }
+}
+
+// Rows per block of the passes that score the majority set: at most
+// 4,096, so a block's index buffer and a member's per-call temporary
+// (AccumulateViaPredictProba) take at most 32 KiB, reused from the
+// heap; and few enough per worker's run (at least four blocks each)
+// that the contiguous runs balance. Never under PredictProba's 256-row
+// grain.
+std::size_t MajorityBlockRows(std::size_t rows) {
+  const std::size_t blocks = 4 * NumThreads();
+  return std::clamp<std::size_t>((rows + blocks - 1) / blocks, 256, 4096);
+}
+
+// Majority sample m is the m-th label-0 row of `train` (columnar), so
+// the fit keeps no majority index list. Each pass that scores the
+// majority set walks `train` in blocks (MajorityBlockRows): a
+// block's label-0 rows (parent-absolute, in view order) are gathered
+// into a reused buffer and score(block, m0) is called, where `block`
+// views them and m0 is the first one's m. Each majority row is scored
+// once, by the same computation as in one |N|-row view, and no minority
+// row is scored. The blocks are split into one contiguous run per
+// worker, so a pass makes one parallel dispatch (as one |N|-row view
+// did) instead of one per block; the runs write disjoint m ranges, so
+// the result does not depend on the thread count.
+template <typename Score>
+void ForEachMajorityBlock(const DatasetView& train, Score score) {
+  // Local copies, so the loops keep them in registers.
+  const DatasetView view = train;
+  const int* labels = view.parent()->labels().data();
+  const std::size_t n = view.num_rows();
+  const std::size_t block_rows = MajorityBlockRows(n);
+  const std::size_t num_blocks = (n + block_rows - 1) / block_rows;
+  // m0 of every block, so the runs can start anywhere.
+  std::vector<std::size_t> m0(num_blocks + 1, 0);
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    const std::size_t end = std::min((b + 1) * block_rows, n);
+    std::size_t k = 0;
+    for (std::size_t r = b * block_rows; r < end; ++r) {
+      k += labels[view.RowIndex(r)] == 0 ? 1 : 0;
+    }
+    m0[b + 1] = m0[b] + k;
+  }
+  const std::size_t runs = std::min(NumThreads(), num_blocks);
+  std::vector<std::vector<std::size_t>> buffers(
+      runs, std::vector<std::size_t>(std::min(block_rows, n)));
+  ParallelForTasks(0, runs, [&](std::size_t run) {
+    std::vector<std::size_t>& rows = buffers[run];
+    for (std::size_t b = num_blocks * run / runs;
+         b < num_blocks * (run + 1) / runs; ++b) {
+      if (m0[b + 1] == m0[b]) continue;
+      const std::size_t end = std::min((b + 1) * block_rows, n);
+      // Branch-free: every row is written, only a label-0 row is kept.
+      std::size_t k = 0;
+      for (std::size_t r = b * block_rows; r < end; ++r) {
+        const std::size_t row = view.RowIndex(r);
+        rows[k] = row;
+        k += labels[row] == 0 ? 1 : 0;
+      }
+      score(view.WithIndices(std::span<const std::size_t>(rows.data(), k)),
+            m0[b]);
+    }
+  });
 }
 
 }  // namespace
@@ -88,10 +151,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   // determinism contract (docs/performance.md).
   const obs::TraceSpan fit_span("spe.fit");
   train.CheckAlive();
-  std::vector<std::size_t> pos_abs = train.PositiveIndices();
-  std::vector<std::size_t> neg_abs = train.NegativeIndices();
-  SPE_CHECK(!pos_abs.empty()) << "SPE needs at least one minority sample";
-  SPE_CHECK(!neg_abs.empty()) << "SPE needs at least one majority sample";
 
   ensemble_ = VotingEnsemble();
   training_hardness_ = HardnessHistogram();
@@ -106,27 +165,38 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     owned = train.Materialize();
     base = DatasetView(owned);
   }
-  // View-relative indices become parent-absolute in place (unchanged
-  // for the identity view spe_cli trains on).
-  for (std::size_t& r : pos_abs) r = base.RowIndex(r);
-  for (std::size_t& r : neg_abs) r = base.RowIndex(r);
-  const DatasetView majority = base.WithIndices(neg_abs);
+  // Majority sample m is the m-th label-0 row of `base`: prob_sum is
+  // keyed by m, the sampler returns rows of `base`, and the scoring
+  // passes walk `base` in blocks (ForEachMajorityBlock).
+  const std::vector<int>& labels = base.parent()->labels();
+  const std::size_t num_neg = CountMajorityRows(base);
+  std::size_t num_pos = 0;
+  for (std::size_t r = 0; r < base.num_rows(); ++r) {
+    num_pos += labels[base.RowIndex(r)] == 1 ? 1 : 0;
+  }
+  SPE_CHECK_GT(num_pos, 0u) << "SPE needs at least one minority sample";
+  SPE_CHECK_GT(num_neg, 0u) << "SPE needs at least one majority sample";
 
   auto make_member = [&](std::size_t index) {
     std::unique_ptr<Classifier> member = base_prototype_->Clone();
     member->Reseed(config_.seed + 7919 * (index + 1));
     return member;
   };
-  // Reusable balanced-subset index buffer: the minority indices survive
-  // as a fixed prefix; every iteration truncates back to them and
-  // appends the fresh majority pick. The members fit through a view
-  // over this buffer, so the per-iteration subset costs zero feature
-  // copies (it used to be the dominant allocation in this loop).
-  std::vector<std::size_t> subset_abs = pos_abs;
-  subset_abs.reserve(2 * pos_abs.size());  // picks never exceed |P|
-  auto rebuild_subset = [&](const std::vector<std::size_t>& majority_pick) {
-    subset_abs.resize(pos_abs.size());
-    for (std::size_t i : majority_pick) subset_abs.push_back(neg_abs[i]);
+  // Reusable balanced-subset index buffer: the minority rows
+  // (parent-absolute, in view order) survive as a fixed prefix; every
+  // iteration truncates back to them and appends the fresh majority
+  // pick. The members fit through a view over this buffer, so the
+  // per-iteration subset costs zero feature copies (it used to be the
+  // dominant allocation in this loop).
+  std::vector<std::size_t> subset_abs;
+  subset_abs.reserve(2 * num_pos);  // picks never exceed |P|
+  for (std::size_t r = 0; r < base.num_rows(); ++r) {
+    const std::size_t row = base.RowIndex(r);
+    if (labels[row] == 1) subset_abs.push_back(row);
+  }
+  auto rebuild_subset = [&](const std::vector<std::size_t>& majority_rows) {
+    subset_abs.resize(num_pos);
+    for (std::size_t r : majority_rows) subset_abs.push_back(base.RowIndex(r));
     return base.WithIndices(subset_abs);
   };
 
@@ -149,11 +219,11 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
         std::make_unique<checkpoint::AsyncCheckpointPublisher>(checkpoint_path);
   }
 
-  // Running sum of member probabilities over the majority set: F_i is the
-  // average of f_0 .. f_{i-1} (Algorithm 1 line 4). PredictProba chunks
-  // the majority rows across threads, bit-identically for any thread
-  // count because each element is touched by exactly one fixed
-  // computation. Hardness is never stored: the sampler evaluates
+  // Running sum of member probabilities over the majority set, keyed by
+  // m: F_i is the average of f_0 .. f_{i-1} (Algorithm 1 line 4).
+  // PredictProba chunks each block's rows across threads, bit-identically
+  // for any thread count because each element is touched by exactly one
+  // fixed computation. Hardness is never stored: the sampler evaluates
   // fn(prob_sum[m] / prob_count, 0) where it reads it (MajorityHardness).
   std::vector<double> prob_sum;
   std::size_t prob_count = 0;
@@ -220,10 +290,16 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       }
       {
         const obs::TraceSpan span("spe.fit.resume_replay");
-        prob_sum = first->PredictProba(majority);
-        for (std::size_t m = member_start; m < ensemble_.size(); ++m) {
-          ensemble_.member(m).AccumulateProbaInto(majority, prob_sum);
-        }
+        prob_sum.resize(num_neg);
+        ForEachMajorityBlock(base, [&](const DatasetView& block,
+                                       std::size_t m0) {
+          const std::span<double> acc(prob_sum.data() + m0, block.num_rows());
+          const std::vector<double> p = first->PredictProba(block);
+          std::copy(p.begin(), p.end(), acc.begin());
+          for (std::size_t m = member_start; m < ensemble_.size(); ++m) {
+            ensemble_.member(m).AccumulateProbaInto(block, acc);
+          }
+        });
       }
 
       if (validation_tracker_ != nullptr) {
@@ -258,23 +334,23 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // hardness estimates; whether it votes in the final ensemble is the
     // include_bootstrap_model ablation. A resumed run skips all of this —
     // the replay above already folded f0's probabilities into prob_sum.
-    std::vector<std::size_t> initial_pick;
-    if (neg_abs.size() > pos_abs.size()) {
-      initial_pick =
-          rng.SampleWithoutReplacement(neg_abs.size(), pos_abs.size());
-    } else {
-      initial_pick.resize(neg_abs.size());
-      std::iota(initial_pick.begin(), initial_pick.end(), std::size_t{0});
-    }
+    // The uniform pick's table (4 B per majority row) is freed before f0
+    // fits.
     std::unique_ptr<Classifier> bootstrap = make_member(0);
-    const DatasetView subset = rebuild_subset(initial_pick);
+    const DatasetView subset =
+        rebuild_subset(SampleMajorityRows(base, num_pos, rng));
     {
       const obs::TraceSpan span("spe.fit.member_fit");
       bootstrap->Fit(subset);
     }
     {
       const obs::TraceSpan span("spe.fit.member_predict");
-      prob_sum = bootstrap->PredictProba(majority);
+      prob_sum.resize(num_neg);
+      ForEachMajorityBlock(base, [&](const DatasetView& block,
+                                     std::size_t m0) {
+        const std::vector<double> p = bootstrap->PredictProba(block);
+        std::copy(p.begin(), p.end(), prob_sum.begin() + m0);
+      });
     }
     CheckProbsAreNotNan(prob_sum, 0);
     prob_count = 1;
@@ -308,8 +384,8 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     std::vector<std::size_t> pick;
     {
       const obs::TraceSpan span("spe.fit.under_sample");
-      pick = SelfPacedUnderSample(hardness, alpha, config_.num_bins,
-                                  pos_abs.size(), rng,
+      pick = SelfPacedUnderSample(hardness, base, alpha, config_.num_bins,
+                                  num_pos, rng,
                                   instrumented ? &bin_population : nullptr);
     }
     if (instrumented) {
@@ -337,7 +413,11 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // NaN after it is this member's.
     {
       const obs::TraceSpan span("spe.fit.member_predict");
-      member->AccumulateProbaInto(majority, prob_sum);
+      ForEachMajorityBlock(base, [&](const DatasetView& block,
+                                     std::size_t m0) {
+        member->AccumulateProbaInto(
+            block, std::span<double>(prob_sum).subspan(m0, block.num_rows()));
+      });
     }
     CheckProbsAreNotNan(prob_sum, i);
     ++prob_count;
@@ -379,7 +459,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   // baseline pass below; the drain both surfaces any publish error and
   // guarantees the file is in place before Fit returns (spe_cli retires
   // it only after the model artifact lands).
-  RecordHardnessBaseline(majority);
+  RecordHardnessBaseline(base);
   if (ckpt_writer != nullptr) ckpt_writer->Drain();
 }
 
@@ -484,7 +564,7 @@ void SelfPacedEnsemble::WriteCheckpoint(
   }
 }
 
-void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& majority) {
+void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& train) {
   // Freeze the drift baseline: hardness of the majority set under the
   // ensemble exactly as it will serve (PredictProba — not the self-paced
   // loop's prob_sum, which always includes the bootstrap model f0 even
@@ -497,9 +577,15 @@ void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& majority) {
   training_hardness_ = HardnessHistogram();
   if (config_.custom_hardness || ensemble_.size() == 0) return;
   const obs::TraceSpan span("spe.fit.hardness_baseline");
-  // One |N| vector: the probabilities, binned through the hardness
-  // function where they are read (x / 1 is x, bit for bit).
-  const std::vector<double> probs = PredictProba(majority);
+  // One |N| vector: the probabilities (written in place, block by
+  // block), binned through the hardness function where they are read
+  // (x / 1 is x, bit for bit).
+  std::vector<double> probs(CountMajorityRows(train));
+  ForEachMajorityBlock(train, [&](const DatasetView& block, std::size_t m0) {
+    ensemble_.PredictProbaPrefixInto(
+        block, ensemble_.size(),
+        std::span<double>(probs).subspan(m0, block.num_rows()));
+  });
   const HardnessBins bins = ComputeHardnessBins(
       MajorityHardness{probs, 1, config_.hardness}, config_.num_bins);
   training_hardness_.kind = HardnessName(config_.hardness);
@@ -583,9 +669,7 @@ std::size_t SelfPacedEnsemble::FitWithValidation(const DatasetView& train,
     owned = train.Materialize();
     base = DatasetView(owned);
   }
-  std::vector<std::size_t> neg = base.NegativeIndices();
-  for (auto& r : neg) r = base.RowIndex(r);
-  RecordHardnessBaseline(base.WithIndices(neg));
+  RecordHardnessBaseline(base);
   return best_size;
 }
 

@@ -77,6 +77,16 @@ struct FitCheckpointOptions {
 /// Works with any base classifier (KNN, DT, MLP, SVM, boosted trees, ...)
 /// because hardness is defined w.r.t. the model being built — no distance
 /// metric is ever needed.
+///
+/// Fit state: majority sample m is the m-th label-0 row of the training
+/// view, in view order. The fit keeps one probability sum per majority
+/// row (8 B, keyed by m) and the 2|P| balanced-subset indices, and no
+/// majority index list: the sampler returns rows, and every pass that
+/// scores the majority set (each member's predict, the resume replay,
+/// the drift baseline) walks the view in blocks and scores each block's
+/// label-0 rows once, bit-identically to one |N|-row view.
+/// Artifacts depend only on the viewed rows and their order: a fit on
+/// an indexed view equals a fit on its Materialize().
 class SelfPacedEnsemble final : public Classifier,
                                 public PrefixVoter,
                                 public HardnessProfiled,
@@ -199,11 +209,12 @@ class SelfPacedEnsemble final : public Classifier,
                        std::size_t next_iteration, std::size_t prob_count,
                        Rng& rng);
 
-  /// Re-bins the majority-set hardness under the current ensemble into
-  /// training_hardness_ (the drift baseline of v3 artifacts). Called at
-  /// the end of Fit and again after validation truncation, so the frozen
-  /// distribution always matches the member set that actually votes.
-  void RecordHardnessBaseline(const DatasetView& majority);
+  /// Re-bins the hardness of `train`'s label-0 rows under the current
+  /// ensemble into training_hardness_ (the drift baseline of v3
+  /// artifacts). `train` is columnar. Called at the end of Fit and again
+  /// after validation truncation, so the frozen distribution always
+  /// matches the member set that actually votes.
+  void RecordHardnessBaseline(const DatasetView& train);
 
   SelfPacedEnsembleConfig config_;
   std::unique_ptr<Classifier> base_prototype_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "spe/common/check.h"
 #include "spe/obs/trace.h"
@@ -26,26 +25,87 @@ void PartialShuffle(std::span<std::uint32_t> pool, std::size_t count,
   }
 }
 
-/// The sampler over `n` samples whose hardness is at(i), read three
+/// Majority sample m is m itself: the ordinal form, whose picks index
+/// the hardness it was given.
+struct Ordinals {
+  std::size_t n;
+
+  std::size_t row_bound() const { return n; }
+  template <typename Visit>
+  void ForEach(Visit visit) const {
+    for (std::size_t m = 0; m < n; ++m) visit(m, m);
+  }
+};
+
+/// Majority sample m is the m-th label-0 row of `rows` (columnar), in
+/// view order: the row form, whose picks are rows of the view. Each
+/// enumeration checks that `rows` has exactly n label-0 rows.
+struct Label0Rows {
+  const DatasetView& rows;
+  std::size_t n;
+
+  std::size_t row_bound() const { return rows.num_rows(); }
+  template <typename Visit>
+  void ForEach(Visit visit) const {
+    // Local copies, so the loop keeps them in registers.
+    const DatasetView view = rows;
+    const int* labels = view.parent()->labels().data();
+    std::size_t m = 0;
+    for (std::size_t r = 0; r < view.num_rows(); ++r) {
+      if (labels[view.RowIndex(r)] != 0) continue;
+      SPE_CHECK_LT(m, n) << "more label-0 rows than majority samples";
+      visit(m++, r);
+    }
+    SPE_CHECK_EQ(m, n) << "fewer label-0 rows than majority samples";
+  }
+};
+
+/// Every sample's row, in sample order.
+template <typename Samples>
+std::vector<std::size_t> AllRows(std::size_t n, const Samples& samples) {
+  std::vector<std::size_t> all(n);
+  samples.ForEach([&](std::size_t m, std::size_t row) { all[m] = row; });
+  return all;
+}
+
+/// `count` of the n samples drawn uniformly without replacement, as
+/// rows: `table` (n entries) is filled with every sample's row and
+/// drawn in place, so the picks are the rows at the ordinals
+/// Rng::SampleWithoutReplacement(n, count) returns, in its order.
+template <typename Samples>
+std::vector<std::size_t> UniformPick(std::vector<std::uint32_t>& table,
+                                     const Samples& samples,
+                                     std::size_t count, Rng& rng) {
+  samples.ForEach([&](std::size_t m, std::size_t row) {
+    table[m] = static_cast<std::uint32_t>(row);
+  });
+  PartialShuffle(table, count, rng);
+  return std::vector<std::size_t>(table.begin(), table.begin() + count);
+}
+
+/// The table below holds rows in 4 bytes.
+template <typename Samples>
+void CheckRowsFitInTable(const Samples& samples) {
+  SPE_CHECK_LE(samples.row_bound(),
+               std::size_t{std::numeric_limits<std::uint32_t>::max()})
+      << "SelfPacedUnderSample indexes the majority set in 32 bits";
+}
+
+/// The sampler over `n` samples whose hardness is at(m), read three
 /// times per sample: the bins' range and counts, then the counting sort.
-template <typename HardnessAt>
+/// Picks are `samples`' rows.
+template <typename HardnessAt, typename Samples>
 std::vector<std::size_t> UnderSample(std::size_t n, HardnessAt at,
-                                     double alpha, std::size_t num_bins,
+                                     const Samples& samples, double alpha,
+                                     std::size_t num_bins,
                                      std::size_t target_count, Rng& rng,
                                      std::vector<std::size_t>* bin_population_out) {
   SPE_CHECK_GE(alpha, 0.0);
   if (bin_population_out != nullptr) bin_population_out->clear();
   SPE_CHECK_GT(n, 0u);
-  if (target_count >= n) {
-    // Fewer majority samples than requested: take everything.
-    std::vector<std::size_t> all(n);
-    for (std::size_t i = 0; i < n; ++i) all[i] = i;
-    return all;
-  }
-
-  // The table below holds sample indices in 4 bytes.
-  SPE_CHECK_LE(n, std::size_t{std::numeric_limits<std::uint32_t>::max()})
-      << "SelfPacedUnderSample indexes the majority set in 32 bits";
+  // Fewer majority samples than requested: take everything.
+  if (target_count >= n) return AllRows(n, samples);
+  CheckRowsFitInTable(samples);
 
   const HardnessBins bins = [&] {
     const obs::TraceSpan span("spe.fit.bin_harmonize");
@@ -70,18 +130,15 @@ std::vector<std::size_t> UnderSample(std::size_t n, HardnessAt at,
     // (Tree bases routinely emit hardness exactly 0.)
     weight_sum += weight[b];
   }
-  // The one |N|-sized scratch buffer: 4 bytes per sample. Every draw runs
-  // in place on a slice of it with the Index calls and swaps of
-  // Rng::SampleWithoutReplacement, so the picks and the Rng state are
-  // exactly those of the authors' per-bin draws.
+  // The one |N|-sized scratch buffer: 4 bytes per sample, holding its
+  // row. Every draw runs in place on a slice of it with the Index calls
+  // and swaps of Rng::SampleWithoutReplacement, so the picks and the Rng
+  // state are exactly those of the authors' per-bin draws.
   std::vector<std::uint32_t> table(n);
   if (weight_sum <= 0.0) {
     // Every non-empty bin is perfectly classified: plain random
     // under-sampling is the only sensible degenerate behaviour.
-    std::iota(table.begin(), table.end(), std::uint32_t{0});
-    PartialShuffle(table, target_count, rng);
-    return std::vector<std::size_t>(table.begin(),
-                                    table.begin() + target_count);
+    return UniformPick(table, samples, target_count, rng);
   }
 
   // Apportion the target across bins by largest remainder so that the
@@ -122,24 +179,24 @@ std::vector<std::size_t> UnderSample(std::size_t n, HardnessAt at,
   if (bin_population_out != nullptr) {
     bin_population_out->assign(quota.begin(), quota.end());
   }
-  // Counting sort by bin: bin b's members, in ascending sample order,
-  // fill the table's slice [begin_b, begin_b + population[b]). A bin's
-  // draw then picks its members where a draw over 0 .. population[b] - 1
-  // picks their ranks, and bins draw in order. The output is allocated
-  // before the sort: reserved after it, `spe_cli train` peaked 0.9 MB
-  // higher in some 2-thread runs (heap layout; docs/performance.md,
-  // "Live heap is not peak RSS").
+  // Counting sort by bin: bin b's members' rows, in ascending sample
+  // order, fill the table's slice [begin_b, begin_b + population[b]). A
+  // bin's draw then picks its members where a draw over
+  // 0 .. population[b] - 1 picks their ranks, and bins draw in order.
+  // The output is allocated before the sort: reserved after it,
+  // `spe_cli train` peaked 0.9 MB higher in some 2-thread runs (heap
+  // layout; docs/performance.md, "Live heap is not peak RSS").
   std::vector<std::size_t> selected(target_count);
   std::vector<std::size_t> cursor(num_bins);  // a bin's next free entry
   for (std::size_t b = 0, begin = 0; b < num_bins; ++b) {
     cursor[b] = begin;
     begin += population[b];
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  samples.ForEach([&](std::size_t m, std::size_t row) {
     const std::size_t b =
-        HardnessBinIndex(at(i), bins.min, bins.max, num_bins);
-    table[cursor[b]++] = static_cast<std::uint32_t>(i);
-  }
+        HardnessBinIndex(at(m), bins.min, bins.max, num_bins);
+    table[cursor[b]++] = static_cast<std::uint32_t>(row);
+  });
   for (std::size_t b = 0, begin = 0, slot = 0; b < num_bins; ++b) {
     const std::span<std::uint32_t> slice(table.data() + begin, population[b]);
     PartialShuffle(slice, quota[b], rng);
@@ -152,24 +209,62 @@ std::vector<std::size_t> UnderSample(std::size_t n, HardnessAt at,
 
 }  // namespace
 
+std::size_t CountMajorityRows(const DatasetView& rows) {
+  rows.CheckAlive();
+  SPE_CHECK(rows.parent() != nullptr)
+      << "majority rows are enumerated over a columnar view";
+  const DatasetView view = rows;
+  const int* labels = view.parent()->labels().data();
+  std::size_t count = 0;
+  for (std::size_t r = 0; r < view.num_rows(); ++r) {
+    count += labels[view.RowIndex(r)] == 0 ? 1 : 0;
+  }
+  return count;
+}
+
 std::vector<std::size_t> SelfPacedUnderSample(
     std::span<const double> majority_hardness, double alpha,
     std::size_t num_bins, std::size_t target_count, Rng& rng,
     std::vector<std::size_t>* bin_population_out) {
+  const std::size_t n = majority_hardness.size();
   return UnderSample(
-      majority_hardness.size(),
-      [majority_hardness](std::size_t i) { return majority_hardness[i]; },
-      alpha, num_bins, target_count, rng, bin_population_out);
+      n, [majority_hardness](std::size_t i) { return majority_hardness[i]; },
+      Ordinals{n}, alpha, num_bins, target_count, rng, bin_population_out);
 }
 
 std::vector<std::size_t> SelfPacedUnderSample(
     const MajorityHardness& majority_hardness, double alpha,
     std::size_t num_bins, std::size_t target_count, Rng& rng,
     std::vector<std::size_t>* bin_population_out) {
+  const std::size_t n = majority_hardness.size();
   return majority_hardness.Visit([&](auto at) {
-    return UnderSample(majority_hardness.size(), at, alpha, num_bins,
+    return UnderSample(n, at, Ordinals{n}, alpha, num_bins, target_count, rng,
+                       bin_population_out);
+  });
+}
+
+std::vector<std::size_t> SelfPacedUnderSample(
+    const MajorityHardness& majority_hardness, const DatasetView& rows,
+    double alpha, std::size_t num_bins, std::size_t target_count, Rng& rng,
+    std::vector<std::size_t>* bin_population_out) {
+  rows.CheckAlive();
+  SPE_CHECK(rows.parent() != nullptr)
+      << "majority rows are enumerated over a columnar view";
+  const std::size_t n = majority_hardness.size();
+  return majority_hardness.Visit([&](auto at) {
+    return UnderSample(n, at, Label0Rows{rows, n}, alpha, num_bins,
                        target_count, rng, bin_population_out);
   });
+}
+
+std::vector<std::size_t> SampleMajorityRows(const DatasetView& rows,
+                                            std::size_t count, Rng& rng) {
+  const std::size_t n = CountMajorityRows(rows);
+  const Label0Rows samples{rows, n};
+  if (count >= n) return AllRows(n, samples);
+  CheckRowsFitInTable(samples);
+  std::vector<std::uint32_t> table(n);
+  return UniformPick(table, samples, count, rng);
 }
 
 }  // namespace spe

@@ -6,6 +6,7 @@
 
 #include "spe/common/rng.h"
 #include "spe/core/hardness.h"
+#include "spe/data/dataset.h"
 
 namespace spe {
 
@@ -47,13 +48,44 @@ std::vector<std::size_t> SelfPacedUnderSample(
     std::vector<std::size_t>* bin_population_out = nullptr);
 
 /// The same draw with each sample's hardness evaluated where it is read
-/// (three times per sample) instead of stored: what SelfPacedEnsemble
-/// runs, so its loop holds no |N|-sized hardness vector. Identical picks,
-/// quotas and Rng state to the overload above given the stored values.
+/// (three times per sample) instead of stored, so the caller holds no
+/// |N|-sized hardness vector. Identical picks, quotas and Rng state to
+/// the overload above given the stored values.
 std::vector<std::size_t> SelfPacedUnderSample(
     const MajorityHardness& majority_hardness, double alpha,
     std::size_t num_bins, std::size_t target_count, Rng& rng,
     std::vector<std::size_t>* bin_population_out = nullptr);
+
+/// The number of label-0 rows of `rows`, a columnar view: |N| for the
+/// row forms below.
+std::size_t CountMajorityRows(const DatasetView& rows);
+
+/// The same draw with each pick returned as a row of `rows` instead of
+/// an ordinal: majority sample m is the m-th label-0 row of `rows` (a
+/// columnar view), in view order, and `majority_hardness` holds one
+/// entry per label-0 row (checked). The table holds that row where the
+/// ordinal form holds m, and the draws and swaps are the same, so pick
+/// r here is the label-0 row of the ordinal form's pick r, with the
+/// same quotas, `bin_population_out` and Rng state. When
+/// `target_count` >= |N| every label-0 row comes back in ascending
+/// order. The rows are those of the view (compose through
+/// DatasetView::RowIndex for parent rows), and `rows` must have fewer
+/// than 2^32 of them. This is what SelfPacedEnsemble runs: it keeps no
+/// majority index list.
+std::vector<std::size_t> SelfPacedUnderSample(
+    const MajorityHardness& majority_hardness, const DatasetView& rows,
+    double alpha, std::size_t num_bins, std::size_t target_count, Rng& rng,
+    std::vector<std::size_t>* bin_population_out = nullptr);
+
+/// `count` label-0 rows of `rows` drawn uniformly without replacement:
+/// the rows at the ordinals Rng::SampleWithoutReplacement(|N|, count)
+/// would return, in its order and with its Rng state afterwards, drawn
+/// in a table of 4 bytes per label-0 row that is freed on return. When
+/// `count` >= |N| every label-0 row comes back in ascending order and
+/// the Rng is not drawn. SelfPacedEnsemble's bootstrap pick (Algorithm 1,
+/// line 2). Rows as above.
+std::vector<std::size_t> SampleMajorityRows(const DatasetView& rows,
+                                            std::size_t count, Rng& rng);
 
 }  // namespace spe
 

@@ -23,19 +23,11 @@ Dataset Dataset::Subset(std::span<const std::size_t> indices) const {
 }
 
 std::vector<std::size_t> Dataset::PositiveIndices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < num_rows(); ++i) {
-    if (Label(i) == 1) out.push_back(i);
-  }
-  return out;
+  return DatasetView(*this).PositiveIndices();
 }
 
 std::vector<std::size_t> Dataset::NegativeIndices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < num_rows(); ++i) {
-    if (Label(i) == 0) out.push_back(i);
-  }
-  return out;
+  return DatasetView(*this).NegativeIndices();
 }
 
 std::size_t Dataset::CountPositives() const {
@@ -113,20 +105,18 @@ std::size_t DatasetView::CountPositives() const {
   return count;
 }
 
-std::vector<std::size_t> DatasetView::PositiveIndices() const {
+std::vector<std::size_t> DatasetView::RowsLabelled(int label) const {
   CheckAlive();
-  std::vector<std::size_t> out;
+  // Counted first, so the list is allocated once at its exact size
+  // instead of growing (and over-reserving) by push_back.
+  std::size_t count = 0;
   for (std::size_t i = 0; i < num_rows_; ++i) {
-    if (Label(i) == 1) out.push_back(i);
+    count += Label(i) == label ? 1 : 0;
   }
-  return out;
-}
-
-std::vector<std::size_t> DatasetView::NegativeIndices() const {
-  CheckAlive();
   std::vector<std::size_t> out;
+  out.reserve(count);
   for (std::size_t i = 0; i < num_rows_; ++i) {
-    if (Label(i) == 0) out.push_back(i);
+    if (Label(i) == label) out.push_back(i);
   }
   return out;
 }

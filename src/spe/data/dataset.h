@@ -108,7 +108,8 @@ class Dataset {
   /// consumer only reads.
   Dataset Subset(std::span<const std::size_t> indices) const;
 
-  /// Indices of positive- (minority-) and negative- (majority-) class rows.
+  /// Indices of positive- (minority-) and negative- (majority-) class
+  /// rows, in ascending order, in storage of exactly their count.
   std::vector<std::size_t> PositiveIndices() const;
   std::vector<std::size_t> NegativeIndices() const;
 
@@ -213,8 +214,10 @@ class DatasetView {
 
   std::size_t CountPositives() const;
   std::size_t CountNegatives() const { return num_rows_ - CountPositives(); }
-  std::vector<std::size_t> PositiveIndices() const;
-  std::vector<std::size_t> NegativeIndices() const;
+  /// View rows of each class, in view order, in storage of exactly their
+  /// count.
+  std::vector<std::size_t> PositiveIndices() const { return RowsLabelled(1); }
+  std::vector<std::size_t> NegativeIndices() const { return RowsLabelled(0); }
 
   /// Labels of every view row, materialized in view order. For identity
   /// views prefer the parent's labels() (no copy).
@@ -261,6 +264,8 @@ class DatasetView {
   }
 
  private:
+  std::vector<std::size_t> RowsLabelled(int label) const;
+
   // Columnar modes: parent matrix (+ optional index indirection).
   const DataMatrix* matrix_ = nullptr;
   std::span<const std::size_t> indices_;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -43,6 +44,39 @@ TEST(DatasetTest, PositiveNegativeIndices) {
   EXPECT_EQ(data.NegativeIndices(), (std::vector<std::size_t>{0, 2, 3}));
   EXPECT_EQ(data.CountPositives(), 1u);
   EXPECT_EQ(data.CountNegatives(), 3u);
+}
+
+// The class index lists are counted first and allocated once at their
+// exact size: grown by push_back, a 200,000-row NegativeIndices ends at
+// 2 MiB of capacity for its 1.6 MB of entries.
+TEST(DatasetTest, IndexListsHoldExactlyTheirRows) {
+  Dataset data(1);
+  for (std::size_t i = 0; i < 5000; ++i) {
+    data.AddRow(std::vector<double>{static_cast<double>(i)},
+                i % 7 == 3 ? 1 : 0);
+  }
+  std::vector<std::size_t> picks;
+  for (std::size_t i = 0; i < data.num_rows(); i += 3) picks.push_back(i);
+  for (std::size_t i = 0; i < data.num_rows(); i += 5) picks.push_back(i);
+  const DatasetView identity(data);
+  const DatasetView indexed(data, picks);
+  const std::vector<std::vector<std::size_t>> lists = {
+      data.PositiveIndices(),     data.NegativeIndices(),
+      identity.PositiveIndices(), identity.NegativeIndices(),
+      indexed.PositiveIndices(),  indexed.NegativeIndices()};
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    EXPECT_GT(lists[k].size(), 0u) << k;
+    EXPECT_EQ(lists[k].capacity(), lists[k].size()) << k;
+  }
+  EXPECT_EQ(lists[0], lists[2]);
+  EXPECT_EQ(lists[1], lists[3]);
+  EXPECT_EQ(lists[0].size() + lists[1].size(), data.num_rows());
+  EXPECT_EQ(lists[4].size() + lists[5].size(), picks.size());
+  // Indexed views list view rows, in view order.
+  for (const std::size_t r : lists[4]) EXPECT_EQ(indexed.Label(r), 1);
+  for (const std::size_t r : lists[5]) EXPECT_EQ(indexed.Label(r), 0);
+  EXPECT_TRUE(std::is_sorted(lists[4].begin(), lists[4].end()));
+  EXPECT_TRUE(std::is_sorted(lists[5].begin(), lists[5].end()));
 }
 
 TEST(DatasetTest, ImbalanceRatio) {

@@ -292,5 +292,75 @@ TEST(MajorityHardnessTest, MatchesTheStoredHardnessVector) {
   }
 }
 
+// The row form keys sample m to the m-th label-0 row of a view. Pick r
+// must be the label-0 row of the ordinal form's pick r, with the same
+// quotas and Rng state, on a view whose label-0 rows are shuffled,
+// repeated and interleaved with positives; the take-everything and
+// all-trivial fallback paths included. SampleMajorityRows must return
+// the rows at Rng::SampleWithoutReplacement's ordinals.
+TEST(MajorityHardnessTest, RowFormPicksTheOrdinalFormsRows) {
+  Rng gen(13);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t parent_rows = 2 + gen.Index(6000);
+    Dataset data(1);
+    for (std::size_t i = 0; i < parent_rows; ++i) {
+      data.AddRow(std::vector<double>{static_cast<double>(i)},
+                  gen.Uniform() < 0.3 ? 1 : 0);
+    }
+    std::vector<std::size_t> idx(parent_rows);
+    for (std::size_t i = 0; i < parent_rows; ++i) idx[i] = i;
+    gen.Shuffle(idx);
+    for (std::size_t i = 0; i < parent_rows / 4; ++i) {
+      idx.push_back(gen.Index(parent_rows));
+    }
+    const DatasetView view(data, idx);
+    const std::vector<std::size_t> label0 = view.NegativeIndices();
+    if (label0.empty()) continue;
+    const std::size_t n = label0.size();
+    const std::size_t count = 1 + gen.Index(5);
+    const bool trivial = trial % 5 == 0;
+    std::vector<double> prob_sum(n, 0.0);
+    if (!trivial) {
+      for (double& s : prob_sum) {
+        s = std::floor(gen.Uniform(0.0, 4.0)) / 3.0 * static_cast<double>(count);
+      }
+    }
+    const MajorityHardness hardness{prob_sum, count};
+    const double alpha = trivial ? 0.0 : gen.Uniform(0.0, 3.0);
+    const std::size_t target = 1 + gen.Index(n + 5);
+    Rng ordinal_rng(trial);
+    Rng row_rng(trial);
+    std::vector<std::size_t> ordinal_bins;
+    std::vector<std::size_t> row_bins;
+    const std::vector<std::size_t> ordinal = SelfPacedUnderSample(
+        hardness, alpha, 20, target, ordinal_rng, &ordinal_bins);
+    const std::vector<std::size_t> rows = SelfPacedUnderSample(
+        hardness, view, alpha, 20, target, row_rng, &row_bins);
+    ASSERT_EQ(rows.size(), ordinal.size()) << trial;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      ASSERT_EQ(rows[k], label0[ordinal[k]]) << trial << "/" << k;
+    }
+    ASSERT_EQ(row_bins, ordinal_bins) << trial;
+    ASSERT_EQ(row_rng.Index(1u << 30), ordinal_rng.Index(1u << 30)) << trial;
+
+    const std::size_t take = 1 + gen.Index(n + 3);
+    Rng pool_rng(trial + 100);
+    Rng pick_rng(trial + 100);
+    const std::vector<std::size_t> picked =
+        SampleMajorityRows(view, take, pick_rng);
+    if (take >= n) {
+      ASSERT_EQ(picked, label0) << trial;
+    } else {
+      const std::vector<std::size_t> pool =
+          pool_rng.SampleWithoutReplacement(n, take);
+      ASSERT_EQ(picked.size(), take);
+      for (std::size_t k = 0; k < take; ++k) {
+        ASSERT_EQ(picked[k], label0[pool[k]]) << trial << "/" << k;
+      }
+    }
+    ASSERT_EQ(pick_rng.Index(1u << 30), pool_rng.Index(1u << 30)) << trial;
+  }
+}
+
 }  // namespace
 }  // namespace spe

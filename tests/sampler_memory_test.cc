@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "spe/common/parallel.h"
 #include "spe/common/rng.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/core/self_paced_sampler.h"
@@ -140,6 +141,21 @@ TEST(SamplerMemoryTest, SkewedHardnessStaysWithinFourBytesPerRow) {
   }
 }
 
+// Rng::SampleWithoutReplacement draws on a transient pool of n slots;
+// the vector it returns must own only its picks. A pool resized down to
+// the picks keeps all n slots (8n bytes) for as long as the caller holds
+// them (GBDT holds its row subsample through every boosted tree).
+TEST(SamplerMemoryTest, SampleWithoutReplacementHoldsOnlyItsPicks) {
+  Rng rng(7);
+  const std::size_t before = g_live_bytes.load();
+  const std::vector<std::size_t> pick =
+      rng.SampleWithoutReplacement(kRows, kTarget);
+  const std::size_t held = g_live_bytes.load() - before;
+  EXPECT_EQ(pick.size(), kTarget);
+  EXPECT_LE(held, kTarget * sizeof(std::size_t) + 64)
+      << held << " B held for " << kTarget << " picks";
+}
+
 // All-trivial hardness at alpha = 0 takes the random fallback, which
 // draws through the same table.
 TEST(SamplerMemoryTest, RandomFallbackStaysWithinFourBytesPerRow) {
@@ -181,6 +197,45 @@ TEST(SamplerMemoryTest, SelfPacedFitStaysWithin32BytesPerMajorityRow) {
   const double per_row = static_cast<double>(g_peak_bytes.load() - before) /
                          static_cast<double>(checker.num_majority);
   EXPECT_LE(per_row, 32.0) << per_row << " B per majority row";
+  EXPECT_EQ(model.NumMembers(), 10u);
+}
+
+// The same fit, held to its present per-row cost. The loop keeps one
+// probability sum per majority row (8 B, keyed by the m-th label-0 row)
+// and no majority index list, and the bootstrap pick's table (4 B per
+// majority row) is freed before f0 fits. What remains at the peak is
+// the sum, the 2|P| subset indices, the tree's split scratch over the
+// subset and the trees fitted so far. A majority index list (+8 B per
+// row) breaks the bound; so does the older layout (29.5 B: the list,
+// and an 8 B bootstrap pool live through f0's fit and predict). The
+// scoring passes also hold one index buffer of up to 4,096 rows per
+// worker, up to 32 KiB per thread, so the fit runs on a fixed 2 threads
+// (as spe_bench trains) to keep the count machine-independent.
+TEST(SamplerMemoryTest, SelfPacedFitStaysWithin20BytesPerMajorityRow) {
+  struct ThreadsGuard {
+    ThreadsGuard() { SetNumThreads(2); }
+    ~ThreadsGuard() { SetNumThreads(0); }
+  } threads;
+  CheckerboardConfig checker;
+  checker.num_minority = 20000;
+  checker.num_majority = 200000;
+  Rng gen(5);
+  const Dataset data = MakeCheckerboard(checker, gen);
+  SelfPacedEnsembleConfig config;
+  config.n_estimators = 10;
+  {
+    CheckerboardConfig tiny = checker;
+    tiny.num_minority = 20;
+    tiny.num_majority = 200;
+    SelfPacedEnsemble warm_up(config);
+    warm_up.Fit(MakeCheckerboard(tiny, gen));
+  }
+  const std::size_t before = ResetPeak();
+  SelfPacedEnsemble model(config);
+  model.Fit(data);
+  const double per_row = static_cast<double>(g_peak_bytes.load() - before) /
+                         static_cast<double>(checker.num_majority);
+  EXPECT_LE(per_row, 20.0) << per_row << " B per majority row";
   EXPECT_EQ(model.NumMembers(), 10u);
 }
 

@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,6 +13,8 @@
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/factory.h"
 #include "spe/core/self_paced_ensemble.h"
+#include "spe/eval/cross_validation.h"
+#include "spe/io/model_io.h"
 #include "spe/metrics/metrics.h"
 #include "spe/sampling/random_under.h"
 #include "tests/test_util.h"
@@ -343,6 +348,131 @@ TEST(SelfPacedEnsembleTest, CloneIsIndependentAndUntrained) {
 
 // SPE must wrap every canonical classifier (the paper's applicability
 // claim): parameterized over the whole factory.
+// ------------------------------------------------ indexed training views
+//
+// Fit keys its state by the m-th label-0 row of the training view and
+// reaches every row through RowIndex, in blocks of thousands of rows.
+// The artifact must depend only on the viewed rows and their order: a
+// fit on an indexed view equals a fit on the view's Materialize(), in
+// artifact bytes and in the drift baseline. The parents below span
+// several blocks.
+
+std::string Artifact(const SelfPacedEnsemble& model) {
+  std::ostringstream os;
+  SaveModelBundle(model, 2, os);
+  return os.str();
+}
+
+void ExpectFitMatchesMaterialized(const SelfPacedEnsembleConfig& config,
+                                  const DatasetView& view,
+                                  const Dataset* validation = nullptr) {
+  const Dataset copy = view.Materialize();
+  SelfPacedEnsemble on_view(config);
+  SelfPacedEnsemble on_copy(config);
+  // Every pick must be a label-0 row: all |P| positives plus
+  // min(|N|, |P|) negatives per subset.
+  const std::size_t num_pos = view.CountPositives();
+  const std::size_t num_neg = view.CountNegatives();
+  on_view.set_iteration_callback([&](const IterationInfo& info) {
+    EXPECT_EQ(info.training_subset.CountPositives(), num_pos);
+    EXPECT_EQ(info.training_subset.CountNegatives(),
+              std::min(num_neg, num_pos));
+  });
+  if (validation != nullptr) {
+    EXPECT_EQ(on_view.FitWithValidation(view, *validation),
+              on_copy.FitWithValidation(copy, *validation));
+  } else {
+    on_view.Fit(view);
+    on_copy.Fit(copy);
+  }
+  EXPECT_EQ(Artifact(on_view), Artifact(on_copy));
+  const HardnessHistogram* got = on_view.training_hardness();
+  const HardnessHistogram* want = on_copy.training_hardness();
+  ASSERT_EQ(got == nullptr, want == nullptr);
+  EXPECT_EQ(got == nullptr, static_cast<bool>(config.custom_hardness));
+  if (got == nullptr) return;
+  EXPECT_EQ(got->kind, want->kind);
+  EXPECT_EQ(got->min, want->min);
+  EXPECT_EQ(got->max, want->max);
+  EXPECT_EQ(got->counts, want->counts);
+  EXPECT_EQ(got->total(), view.CountNegatives());
+}
+
+std::vector<std::size_t> ShuffledRows(std::size_t n, std::uint64_t seed) {
+  std::vector<std::size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  Rng rng(seed);
+  rng.Shuffle(rows);
+  return rows;
+}
+
+SelfPacedEnsembleConfig ViewConfig() {
+  SelfPacedEnsembleConfig config;
+  config.n_estimators = 5;
+  config.seed = 3;
+  return config;
+}
+
+TEST(SpeIndexedViewTest, ShuffledViewMatchesMaterialized) {
+  const Dataset data = OverlappingBlobs(18000, 1800, 61);
+  const std::vector<std::size_t> rows = ShuffledRows(data.num_rows(), 62);
+  ExpectFitMatchesMaterialized(ViewConfig(), DatasetView(data, rows));
+}
+
+TEST(SpeIndexedViewTest, RepeatedRowsMatchMaterialized) {
+  const Dataset data = OverlappingBlobs(18000, 1800, 63);
+  std::vector<std::size_t> rows;
+  for (std::size_t i = data.num_rows(); i-- > 0;) {
+    rows.push_back(i);
+    if (i % 3 == 0) rows.push_back(i);
+    if (i % 7 == 0) rows.push_back(data.num_rows() - 1 - i);
+  }
+  ExpectFitMatchesMaterialized(ViewConfig(), DatasetView(data, rows));
+}
+
+TEST(SpeIndexedViewTest, CrossValidationFoldMatchesMaterialized) {
+  const Dataset data = OverlappingBlobs(18000, 1800, 64);
+  Rng rng(65);
+  const std::vector<std::size_t> folds = StratifiedFolds(data, 5, rng);
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < data.num_rows(); ++i) {
+    if (folds[i] != 2) rows.push_back(i);
+  }
+  ExpectFitMatchesMaterialized(ViewConfig(), DatasetView(data, rows));
+}
+
+TEST(SpeIndexedViewTest, FewerMajorityThanMinorityMatchesMaterialized) {
+  const Dataset data = OverlappingBlobs(900, 1200, 66);
+  const std::vector<std::size_t> rows = ShuffledRows(data.num_rows(), 67);
+  ExpectFitMatchesMaterialized(ViewConfig(), DatasetView(data, rows));
+}
+
+TEST(SpeIndexedViewTest, BootstrapMemberMatchesMaterialized) {
+  const Dataset data = OverlappingBlobs(18000, 1800, 68);
+  const std::vector<std::size_t> rows = ShuffledRows(data.num_rows(), 69);
+  SelfPacedEnsembleConfig config = ViewConfig();
+  config.include_bootstrap_model = true;
+  ExpectFitMatchesMaterialized(config, DatasetView(data, rows));
+}
+
+TEST(SpeIndexedViewTest, CustomHardnessMatchesMaterialized) {
+  const Dataset data = OverlappingBlobs(18000, 1800, 70);
+  const std::vector<std::size_t> rows = ShuffledRows(data.num_rows(), 71);
+  SelfPacedEnsembleConfig config = ViewConfig();
+  config.custom_hardness = [](double prob, int label) {
+    return std::sqrt(std::abs(prob - label));
+  };
+  ExpectFitMatchesMaterialized(config, DatasetView(data, rows));
+}
+
+TEST(SpeIndexedViewTest, FitWithValidationMatchesMaterialized) {
+  const Dataset data = OverlappingBlobs(18000, 1800, 72);
+  const Dataset validation = OverlappingBlobs(3000, 300, 73);
+  const std::vector<std::size_t> rows = ShuffledRows(data.num_rows(), 74);
+  ExpectFitMatchesMaterialized(ViewConfig(), DatasetView(data, rows),
+                               &validation);
+}
+
 class SpeWithAnyBaseTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SpeWithAnyBaseTest, FitsAndScoresReasonably) {

@@ -23,6 +23,9 @@
 // (docs/robustness.md).
 
 #include <sys/stat.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstdlib>
@@ -472,6 +475,17 @@ int InspectCommand(const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // Pin glibc's mmap threshold at its 128 KiB default. Left dynamic,
+  // glibc raises the threshold to the size of any larger mmapped block
+  // that is freed (up to 32 MiB) and then keeps up to twice that much
+  // free at the heap top, so each self-paced iteration's sampler table
+  // and tree scratch stay resident under the tree nodes allocated after
+  // them and set the peak RSS. Pinned, such blocks are mmapped and go
+  // back to the OS when freed (docs/performance.md, "Live heap is not
+  // peak RSS").
+  mallopt(M_MMAP_THRESHOLD, 128 << 10);
+#endif
   const Options options = Parse(argc, argv);
   try {
     if (options.command == "train") return Train(options);
