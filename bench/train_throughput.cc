@@ -3,7 +3,8 @@
 //
 // Trains SPE / Bagging / RandomForest on an enlarged checkerboard
 // (paper §VI-A geometry), once with the thread pool pinned to a single
-// thread and once at --threads (default 8), and reports fit and batch-
+// thread and once at --threads (default: spe::NumThreads(), i.e.
+// SPE_THREADS or the hardware thread count), and reports fit and batch-
 // scoring rows/sec for both. Before reporting, it byte-compares the
 // predictions and the serialized artifacts across the two runs: the
 // speedup is only admissible if the results are bit-identical, so a
@@ -104,7 +105,9 @@ bool BitIdentical(const RunResult& a, const RunResult& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const long threads = FlagValue(argc, argv, "--threads", 8);
+  // The default is read before any SetNumThreads below overrides it.
+  const long threads = FlagValue(argc, argv, "--threads",
+                                 static_cast<long>(spe::NumThreads()));
   const long minority = FlagValue(argc, argv, "--minority", 2'000);
   const long majority = FlagValue(argc, argv, "--majority", 40'000);
   const long score_rows = FlagValue(argc, argv, "--score-rows", 200'000);

@@ -184,17 +184,6 @@ void ParseManifest(const std::string& payload, LoadResult* result,
       std::strtoul(crc_hex.c_str(), nullptr, 16));
 }
 
-std::vector<std::string> SerializeMembers(const VotingEnsemble& members) {
-  std::vector<std::string> blobs;
-  blobs.reserve(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    std::ostringstream os;
-    SaveClassifier(members.member(i), os);
-    blobs.push_back(os.str());
-  }
-  return blobs;
-}
-
 std::string FrameRecord(const std::string& payload) {
   return frame::EncodeHeader(kCheckpointFormat, "", payload) + payload;
 }
@@ -261,25 +250,6 @@ std::string CheckpointPath(const std::string& directory) {
 
 std::string MemberLogPath(const std::string& checkpoint_path) {
   return checkpoint_path + ".members";
-}
-
-void SaveTrainerStateToFile(const TrainerStateCore& core,
-                            const VotingEnsemble& members,
-                            const std::string& path,
-                            const RetryPolicy& retry) {
-  SaveTrainerStateToFile(core, SerializeMembers(members), path, retry);
-}
-
-void SaveTrainerStateToFile(const TrainerStateCore& core,
-                            const std::vector<std::string>& member_blobs,
-                            const std::string& path,
-                            const RetryPolicy& retry) {
-  // Serialize once; only the writes are retried.
-  const std::string log = BuildMemberLog(core.bootstrap_blob, member_blobs);
-  const std::string payload =
-      SerializeManifest(core, log.size(), Crc32(log));
-  PublishToDisk(FrameRecord(payload), /*manifest_offset=*/0, path, log,
-                /*log_offset=*/0, retry);
 }
 
 AsyncCheckpointPublisher::AsyncCheckpointPublisher(std::string checkpoint_path,

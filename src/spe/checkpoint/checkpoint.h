@@ -95,33 +95,6 @@ std::string CheckpointPath(const std::string& directory);
 /// crash and is ignored by the loader.
 std::string MemberLogPath(const std::string& checkpoint_path);
 
-/// Writes a complete checkpoint — member log, then a single-record
-/// manifest — from scratch. Each manifest record carries the artifact
-/// family's integrity envelope:
-///
-///   spe-checkpoint 1 payload_bytes B crc32 HHHHHHHH
-///   <payload>
-///
-/// and the payload pins the log prefix it was written against (byte
-/// count + CRC-32), so corruption in either file is detected. The log
-/// embeds the members via SaveClassifier, so exactly the classifier
-/// types the artifact format supports are checkpointable. Both files
-/// publish via sibling tmp + rename(2) here; transient failures
-/// (artifact_write_fail_rate or a real write error) retry under `retry`
-/// and throw TransientIoError once attempts are exhausted.
-void SaveTrainerStateToFile(const TrainerStateCore& core,
-                            const VotingEnsemble& members,
-                            const std::string& path,
-                            const RetryPolicy& retry = {});
-
-/// Fast-path variant taking pre-serialized member blobs (each one
-/// SaveClassifier's output for one member, in vote order). Byte-
-/// identical to the VotingEnsemble overload by construction.
-void SaveTrainerStateToFile(const TrainerStateCore& core,
-                            const std::vector<std::string>& member_blobs,
-                            const std::string& path,
-                            const RetryPolicy& retry = {});
-
 /// Non-aborting load: scans the manifest's commit records (magic,
 /// version, payload length, CRC-32 per record), settles on the newest
 /// complete valid one — a torn tail falls back, a CRC-bad complete
@@ -131,8 +104,23 @@ void SaveTrainerStateToFile(const TrainerStateCore& core,
 LoadResult LoadTrainerStateFromFile(const std::string& path,
                                     const RetryPolicy& retry = {});
 
-/// Incremental checkpoint publisher for one training run. Two ideas
-/// keep the per-iteration cost O(new member), not O(run so far):
+/// The checkpoint writer: incremental publisher for one training run.
+/// Each manifest commit record carries the artifact family's integrity
+/// envelope:
+///
+///   spe-checkpoint 1 payload_bytes B crc32 HHHHHHHH
+///   <payload>
+///
+/// and the payload pins the member-log prefix it was written against
+/// (byte count + CRC-32), so corruption in either file is detected. The
+/// log embeds the members via SaveClassifier, so exactly the classifier
+/// types the artifact format supports are checkpointable. A write at
+/// offset zero publishes its file via sibling tmp + rename(2); transient
+/// failures (artifact_write_fail_rate or a real write error) retry under
+/// `retry`, and exhaustion surfaces as TransientIoError (see below).
+///
+/// Two ideas keep the per-iteration cost O(new member), not O(run so
+/// far):
 ///
 ///  - Both files are append-only: AppendMember stages just the newest
 ///    member's record (the running log CRC extends incrementally), and

@@ -1,33 +1,13 @@
 #include "spe/classifiers/adaboost.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "spe/classifiers/decision_tree.h"
 #include "spe/common/check.h"
+#include "spe/common/math.h"
 
 namespace spe {
-namespace {
-
-constexpr double kProbClamp = 1e-6;
-
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
-// Half log-odds contribution of one stage's probability estimate.
-double HalfLogOdds(double p) {
-  p = std::clamp(p, kProbClamp, 1.0 - kProbClamp);
-  return 0.5 * std::log(p / (1.0 - p));
-}
-
-}  // namespace
 
 AdaBoost::AdaBoost(const AdaBoostConfig& config) : config_(config) {
   SPE_CHECK_GT(config.n_estimators, 0u);

@@ -7,7 +7,6 @@
 #include "spe/common/check.h"
 #include "spe/common/parallel.h"
 #include "spe/common/rng.h"
-#include "spe/kernels/flat_forest.h"
 
 namespace spe {
 
@@ -67,31 +66,6 @@ void Bagging::Fit(const DatasetView& train) {
     members[m] = std::move(member);
   });
   for (auto& member : members) ensemble_.Add(std::move(member));
-}
-
-double Bagging::PredictRow(std::span<const double> x) const {
-  return ensemble_.PredictRow(x);
-}
-
-std::vector<double> Bagging::PredictProba(const DatasetView& data) const {
-  return ensemble_.PredictProba(data);
-}
-
-void Bagging::AccumulateProbaInto(const DatasetView& data,
-                                  std::span<double> acc) const {
-  // PredictProba averages the inner ensemble, so the fused default
-  // (PredictRow streaming) would change the bits; go through the batch
-  // path instead.
-  AccumulateViaPredictProba(data, acc);
-}
-
-bool Bagging::LowerToFlat(kernels::FlatProgram& program,
-                          kernels::MemberOp& op) const {
-  return kernels::FlatForest::LowerEnsemble(ensemble_, program, op);
-}
-
-const kernels::FlatForest* Bagging::flat_kernel() const {
-  return ensemble_.flat_kernel();
 }
 
 std::unique_ptr<Classifier> Bagging::Clone() const {

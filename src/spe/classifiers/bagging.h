@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "spe/classifiers/classifier.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -20,36 +18,20 @@ struct BaggingConfig {
 
 /// Bootstrap aggregating (Breiman, 1996): each member trains on a
 /// bootstrap resample and predictions are averaged probabilities.
-class Bagging final : public Classifier,
-                      public kernels::FlatCompilable,
-                      public kernels::FlatScorable {
+class Bagging final : public VotingClassifier {
  public:
   explicit Bagging(const BaggingConfig& config = {});
   /// Bags clones of `base_prototype` (default: depth-10 decision tree).
   Bagging(const BaggingConfig& config, std::unique_ptr<Classifier> base_prototype);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
 
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
-
-  std::size_t NumMembers() const { return ensemble_.size(); }
-
-  /// The trained members (model persistence / inspection).
-  const VotingEnsemble& members() const { return ensemble_; }
-
  private:
   BaggingConfig config_;
   std::unique_ptr<Classifier> base_prototype_;  // null => default tree
-  VotingEnsemble ensemble_;
 };
 
 }  // namespace spe

@@ -174,4 +174,28 @@ double VotingEnsemble::PredictRow(std::span<const double> x) const {
   return sum / static_cast<double>(members_.size());
 }
 
+double VotingClassifier::PredictRow(std::span<const double> x) const {
+  return ensemble_.PredictRow(x);
+}
+
+std::vector<double> VotingClassifier::PredictProba(
+    const DatasetView& data) const {
+  return ensemble_.PredictProba(data);
+}
+
+void VotingClassifier::AccumulateProbaInto(const DatasetView& data,
+                                           std::span<double> acc) const {
+  AccumulateViaPredictProba(data, acc);
+}
+
+std::vector<double> VotingClassifier::PredictProbaPrefix(
+    const DatasetView& data, std::size_t k) const {
+  return ensemble_.PredictProbaPrefix(data, k);
+}
+
+bool VotingClassifier::LowerToFlat(kernels::FlatProgram& program,
+                                   kernels::MemberOp& op) const {
+  return kernels::FlatForest::LowerEnsemble(ensemble_, program, op);
+}
+
 }  // namespace spe

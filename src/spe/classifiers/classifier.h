@@ -5,9 +5,11 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "spe/data/dataset.h"
+#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -165,6 +167,49 @@ class PrefixVoter {
   /// Requires k >= 1 and a fitted model.
   virtual std::vector<double> PredictProbaPrefix(const DatasetView& data,
                                                  std::size_t k) const = 0;
+};
+
+/// The one mean-vote classifier: F(x) = (1/n) * sum f_m(x) over the
+/// trained members in `ensemble_`. SelfPacedEnsemble, every
+/// bagging-style baseline and the loaded VotingEnsembleModel derive from
+/// it and add only their training; how a mean-vote ensemble scores,
+/// answers member prefixes, lowers into the flat kernel and persists
+/// (SaveClassifier writes members()) is defined here, once.
+class VotingClassifier : public Classifier,
+                         public PrefixVoter,
+                         public kernels::FlatCompilable {
+ public:
+  double PredictRow(std::span<const double> x) const final;
+  std::vector<double> PredictProba(const DatasetView& data) const final;
+  /// PredictProba averages the members, so the fused default
+  /// (PredictRow streaming) would change the bits; this adds the batch
+  /// path's result instead.
+  void AccumulateProbaInto(const DatasetView& data,
+                           std::span<double> acc) const final;
+
+  /// PrefixVoter: the mean over the first min(k, n) members is itself a
+  /// valid, coarser hypothesis — the serving layer's overload knob.
+  std::size_t NumPrefixMembers() const final { return ensemble_.size(); }
+  std::vector<double> PredictProbaPrefix(const DatasetView& data,
+                                         std::size_t k) const final;
+
+  /// FlatCompilable: the members lower as one kGroup op, which is how a
+  /// tree-backed ensemble nested in another one compiles.
+  bool LowerToFlat(kernels::FlatProgram& program,
+                   kernels::MemberOp& op) const final;
+
+  std::size_t NumMembers() const { return ensemble_.size(); }
+
+  /// The trained members: persistence, inspection, and the compiled
+  /// program batch scoring rides (members().flat_kernel()).
+  const VotingEnsemble& members() const { return ensemble_; }
+
+ protected:
+  VotingClassifier() = default;
+  explicit VotingClassifier(VotingEnsemble ensemble)
+      : ensemble_(std::move(ensemble)) {}
+
+  VotingEnsemble ensemble_;
 };
 
 }  // namespace spe

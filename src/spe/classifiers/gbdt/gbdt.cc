@@ -10,20 +10,12 @@
 #include <string>
 
 #include "spe/common/check.h"
+#include "spe/common/math.h"
 #include "spe/common/parse.h"
 #include "spe/common/rng.h"
 
 namespace spe {
 namespace {
-
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
 
 double LogLoss(const std::vector<int>& labels, const std::vector<double>& probs) {
   constexpr double kEps = 1e-12;

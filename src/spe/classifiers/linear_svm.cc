@@ -1,25 +1,13 @@
 #include "spe/classifiers/linear_svm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "spe/common/check.h"
+#include "spe/common/math.h"
 #include "spe/common/rng.h"
 
 namespace spe {
-namespace {
-
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
-}  // namespace
 
 LinearSvm::LinearSvm(const SvmConfig& config) : config_(config) {
   SPE_CHECK_GT(config.c, 0.0);

@@ -8,23 +8,11 @@
 #include <string>
 
 #include "spe/common/check.h"
+#include "spe/common/math.h"
 #include "spe/common/parse.h"
 #include "spe/common/rng.h"
 
 namespace spe {
-namespace {
-
-double Sigmoid(double z) {
-  // Split by sign to avoid overflow in exp.
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
-}  // namespace
 
 LogisticRegression::LogisticRegression(const LogisticRegressionConfig& config)
     : config_(config) {}

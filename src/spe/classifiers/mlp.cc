@@ -4,19 +4,11 @@
 #include <numeric>
 
 #include "spe/common/check.h"
+#include "spe/common/math.h"
 #include "spe/common/rng.h"
 
 namespace spe {
 namespace {
-
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
 
 /// Adam state for one parameter vector.
 struct AdamState {

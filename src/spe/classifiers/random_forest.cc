@@ -7,7 +7,6 @@
 #include "spe/common/check.h"
 #include "spe/common/parallel.h"
 #include "spe/common/rng.h"
-#include "spe/kernels/flat_forest.h"
 
 namespace spe {
 
@@ -60,31 +59,6 @@ void RandomForest::Fit(const DatasetView& train) {
     trees[m] = std::move(tree);
   });
   for (auto& tree : trees) ensemble_.Add(std::move(tree));
-}
-
-double RandomForest::PredictRow(std::span<const double> x) const {
-  return ensemble_.PredictRow(x);
-}
-
-std::vector<double> RandomForest::PredictProba(const DatasetView& data) const {
-  return ensemble_.PredictProba(data);
-}
-
-void RandomForest::AccumulateProbaInto(const DatasetView& data,
-                                       std::span<double> acc) const {
-  // PredictProba averages the inner ensemble, so the fused default
-  // (PredictRow streaming) would change the bits; go through the batch
-  // path instead.
-  AccumulateViaPredictProba(data, acc);
-}
-
-bool RandomForest::LowerToFlat(kernels::FlatProgram& program,
-                               kernels::MemberOp& op) const {
-  return kernels::FlatForest::LowerEnsemble(ensemble_, program, op);
-}
-
-const kernels::FlatForest* RandomForest::flat_kernel() const {
-  return ensemble_.flat_kernel();
 }
 
 std::unique_ptr<Classifier> RandomForest::Clone() const {

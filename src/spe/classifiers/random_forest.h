@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "spe/classifiers/classifier.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -22,31 +20,17 @@ struct RandomForestConfig {
 
 /// Random forest: bootstrap-resampled, feature-subsampled decision trees
 /// with averaged probability votes.
-class RandomForest final : public Classifier,
-                           public kernels::FlatCompilable,
-                           public kernels::FlatScorable {
+class RandomForest final : public VotingClassifier {
  public:
   explicit RandomForest(const RandomForestConfig& config = {});
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
 
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
-
-  /// The trained trees (model persistence / inspection).
-  const VotingEnsemble& members() const { return ensemble_; }
-
  private:
   RandomForestConfig config_;
-  VotingEnsemble ensemble_;
 };
 
 }  // namespace spe

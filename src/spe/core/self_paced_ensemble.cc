@@ -16,7 +16,6 @@
 #include "spe/common/rng.h"
 #include "spe/core/self_paced_sampler.h"
 #include "spe/io/model_io.h"
-#include "spe/kernels/flat_forest.h"
 #include "spe/metrics/metrics.h"
 #include "spe/obs/metrics.h"
 #include "spe/obs/trace.h"
@@ -671,36 +670,6 @@ std::size_t SelfPacedEnsemble::FitWithValidation(const DatasetView& train,
   }
   RecordHardnessBaseline(base);
   return best_size;
-}
-
-double SelfPacedEnsemble::PredictRow(std::span<const double> x) const {
-  return ensemble_.PredictRow(x);
-}
-
-std::vector<double> SelfPacedEnsemble::PredictProba(const DatasetView& data) const {
-  return ensemble_.PredictProba(data);
-}
-
-std::vector<double> SelfPacedEnsemble::PredictProbaPrefix(const DatasetView& data,
-                                                          std::size_t k) const {
-  return ensemble_.PredictProbaPrefix(data, k);
-}
-
-void SelfPacedEnsemble::AccumulateProbaInto(const DatasetView& data,
-                                            std::span<double> acc) const {
-  // PredictProba averages the inner ensemble, so the fused default
-  // (PredictRow streaming) would change the bits; go through the batch
-  // path instead.
-  AccumulateViaPredictProba(data, acc);
-}
-
-bool SelfPacedEnsemble::LowerToFlat(kernels::FlatProgram& program,
-                                    kernels::MemberOp& op) const {
-  return kernels::FlatForest::LowerEnsemble(ensemble_, program, op);
-}
-
-const kernels::FlatForest* SelfPacedEnsemble::flat_kernel() const {
-  return ensemble_.flat_kernel();
 }
 
 std::unique_ptr<Classifier> SelfPacedEnsemble::Clone() const {

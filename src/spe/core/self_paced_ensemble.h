@@ -10,7 +10,6 @@
 #include "spe/classifiers/training_observer.h"
 #include "spe/checkpoint/checkpoint.h"
 #include "spe/core/hardness.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -87,11 +86,8 @@ struct FitCheckpointOptions {
 /// label-0 rows once, bit-identically to one |N|-row view.
 /// Artifacts depend only on the viewed rows and their order: a fit on
 /// an indexed view equals a fit on its Materialize().
-class SelfPacedEnsemble final : public Classifier,
-                                public PrefixVoter,
-                                public HardnessProfiled,
-                                public kernels::FlatCompilable,
-                                public kernels::FlatScorable {
+class SelfPacedEnsemble final : public VotingClassifier,
+                                public HardnessProfiled {
  public:
   /// Default base model: a depth-10 decision tree.
   explicit SelfPacedEnsemble(const SelfPacedEnsembleConfig& config = {});
@@ -108,22 +104,6 @@ class SelfPacedEnsemble final : public Classifier,
   /// prefix member there, so both §VI-C ablation settings run the same
   /// truncation procedure. Returns the chosen prefix length.
   std::size_t FitWithValidation(const DatasetView& train, const DatasetView& validation);
-
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
-
-  /// PrefixVoter: score with only the first min(k, n) members — the
-  /// serving layer's overload-degradation knob (the prefix average is
-  /// itself a valid SPE hypothesis, just a coarser one).
-  std::size_t NumPrefixMembers() const override { return ensemble_.size(); }
-  std::vector<double> PredictProbaPrefix(const DatasetView& data,
-                                         std::size_t k) const override;
-
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
 
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
@@ -153,11 +133,6 @@ class SelfPacedEnsemble final : public Classifier,
   /// Alpha used at self-paced iteration i (1-based) of n under `schedule`.
   /// Exposed for tests and for the Fig. 3 bench.
   static double AlphaAt(AlphaSchedule schedule, std::size_t i, std::size_t n);
-
-  std::size_t NumMembers() const { return ensemble_.size(); }
-
-  /// The trained members (model persistence / inspection).
-  const VotingEnsemble& members() const { return ensemble_; }
 
   /// HardnessProfiled: the hardness-bin histogram of the majority set
   /// under the final ensemble, recorded by Fit. This is the §V-A
@@ -218,7 +193,6 @@ class SelfPacedEnsemble final : public Classifier,
 
   SelfPacedEnsembleConfig config_;
   std::unique_ptr<Classifier> base_prototype_;
-  VotingEnsemble ensemble_;
   IterationCallback callback_;
   HardnessHistogram training_hardness_;
   FitCheckpointOptions checkpoint_;

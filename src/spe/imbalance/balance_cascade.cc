@@ -8,7 +8,6 @@
 #include "spe/classifiers/decision_tree.h"
 #include "spe/common/check.h"
 #include "spe/common/rng.h"
-#include "spe/kernels/flat_forest.h"
 
 namespace spe {
 
@@ -108,31 +107,6 @@ void BalanceCascade::Fit(const DatasetView& train) {
     }
     pool = std::move(next_pool);
   }
-}
-
-double BalanceCascade::PredictRow(std::span<const double> x) const {
-  return ensemble_.PredictRow(x);
-}
-
-std::vector<double> BalanceCascade::PredictProba(const DatasetView& data) const {
-  return ensemble_.PredictProba(data);
-}
-
-void BalanceCascade::AccumulateProbaInto(const DatasetView& data,
-                                         std::span<double> acc) const {
-  // PredictProba averages the inner ensemble, so the fused default
-  // (PredictRow streaming) would change the bits; go through the batch
-  // path instead.
-  AccumulateViaPredictProba(data, acc);
-}
-
-bool BalanceCascade::LowerToFlat(kernels::FlatProgram& program,
-                                 kernels::MemberOp& op) const {
-  return kernels::FlatForest::LowerEnsemble(ensemble_, program, op);
-}
-
-const kernels::FlatForest* BalanceCascade::flat_kernel() const {
-  return ensemble_.flat_kernel();
 }
 
 std::unique_ptr<Classifier> BalanceCascade::Clone() const {

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "spe/classifiers/classifier.h"
 #include "spe/classifiers/training_observer.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -26,9 +24,7 @@ struct BalanceCascadeConfig {
 /// This is the paper's closest prior art: §III and §VI-A.3 show how
 /// keeping *only* the hard remainder over-weights outliers in late
 /// iterations — the failure mode SPE's trivial-sample "skeleton" avoids.
-class BalanceCascade final : public Classifier,
-                             public kernels::FlatCompilable,
-                             public kernels::FlatScorable {
+class BalanceCascade final : public VotingClassifier {
  public:
   /// Default base model: a depth-10 decision tree.
   explicit BalanceCascade(const BalanceCascadeConfig& config = {});
@@ -36,30 +32,17 @@ class BalanceCascade final : public Classifier,
                  std::unique_ptr<Classifier> base_prototype);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
 
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
-
   void set_iteration_callback(IterationCallback callback) {
     callback_ = std::move(callback);
   }
-  std::size_t NumMembers() const { return ensemble_.size(); }
-
-  /// The trained members (model persistence / inspection).
-  const VotingEnsemble& members() const { return ensemble_; }
 
  private:
   BalanceCascadeConfig config_;
   std::unique_ptr<Classifier> base_prototype_;
-  VotingEnsemble ensemble_;
   IterationCallback callback_;
 };
 

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "spe/classifiers/classifier.h"
 #include "spe/classifiers/training_observer.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -25,9 +23,7 @@ struct SmoteBaggingConfig {
 /// before topping up), which is the "each bag's sample quantity varies"
 /// of §VI-C.2 and the source of the method's enormous #Sample column in
 /// Table VI. Distance-based via SMOTE, so numerical features only.
-class SmoteBagging final : public Classifier,
-                           public kernels::FlatCompilable,
-                           public kernels::FlatScorable {
+class SmoteBagging final : public VotingClassifier {
  public:
   /// Default base model: a depth-10 decision tree.
   explicit SmoteBagging(const SmoteBaggingConfig& config = {});
@@ -35,25 +31,13 @@ class SmoteBagging final : public Classifier,
                std::unique_ptr<Classifier> base_prototype);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
 
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
-
   void set_iteration_callback(IterationCallback callback) {
     callback_ = std::move(callback);
   }
-  std::size_t NumMembers() const { return ensemble_.size(); }
-
-  /// The trained members (model persistence / inspection).
-  const VotingEnsemble& members() const { return ensemble_; }
 
   /// Total rows used to fit all members (Table VI "#Sample").
   std::size_t TotalTrainingRows() const { return total_training_rows_; }
@@ -61,7 +45,6 @@ class SmoteBagging final : public Classifier,
  private:
   SmoteBaggingConfig config_;
   std::unique_ptr<Classifier> base_prototype_;
-  VotingEnsemble ensemble_;
   IterationCallback callback_;
   std::size_t total_training_rows_ = 0;
 };

@@ -5,7 +5,6 @@
 #include "spe/classifiers/decision_tree.h"
 #include "spe/common/check.h"
 #include "spe/common/rng.h"
-#include "spe/kernels/flat_forest.h"
 
 namespace spe {
 
@@ -60,31 +59,6 @@ void UnderBagging::Fit(const DatasetView& train) {
     ensemble_.Add(std::move(member));
     if (callback_) callback_(IterationInfo{m + 1, ensemble_, subset});
   }
-}
-
-double UnderBagging::PredictRow(std::span<const double> x) const {
-  return ensemble_.PredictRow(x);
-}
-
-std::vector<double> UnderBagging::PredictProba(const DatasetView& data) const {
-  return ensemble_.PredictProba(data);
-}
-
-void UnderBagging::AccumulateProbaInto(const DatasetView& data,
-                                       std::span<double> acc) const {
-  // PredictProba averages the inner ensemble, so the fused default
-  // (PredictRow streaming) would change the bits; go through the batch
-  // path instead.
-  AccumulateViaPredictProba(data, acc);
-}
-
-bool UnderBagging::LowerToFlat(kernels::FlatProgram& program,
-                               kernels::MemberOp& op) const {
-  return kernels::FlatForest::LowerEnsemble(ensemble_, program, op);
-}
-
-const kernels::FlatForest* UnderBagging::flat_kernel() const {
-  return ensemble_.flat_kernel();
 }
 
 std::unique_ptr<Classifier> UnderBagging::Clone() const {

@@ -4,11 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "spe/classifiers/classifier.h"
 #include "spe/classifiers/training_observer.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
@@ -21,9 +19,7 @@ struct UnderBaggingConfig {
 /// independently drawn balanced subset (all minority + |P| random
 /// majority) and the ensemble averages probabilities. EasyEnsemble is
 /// exactly this with an AdaBoost base (§VI-C.2 of the paper).
-class UnderBagging : public Classifier,
-                     public kernels::FlatCompilable,
-                     public kernels::FlatScorable {
+class UnderBagging : public VotingClassifier {
  public:
   /// Default base model: a depth-10 decision tree.
   explicit UnderBagging(const UnderBaggingConfig& config = {});
@@ -31,25 +27,13 @@ class UnderBagging : public Classifier,
                std::unique_ptr<Classifier> base_prototype);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
 
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
-
   void set_iteration_callback(IterationCallback callback) {
     callback_ = std::move(callback);
   }
-  std::size_t NumMembers() const { return ensemble_.size(); }
-
-  /// The trained members (model persistence / inspection).
-  const VotingEnsemble& members() const { return ensemble_; }
 
  protected:
   /// Display name prefix; EasyEnsemble overrides it to "Easy".
@@ -61,7 +45,6 @@ class UnderBagging : public Classifier,
  private:
   UnderBaggingConfig config_;
   std::unique_ptr<Classifier> base_prototype_;
-  VotingEnsemble ensemble_;
   IterationCallback callback_;
 };
 

@@ -13,20 +13,14 @@
 #include <vector>
 
 #include "spe/classifiers/adaboost.h"
-#include "spe/classifiers/bagging.h"
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/gbdt/gbdt.h"
 #include "spe/classifiers/logistic_regression.h"
-#include "spe/classifiers/random_forest.h"
 #include "spe/common/check.h"
 #include "spe/common/fault.h"
 #include "spe/common/parse.h"
 #include "spe/common/retry.h"
-#include "spe/core/self_paced_ensemble.h"
-#include "spe/imbalance/balance_cascade.h"
 #include "spe/kernels/flat_forest.h"
-#include "spe/imbalance/smote_bagging.h"
-#include "spe/imbalance/under_bagging.h"
 
 namespace spe {
 namespace {
@@ -117,43 +111,13 @@ void SaveEnsembleMembers(const VotingEnsemble& members, std::ostream& os) {
 }  // namespace
 
 VotingEnsembleModel::VotingEnsembleModel(VotingEnsemble members)
-    : members_(std::move(members)) {
-  SPE_CHECK(!members_.empty());
+    : VotingClassifier(std::move(members)) {
+  SPE_CHECK(!ensemble_.empty());
 }
 
 void VotingEnsembleModel::Fit(const DatasetView& /*train*/) {
   SPE_CHECK(false) << "VotingEnsembleModel is an inference-only artifact; "
                       "retrain with the original ensemble trainer";
-}
-
-double VotingEnsembleModel::PredictRow(std::span<const double> x) const {
-  return members_.PredictRow(x);
-}
-
-std::vector<double> VotingEnsembleModel::PredictProba(const DatasetView& data) const {
-  return members_.PredictProba(data);
-}
-
-std::vector<double> VotingEnsembleModel::PredictProbaPrefix(
-    const DatasetView& data, std::size_t k) const {
-  return members_.PredictProbaPrefix(data, k);
-}
-
-void VotingEnsembleModel::AccumulateProbaInto(const DatasetView& data,
-                                              std::span<double> acc) const {
-  // PredictProba averages the inner ensemble, so the fused default
-  // (PredictRow streaming) would change the bits; go through the batch
-  // path instead.
-  AccumulateViaPredictProba(data, acc);
-}
-
-bool VotingEnsembleModel::LowerToFlat(kernels::FlatProgram& program,
-                                      kernels::MemberOp& op) const {
-  return kernels::FlatForest::LowerEnsemble(members_, program, op);
-}
-
-const kernels::FlatForest* VotingEnsembleModel::flat_kernel() const {
-  return members_.flat_kernel();
 }
 
 std::unique_ptr<Classifier> VotingEnsembleModel::Clone() const {
@@ -190,28 +154,13 @@ void SaveClassifier(const Classifier& model, std::ostream& os) {
     return;
   }
 
-  // Probability-averaging ensembles all persist as their member list.
-  const VotingEnsemble* members = nullptr;
-  if (const auto* m = dynamic_cast<const SelfPacedEnsemble*>(&model)) {
-    members = &m->members();
-  } else if (const auto* m = dynamic_cast<const UnderBagging*>(&model)) {
-    members = &m->members();
-  } else if (const auto* m = dynamic_cast<const BalanceCascade*>(&model)) {
-    members = &m->members();
-  } else if (const auto* m = dynamic_cast<const Bagging*>(&model)) {
-    members = &m->members();
-  } else if (const auto* m = dynamic_cast<const RandomForest*>(&model)) {
-    members = &m->members();
-  } else if (const auto* m = dynamic_cast<const SmoteBagging*>(&model)) {
-    members = &m->members();
-  } else if (const auto* m = dynamic_cast<const VotingEnsembleModel*>(&model)) {
-    members = &m->members();
-  }
-  SPE_CHECK(members != nullptr)
+  // Every mean-vote ensemble persists as its member list.
+  const auto* voting = dynamic_cast<const VotingClassifier*>(&model);
+  SPE_CHECK(voting != nullptr)
       << model.Name() << " does not support persistence";
-  SPE_CHECK(!members->empty()) << "cannot save an unfitted ensemble";
+  SPE_CHECK(!voting->members().empty()) << "cannot save an unfitted ensemble";
   os << "VotingEnsemble\n";
-  SaveEnsembleMembers(*members, os);
+  SaveEnsembleMembers(voting->members(), os);
 }
 
 namespace {

@@ -10,40 +10,23 @@
 #include "spe/classifiers/classifier.h"
 #include "spe/common/frame.h"
 #include "spe/core/hardness.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 
 /// Inference-only classifier reconstructed from persisted ensemble
-/// members: predicts the mean member probability (the combination rule
-/// of SPE and every bagging-style method in this library). Fit / Clone
-/// abort — retraining requires the original trainer, not the artifact.
-/// Supports prefix scoring (PrefixVoter), so a served artifact keeps the
-/// ensemble-truncation degradation knob of the live trainer.
-class VotingEnsembleModel final : public Classifier,
-                                  public PrefixVoter,
-                                  public HardnessProfiled,
-                                  public kernels::FlatCompilable,
-                                  public kernels::FlatScorable {
+/// members: the VotingClassifier every mean-vote ensemble (SPE and every
+/// bagging-style method in this library) loads back as, scoring and
+/// answering prefixes exactly like the trainer that was saved. Fit /
+/// Clone abort — retraining requires the original trainer, not the
+/// artifact.
+class VotingEnsembleModel final : public VotingClassifier,
+                                  public HardnessProfiled {
  public:
   explicit VotingEnsembleModel(VotingEnsemble members);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
-  std::size_t NumPrefixMembers() const override { return members_.size(); }
-  std::vector<double> PredictProbaPrefix(const DatasetView& data,
-                                         std::size_t k) const override;
   std::unique_ptr<Classifier> Clone() const override;
   std::string Name() const override { return "VotingEnsemble"; }
-
-  bool LowerToFlat(kernels::FlatProgram& program,
-                   kernels::MemberOp& op) const override;
-  const kernels::FlatForest* flat_kernel() const override;
-
-  const VotingEnsemble& members() const { return members_; }
 
   /// HardnessProfiled: the training-time histogram restored from a v3
   /// bundle (LoadModelBundle installs it), nullptr otherwise. Keeping it
@@ -57,7 +40,6 @@ class VotingEnsembleModel final : public Classifier,
   }
 
  private:
-  VotingEnsemble members_;
   HardnessHistogram training_hardness_;
 };
 
@@ -67,11 +49,11 @@ class VotingEnsembleModel final : public Classifier,
 /// Supported:
 ///   - DecisionTree, Gbdt, LogisticRegression (full state);
 ///   - AdaBoost (stages serialized recursively);
-///   - SelfPacedEnsemble, UnderBagging / EasyEnsemble, BalanceCascade,
-///     Bagging, RandomForest, SmoteBagging and VotingEnsembleModel —
-///     persisted as their member list; loading returns an inference-only
-///     VotingEnsembleModel, because a trained probability-averaging
-///     ensemble is exactly its members.
+///   - every VotingClassifier (SelfPacedEnsemble, UnderBagging /
+///     EasyEnsemble, BalanceCascade, Bagging, RandomForest, SmoteBagging
+///     and VotingEnsembleModel) — persisted as its member list; loading
+///     returns an inference-only VotingEnsembleModel, because a trained
+///     mean-vote ensemble is exactly its members.
 /// Aborts (CHECK) on unsupported types (e.g. KNN, whose "model" is the
 /// training set itself) and on unfitted models.
 void SaveClassifier(const Classifier& model, std::ostream& os);

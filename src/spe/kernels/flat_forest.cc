@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "spe/classifiers/classifier.h"
 #include "spe/common/check.h"
+#include "spe/common/math.h"
 #include "spe/common/parallel.h"
 #include "spe/data/dataset.h"
 #include "spe/obs/metrics.h"
@@ -58,18 +58,6 @@ constexpr std::size_t kBlockRows = 256;
 // scoring (kScoreGrain in classifier.cc), so serving-sized
 // micro-batches keep their latency profile on the calling thread.
 constexpr std::size_t kBlockGrain = 1;
-
-// Byte-for-byte copy of the sigmoid in gbdt.cc. The kernel must
-// reproduce Gbdt::PredictRow bit-for-bit, and that includes taking the
-// same branch (exp(-z) vs exp(z)) for the same score.
-double Sigmoid(double z) {
-  if (z >= 0.0) {
-    const double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(z);
-  return e / (1.0 + e);
-}
 
 bool EnvFlagOff(const char* name) {
   const char* env = std::getenv(name);
@@ -269,6 +257,7 @@ void EvalMember(const FlatProgram& program, const CompleteProgram& complete,
           score[r] += lr * pool.value[static_cast<std::size_t>(idx[r])];
         }
       }
+      // Gbdt::PredictRow's own Sigmoid: the same branch for the same score.
       for (std::size_t r = 0; r < count; ++r) val[r] = Sigmoid(score[r]);
       break;
     }
@@ -407,10 +396,10 @@ void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
 }
 
 const char* ActiveKernel(const Classifier& model) {
-  const auto* scorable = dynamic_cast<const FlatScorable*>(&model);
-  const FlatForest* forest =
-      scorable != nullptr ? scorable->flat_kernel() : nullptr;
-  return forest != nullptr ? "flat" : "reference";
+  const auto* voting = dynamic_cast<const VotingClassifier*>(&model);
+  return voting != nullptr && voting->members().flat_kernel() != nullptr
+             ? "flat"
+             : "reference";
 }
 
 }  // namespace kernels

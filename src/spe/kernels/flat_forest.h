@@ -96,9 +96,10 @@ class FlatForest {
 };
 
 /// The batch-scoring path `model` takes right now: "flat" (a compiled
-/// program) or "reference" (no compiled program — the capability is
-/// missing, a member failed to lower, or the kernel is disabled).
-/// Answers via the FlatScorable capability, compiling lazily if needed.
+/// program) or "reference" (no compiled program — the model is no
+/// VotingClassifier, a member failed to lower, or the kernel is
+/// disabled). Asks the model's members().flat_kernel(), compiling
+/// lazily if needed.
 /// Benches and the serving layer stamp this into their reports so runs
 /// are comparable.
 const char* ActiveKernel(const Classifier& model);

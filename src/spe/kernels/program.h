@@ -155,22 +155,6 @@ class FlatCompilable {
   virtual bool LowerToFlat(FlatProgram& program, MemberOp& op) const = 0;
 };
 
-class FlatForest;
-
-/// Implemented by models whose batch scoring can ride a compiled
-/// FlatForest. Purely observational — the kernel dispatch itself lives
-/// inside VotingEnsemble — so the serving layer and benches can report
-/// which path a model actually takes (see kernels::ActiveKernel).
-class FlatScorable {
- public:
-  virtual ~FlatScorable() = default;
-
-  /// The compiled program this model's batch scoring currently uses, or
-  /// nullptr when it runs the reference loop (a member failed to lower,
-  /// or the kernel is disabled). May compile lazily on first call.
-  virtual const FlatForest* flat_kernel() const = 0;
-};
-
 }  // namespace kernels
 }  // namespace spe
 

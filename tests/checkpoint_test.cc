@@ -153,6 +153,25 @@ void WriteRealCheckpoint(const std::string& dir, const Dataset& data,
   model.Fit(data);
 }
 
+/// Re-publishes a loaded state through the writer Fit uses: a fresh
+/// member log of (bootstrap, members), one commit record, drained. A
+/// write that fails past its retries surfaces from Drain() as
+/// TransientIoError.
+void Republish(const checkpoint::LoadResult& loaded, const std::string& path,
+               const RetryPolicy& retry = {}) {
+  std::vector<std::string> blobs;
+  for (std::size_t i = 0; i < loaded.members.size(); ++i) {
+    std::ostringstream os;
+    SaveClassifier(loaded.members.member(i), os);
+    blobs.push_back(os.str());
+  }
+  checkpoint::AsyncCheckpointPublisher publisher(path, retry);
+  publisher.BeginLog(loaded.core.bootstrap_blob, blobs,
+                     /*adopt_existing=*/false);
+  publisher.Publish(loaded.core);
+  publisher.Drain();
+}
+
 TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
   const std::string dir = TempDir("roundtrip");
   const Dataset data = OverlappingBlobs(200, 30, 3);
@@ -179,7 +198,7 @@ TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
   // scheduling accident), so the resaved single-record manifest must
   // equal its *newest* record — i.e. its byte suffix — exactly.
   const std::string resaved = dir + "/resaved.ckpt";
-  checkpoint::SaveTrainerStateToFile(loaded.core, loaded.members, resaved);
+  Republish(loaded, resaved);
   const std::string real_manifest = ReadFile(path);
   const std::string resaved_manifest = ReadFile(resaved);
   ASSERT_GE(real_manifest.size(), resaved_manifest.size());
@@ -456,8 +475,7 @@ TEST(CheckpointFaultTest, WriteFaultsExhaustRetriesThenThrow) {
   RetryPolicy fast;
   fast.max_attempts = 3;
   fast.initial_backoff_ms = 1;
-  EXPECT_THROW(checkpoint::SaveTrainerStateToFile(
-                   loaded.core, loaded.members, dir + "/denied.ckpt", fast),
+  EXPECT_THROW(Republish(loaded, dir + "/denied.ckpt", fast),
                TransientIoError);
   Faults().Reset();
   std::filesystem::remove_all(dir);
@@ -479,8 +497,7 @@ TEST(CheckpointFaultTest, FlakyWritesRecoverThroughBackoff) {
   patient.max_attempts = 8;
   patient.initial_backoff_ms = 1;
   const std::string path = dir + "/flaky.ckpt";
-  checkpoint::SaveTrainerStateToFile(loaded.core, loaded.members, path,
-                                     patient);
+  Republish(loaded, path, patient);
   Faults().Reset();
   EXPECT_TRUE(std::filesystem::exists(path));
   // The flaky save carries the same state as the live manifest's newest

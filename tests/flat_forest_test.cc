@@ -11,7 +11,6 @@
 // layer's kernel label.
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -36,12 +35,7 @@ namespace spe {
 namespace {
 
 using ::spe::testing::OverlappingBlobs;
-
-bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
+using ::spe::testing::SameBytes;
 
 // Every test must leave the process-wide knobs where it found them:
 // kernel enabled, thread count at the environment default.
@@ -104,20 +98,6 @@ void ExpectFlatMatchesReference(const Classifier& model, const Dataset& data) {
   EXPECT_STREQ("flat", kernels::ActiveKernel(model));
 }
 
-// Prefix identity for a bare VotingEnsemble (how Bagging/RandomForest,
-// which expose no prefix API of their own, hold their members).
-void ExpectPrefixMatchesReference(const VotingEnsemble& members,
-                                  const Dataset& data) {
-  for (std::size_t k : {std::size_t{1}, members.size() / 2, members.size()}) {
-    if (k == 0) continue;
-    kernels::SetFlatKernelEnabled(false);
-    const std::vector<double> reference = members.PredictProbaPrefix(data, k);
-    kernels::SetFlatKernelEnabled(true);
-    EXPECT_TRUE(SameBytes(reference, members.PredictProbaPrefix(data, k)))
-        << "ensemble prefix k=" << k;
-  }
-}
-
 TEST_F(FlatForestTest, SelfPacedEnsembleBitIdentical) {
   const Dataset train = OverlappingBlobs(1100, 100, 42);
   SelfPacedEnsembleConfig config;
@@ -135,9 +115,7 @@ TEST_F(FlatForestTest, BaggingBitIdentical) {
   config.n_estimators = 8;
   Bagging model(config);
   model.Fit(train);
-  const Dataset batch = ScoringBatch(500, 8);
-  ExpectFlatMatchesReference(model, batch);
-  ExpectPrefixMatchesReference(model.members(), batch);
+  ExpectFlatMatchesReference(model, ScoringBatch(500, 8));
 }
 
 TEST_F(FlatForestTest, RandomForestBitIdentical) {
@@ -146,9 +124,7 @@ TEST_F(FlatForestTest, RandomForestBitIdentical) {
   config.n_estimators = 12;
   RandomForest model(config);
   model.Fit(train);
-  const Dataset batch = ScoringBatch(500, 9);
-  ExpectFlatMatchesReference(model, batch);
-  ExpectPrefixMatchesReference(model.members(), batch);
+  ExpectFlatMatchesReference(model, ScoringBatch(500, 9));
 }
 
 // GBDT members: the kernel replays base_score + lr * leaf per boosting
@@ -222,7 +198,7 @@ TEST_F(FlatForestTest, NonLowerableMemberFallsBack) {
   EXPECT_EQ(model.PredictProba(batch).size(), batch.num_rows());
 }
 
-// A model that is no FlatScorable at all reports "reference" too.
+// A model that is no VotingClassifier at all reports "reference" too.
 TEST_F(FlatForestTest, PlainClassifierReportsReference) {
   const Dataset train = OverlappingBlobs(200, 100, 49);
   LogisticRegression model;

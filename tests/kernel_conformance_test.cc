@@ -13,7 +13,6 @@
 // counts 0/1/63/64/65/10k. Registered under both the `kernel` and
 // `sanitize` ctest labels: the walks must stay ASan/UBSan/TSan-clean.
 
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -35,12 +34,7 @@ namespace spe {
 namespace {
 
 using ::spe::testing::OverlappingBlobs;
-
-bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
+using ::spe::testing::SameBytes;
 
 // Every test leaves the process-wide knobs where it found them.
 class KernelConformanceTest : public ::testing::Test {

@@ -1,7 +1,9 @@
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,13 +18,16 @@
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/imbalance/balance_cascade.h"
 #include "spe/imbalance/easy_ensemble.h"
+#include "spe/imbalance/smote_bagging.h"
 #include "spe/io/model_io.h"
+#include "spe/kernels/flat_forest.h"
 #include "tests/test_util.h"
 
 namespace spe {
 namespace {
 
 using ::spe::testing::OverlappingBlobs;
+using ::spe::testing::SameBytes;
 using ::spe::testing::SeparableBlobs;
 using ::spe::testing::XorClusters;
 
@@ -121,6 +126,64 @@ TEST(ModelIoTest, GbdtOverSpeRoundTrips) {
   SelfPacedEnsemble model(config, std::make_unique<Gbdt>(gbdt_config));
   model.Fit(OverlappingBlobs(400, 50, 15));
   ExpectRoundTrip(model, OverlappingBlobs(100, 20, 16));
+}
+
+// Every mean-vote ensemble is one VotingClassifier: trained or reloaded
+// from its saved member list, it scores the same bytes, answers every
+// member prefix alike, accumulates exactly its batch scores, and scores
+// through the flat kernel.
+TEST(ModelIoTest, EveryVotingClassifierBehavesAsItsMembers) {
+  const Dataset train = OverlappingBlobs(300, 40, 21);
+  const Dataset test = OverlappingBlobs(80, 20, 22);
+  const auto tree = [] {
+    DecisionTreeConfig config;
+    config.max_depth = 10;
+    return std::make_unique<DecisionTree>(config);
+  };
+  SelfPacedEnsembleConfig spe_config;
+  spe_config.n_estimators = 5;
+  UnderBaggingConfig under;
+  under.n_estimators = 4;
+  BalanceCascadeConfig cascade;
+  cascade.n_estimators = 4;
+  BaggingConfig bagging;
+  bagging.n_estimators = 4;
+  RandomForestConfig forest;  // its members are decision trees
+  forest.n_estimators = 4;
+  SmoteBaggingConfig smote;
+  smote.n_estimators = 4;
+  std::vector<std::unique_ptr<VotingClassifier>> models;
+  models.push_back(std::make_unique<SelfPacedEnsemble>(spe_config, tree()));
+  models.push_back(std::make_unique<UnderBagging>(under, tree()));
+  models.push_back(std::make_unique<EasyEnsemble>(under, tree()));
+  models.push_back(std::make_unique<BalanceCascade>(cascade, tree()));
+  models.push_back(std::make_unique<Bagging>(bagging, tree()));
+  models.push_back(std::make_unique<RandomForest>(forest));
+  models.push_back(std::make_unique<SmoteBagging>(smote, tree()));
+
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->Name());
+    model->Fit(train);
+    std::stringstream stream;
+    SaveClassifier(*model, stream);
+    const std::unique_ptr<Classifier> loaded = LoadClassifier(stream);
+    const auto* reloaded = dynamic_cast<const VotingClassifier*>(loaded.get());
+    ASSERT_NE(reloaded, nullptr);
+
+    const std::vector<double> proba = model->PredictProba(test);
+    EXPECT_TRUE(SameBytes(proba, reloaded->PredictProba(test)));
+    ASSERT_EQ(reloaded->NumPrefixMembers(), model->NumPrefixMembers());
+    for (std::size_t k = 1; k <= model->NumPrefixMembers(); ++k) {
+      EXPECT_TRUE(SameBytes(model->PredictProbaPrefix(test, k),
+                            reloaded->PredictProbaPrefix(test, k)))
+          << "k=" << k;
+    }
+    std::vector<double> acc(test.num_rows(), 0.0);
+    model->AccumulateProbaInto(test, acc);
+    EXPECT_TRUE(SameBytes(acc, proba));
+    EXPECT_STREQ("flat", kernels::ActiveKernel(*model));
+    EXPECT_STREQ("flat", kernels::ActiveKernel(*loaded));
+  }
 }
 
 TEST(ModelIoTest, FileRoundTrip) {

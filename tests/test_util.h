@@ -2,6 +2,7 @@
 #define SPE_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "spe/common/rng.h"
@@ -9,6 +10,15 @@
 
 namespace spe {
 namespace testing {
+
+/// Byte equality of two score vectors: the determinism contract's
+/// comparison (no tolerance, and -0.0 differs from 0.0).
+inline bool SameBytes(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 /// Two well-separated Gaussian blobs in 2-D: majority at the origin,
 /// minority at (4, 4). Linearly separable — any sane classifier should
