@@ -1,6 +1,7 @@
 #ifndef SPE_BENCH_BENCH_UTIL_H_
 #define SPE_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -18,6 +19,17 @@
 
 namespace spe {
 namespace bench {
+
+/// The value at fraction `p` (0..1) of `values` sorted ascending: index
+/// floor(p * size), clamped to the last; 0 when empty.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const std::size_t idx = std::min(
+      values.size() - 1,
+      static_cast<std::size_t>(p * static_cast<double>(values.size())));
+  return values[idx];
+}
 
 /// Builds one of the paper's "imbalance learning method x base
 /// classifier" pipelines as a ready-to-fit classifier:

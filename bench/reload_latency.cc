@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/data/synthetic.h"
 #include "spe/io/model_io.h"
@@ -35,6 +36,8 @@
 #include "spe/serve/batch_scorer.h"
 
 namespace {
+
+using spe::bench::Percentile;
 
 long FlagValue(int argc, char** argv, const char* name, long fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -55,15 +58,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t idx = std::min(
-      values.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(values.size())));
-  return values[idx];
 }
 
 std::string TrainAndSave(std::uint64_t seed, const spe::Dataset& train,

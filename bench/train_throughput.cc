@@ -9,6 +9,8 @@
 // predictions and the serialized artifacts across the two runs: the
 // speedup is only admissible if the results are bit-identical, so a
 // mismatch exits nonzero and poisons the report with "identical":false.
+// It then times the SPE fit with a checkpoint published every iteration
+// against the plain fit, in 11 interleaved pairs at --threads.
 //
 //   train_throughput [--threads N] [--minority P] [--majority M]
 //                    [--score-rows S] [--n-estimators E] [--out FILE]
@@ -21,7 +23,6 @@
 // Writes the JSON report to stdout and to --out (default
 // BENCH_train.json in the working directory).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "spe/classifiers/bagging.h"
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/random_forest.h"
@@ -210,11 +212,16 @@ int main(int argc, char** argv) {
     first = false;
   }
   // Checkpoint overhead: the same SPE fit with a checkpoint published
-  // after every iteration vs none at all. docs/robustness.md promises
-  // the per-iteration snapshot costs <= 5% of fit time, and the resumed
-  // artifact bytes must not drift, so both are measured here.
-  double ckpt_overhead_pct = 0.0;
+  // after every iteration vs none at all, in interleaved pairs. Each fit
+  // takes tens of milliseconds at the default scale, so one draw is
+  // mostly scheduler noise; the report gives both medians and the
+  // per-pair overhead's median and quartiles. Every checkpointed
+  // artifact must match its plain twin byte for byte.
+  constexpr int kCheckpointPairs = 11;
   bool ckpt_identical = true;
+  std::vector<double> plain_s;
+  std::vector<double> checkpointed_s;
+  std::vector<double> overhead_pct;
   {
     const auto make_spe = [&]() {
       return workloads[0].make(static_cast<std::size_t>(n_estimators));
@@ -233,36 +240,38 @@ int main(int argc, char** argv) {
           ckpt);
       return model;
     };
-    // Best-of-7 per variant, interleaved: both fits are under 100ms at
-    // the default scale, so a single sample is mostly scheduler noise;
-    // the min is the standard noise-resistant estimator for a
-    // deterministic workload, and on a shared single-core box it takes
-    // several samples for each variant to land one quiet run.
-    RunResult plain = RunOnce(make_spe, train, score);
-    RunResult checkpointed = RunOnce(make_ckpt, train, score);
-    for (int rep = 1; rep < 7; ++rep) {
-      plain.fit_s = std::min(plain.fit_s, RunOnce(make_spe, train, score).fit_s);
-      checkpointed.fit_s =
-          std::min(checkpointed.fit_s, RunOnce(make_ckpt, train, score).fit_s);
+    for (int pair = 0; pair < kCheckpointPairs; ++pair) {
+      const RunResult plain = RunOnce(make_spe, train, score);
+      const RunResult checkpointed = RunOnce(make_ckpt, train, score);
+      ckpt_identical = ckpt_identical && BitIdentical(plain, checkpointed);
+      plain_s.push_back(plain.fit_s);
+      checkpointed_s.push_back(checkpointed.fit_s);
+      overhead_pct.push_back(
+          (checkpointed.fit_s - plain.fit_s) / plain.fit_s * 100.0);
     }
     spe::SetNumThreads(0);
     std::filesystem::remove_all(ckpt_dir);
-    ckpt_identical = BitIdentical(plain, checkpointed);
-    all_identical = all_identical && ckpt_identical;
-    ckpt_overhead_pct =
-        plain.fit_s > 0
-            ? (checkpointed.fit_s - plain.fit_s) / plain.fit_s * 100.0
-            : 0.0;
-    std::fprintf(stderr,
-                 "checkpoint     fit %.3fs -> %.3fs (every=1, %.2f%% "
-                 "overhead)  identical=%s\n",
-                 plain.fit_s, checkpointed.fit_s, ckpt_overhead_pct,
-                 ckpt_identical ? "yes" : "NO");
-    json << "],\"checkpoint\":{\"every\":1,\"fit_s_plain\":" << plain.fit_s
-         << ",\"fit_s_checkpointed\":" << checkpointed.fit_s
-         << ",\"overhead_pct\":" << ckpt_overhead_pct
-         << ",\"identical\":" << (ckpt_identical ? "true" : "false") << "}";
   }
+  all_identical = all_identical && ckpt_identical;
+  const double plain_median = spe::bench::Percentile(plain_s, 0.5);
+  const double checkpointed_median =
+      spe::bench::Percentile(checkpointed_s, 0.5);
+  const double overhead_median = spe::bench::Percentile(overhead_pct, 0.5);
+  const double overhead_q1 = spe::bench::Percentile(overhead_pct, 0.25);
+  const double overhead_q3 = spe::bench::Percentile(overhead_pct, 0.75);
+  std::fprintf(stderr,
+               "checkpoint     fit %.3fs -> %.3fs median of %d pairs "
+               "(every=1, overhead %.2f%% [%.2f%%, %.2f%%])  identical=%s\n",
+               plain_median, checkpointed_median, kCheckpointPairs,
+               overhead_median, overhead_q1, overhead_q3,
+               ckpt_identical ? "yes" : "NO");
+  json << "],\"checkpoint\":{\"every\":1,\"pairs\":" << kCheckpointPairs
+       << ",\"fit_s_plain_median\":" << plain_median
+       << ",\"fit_s_checkpointed_median\":" << checkpointed_median
+       << ",\"overhead_pct_median\":" << overhead_median
+       << ",\"overhead_pct_q1\":" << overhead_q1
+       << ",\"overhead_pct_q3\":" << overhead_q3
+       << ",\"identical\":" << (ckpt_identical ? "true" : "false") << "}";
   json << ",\"identical\":" << (all_identical ? "true" : "false")
        << ",\"obs_enabled\":" << (spe::obs::Enabled() ? "true" : "false")
        << ",\"spans\":" << spe::obs::SpanSummariesJson() << "}";

@@ -98,11 +98,6 @@ bool FaultRegistry::ParseSpec(std::string_view spec, FaultConfig* config,
   return true;
 }
 
-FaultConfig FaultRegistry::config() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return config_;
-}
-
 void FaultRegistry::InjectScoreDelay() const {
   if (!enabled()) return;
   std::uint64_t delay_ms = 0;

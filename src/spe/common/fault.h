@@ -81,8 +81,6 @@ class FaultRegistry {
   static bool ParseSpec(std::string_view spec, FaultConfig* config,
                         std::string* error);
 
-  FaultConfig config() const;
-
   /// True when any fault is active (cheap; callers may use it to skip
   /// building failure-path-only state).
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

@@ -48,12 +48,18 @@ bool ParseU64(std::string_view token, std::uint64_t* out) {
 }
 
 std::string EncodeHeader(const Format& format, std::string_view fields,
-                         std::string_view payload) {
+                         std::span<const std::string_view> payload) {
+  std::size_t bytes = 0;
+  std::uint32_t crc = 0;
+  for (const std::string_view range : payload) {
+    bytes += range.size();
+    crc = Crc32Update(crc, range);
+  }
   std::string header =
       std::string(format.magic) + ' ' + std::to_string(format.max_version);
   if (!fields.empty()) (header += ' ') += fields;
-  return header + " payload_bytes " + std::to_string(payload.size()) +
-         " crc32 " + CrcHex(Crc32(payload)) + "\n";
+  return header + " payload_bytes " + std::to_string(bytes) + " crc32 " +
+         CrcHex(crc) + "\n";
 }
 
 Error DecodeHeader(std::string_view bytes, const Format& format,

@@ -12,7 +12,7 @@ namespace spe {
 namespace frame {
 
 /// The envelope every artifact this repo persists starts with — model
-/// bundles (spe/io/model_io.h) and checkpoint commit records
+/// bundles (spe/io/model_io.h) and training checkpoints
 /// (spe/checkpoint/checkpoint.h):
 ///
 ///   MAGIC VERSION [KEY VALUE]... payload_bytes N crc32 HHHHHHHH\n
@@ -62,9 +62,17 @@ struct Header {
   std::size_t size = 0;  ///< header line length, newline included
 };
 
-/// The header line for `payload`; `fields` is "" or "KEY VALUE...".
+/// The header line for a payload that is the concatenation of
+/// `payload`, in order; `fields` is "" or "KEY VALUE...".
 std::string EncodeHeader(const Format& format, std::string_view fields,
-                         std::string_view payload);
+                         std::span<const std::string_view> payload);
+
+/// The one-range form.
+inline std::string EncodeHeader(const Format& format, std::string_view fields,
+                                std::string_view payload) {
+  return EncodeHeader(format, fields,
+                      std::span<const std::string_view>(&payload, 1));
+}
 
 /// Decodes the header line at the start of `bytes`: a line with no
 /// newline is kTruncated (a torn tail), then the magic, the version and

@@ -63,7 +63,7 @@ inline void PayloadCheck(bool ok, const char* message) {
 std::size_t BytesLeft(std::istream& is);
 
 /// The row width a payload is read against when its container records
-/// none (checkpoint member logs): split features and weight vectors are
+/// none (checkpoint member records): split features and weight vectors are
 /// then not checked against a width.
 inline constexpr std::size_t kAnyWidth = std::numeric_limits<std::size_t>::max();
 

@@ -202,20 +202,23 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   const std::size_t n = config_.n_estimators;
   const bool checkpointing = !checkpoint_.directory.empty();
   std::string checkpoint_path;
-  std::uint64_t config_fp = 0;
-  std::uint64_t data_fp = 0;
-  std::unique_ptr<checkpoint::AsyncCheckpointPublisher> ckpt_writer;
+  // The checkpoint's run-constant fields; WriteCheckpoint fills in the
+  // rest at each publish. state.bootstrap_blob holds f0's bytes when f0
+  // votes but is not a member (the default): resume replays f0's
+  // probabilities to rebuild prob_sum, and f0 lives nowhere else. It is
+  // empty whenever f0 is members[0] or checkpointing is off.
+  checkpoint::TrainerStateCore state;
   if (checkpointing) {
     SPE_CHECK_GT(checkpoint_.every, 0u) << "checkpoint interval must be >= 1";
     checkpoint_path = checkpoint::CheckpointPath(checkpoint_.directory);
-    config_fp = ConfigFingerprint();
-    data_fp = checkpoint::DatasetFingerprint(train);
+    state.config_fingerprint = ConfigFingerprint();
+    state.data_fingerprint = checkpoint::DatasetFingerprint(train);
     if (validation_tracker_ != nullptr) {
-      data_fp =
-          checkpoint::HashCombine(data_fp, validation_tracker_->data_fingerprint);
+      state.data_fingerprint = checkpoint::HashCombine(
+          state.data_fingerprint, validation_tracker_->data_fingerprint);
     }
-    ckpt_writer =
-        std::make_unique<checkpoint::AsyncCheckpointPublisher>(checkpoint_path);
+    state.n_estimators = n;
+    state.include_bootstrap = config_.include_bootstrap_model;
   }
 
   // Running sum of member probabilities over the majority set, keyed by
@@ -240,13 +243,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     SaveClassifier(member, os);
     member_blobs.push_back(os.str());
   };
-  // f0's bytes when it votes but is not a member (the default): the
-  // checkpoint must carry them because resume replays f0's probabilities
-  // to rebuild prob_sum, and f0 lives nowhere else. Empty whenever f0 is
-  // members[0] or checkpointing is off.
-  std::string bootstrap_blob;
-  bool resumed = false;
-  std::uint64_t resumed_manifest_bytes = 0;
 
   if (checkpointing && checkpoint_.resume) {
     checkpoint::LoadResult loaded =
@@ -255,14 +251,15 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       std::fprintf(stderr, "[spe] no checkpoint at %s; training from scratch\n",
                    checkpoint_path.c_str());
     } else {
-      const std::string reason = ValidateLoadedState(loaded, config_fp, data_fp);
+      const std::string reason = ValidateLoadedState(
+          loaded, state.config_fingerprint, state.data_fingerprint);
       SPE_CHECK(reason.empty())
           << "cannot resume from " << checkpoint_path << ": " << reason;
       ensemble_ = std::move(loaded.members);
       for (std::size_t m = 0; m < ensemble_.size(); ++m) {
         append_member_blob(ensemble_.member(m));
       }
-      bootstrap_blob = std::move(loaded.core.bootstrap_blob);
+      state.bootstrap_blob = std::move(loaded.core.bootstrap_blob);
       prob_count = loaded.core.prob_count;
       start_iteration = loaded.core.next_iteration;
       std::istringstream rng_in(loaded.core.rng_state);
@@ -283,7 +280,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
         first = &ensemble_.member(0);
         member_start = 1;
       } else {
-        std::istringstream blob_in(bootstrap_blob);
+        std::istringstream blob_in(state.bootstrap_blob);
         f0_replay = LoadClassifier(blob_in);
         first = f0_replay.get();
       }
@@ -321,8 +318,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
           }
         }
       }
-      resumed = true;
-      resumed_manifest_bytes = loaded.manifest_bytes;
       std::fprintf(stderr, "[spe] resumed from %s at iteration %zu/%zu\n",
                    checkpoint_path.c_str(), start_iteration, n);
     }
@@ -359,16 +354,8 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     } else if (checkpointing) {
       std::ostringstream os;
       SaveClassifier(*bootstrap, os);
-      bootstrap_blob = os.str();
+      state.bootstrap_blob = os.str();
     }
-  }
-
-  // Everything trained so far (f0 and, on resume, the restored members)
-  // seeds the publisher's append-only member log; from here on each
-  // iteration stages just its own member's bytes.
-  if (checkpointing) {
-    ckpt_writer->BeginLog(bootstrap_blob, member_blobs, resumed,
-                          resumed_manifest_bytes);
   }
 
   const bool instrumented = obs::Enabled();
@@ -423,7 +410,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
 
     ensemble_.Add(std::move(member));
     append_member_blob(ensemble_.member(ensemble_.size() - 1));
-    if (checkpointing) ckpt_writer->AppendMember(member_blobs.back());
     if (callback_) {
       callback_(IterationInfo{i, ensemble_, subset});
     }
@@ -433,33 +419,18 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // iteration always checkpoints regardless of `every`, covering a
     // crash between the last member and the artifact publish.
     if (checkpointing && (i % checkpoint_.every == 0 || i == n)) {
-      WriteCheckpoint(*ckpt_writer, config_fp, data_fp, i + 1, prob_count,
-                      rng);
+      WriteCheckpoint(checkpoint_path, state, prob_count, rng, member_blobs);
     }
     // Chaos crash point: SIGKILL here models preemption right after the
-    // iteration's state was (or was not) persisted. The publish is
-    // asynchronous, so an armed kill must first wait for the writer —
-    // the contract is "crash after iteration N's checkpoint is durable".
-    if (ckpt_writer != nullptr && Faults().enabled() &&
-        Faults().config().crash_at_iteration == i) {
-      ckpt_writer->Drain();
-    }
+    // iteration's state was (or was not) persisted.
     Faults().MaybeCrashAtIteration(i);
-    if (checkpoint_.halt_after_iteration == i) {  // simulated crash
-      ckpt_writer->Drain();
-      return;
-    }
+    if (checkpoint_.halt_after_iteration == i) return;  // simulated crash
   }
 
   // The loop's per-majority-row state is dead; free it before the
   // baseline pass allocates its own.
   std::vector<double>().swap(prob_sum);
-  // The final checkpoint (i == n) publishes concurrently with the
-  // baseline pass below; the drain both surfaces any publish error and
-  // guarantees the file is in place before Fit returns (spe_cli retires
-  // it only after the model artifact lands).
   RecordHardnessBaseline(base);
-  if (ckpt_writer != nullptr) ckpt_writer->Drain();
 }
 
 std::uint64_t SelfPacedEnsemble::ConfigFingerprint() const {
@@ -479,7 +450,7 @@ std::uint64_t SelfPacedEnsemble::ConfigFingerprint() const {
 std::string SelfPacedEnsemble::ValidateLoadedState(
     const checkpoint::LoadResult& loaded, std::uint64_t config_fp,
     std::uint64_t data_fp) const {
-  if (!loaded.error.empty()) return loaded.error;
+  if (!loaded.error.ok()) return loaded.error.message;
   const checkpoint::TrainerStateCore& core = loaded.core;
   if (core.config_fingerprint != config_fp) {
     return "checkpoint was written by a different trainer configuration";
@@ -533,29 +504,26 @@ std::string SelfPacedEnsemble::CheckResumable(const DatasetView& train) const {
 }
 
 void SelfPacedEnsemble::WriteCheckpoint(
-    checkpoint::AsyncCheckpointPublisher& publisher, std::uint64_t config_fp,
-    std::uint64_t data_fp, std::size_t next_iteration,
-    std::size_t prob_count, Rng& rng) {
+    const std::string& path, checkpoint::TrainerStateCore& state,
+    std::size_t prob_count, Rng& rng,
+    const std::vector<std::string>& member_blobs) {
   const obs::TraceSpan span("spe.fit.checkpoint");
-  checkpoint::TrainerStateCore core;
-  core.config_fingerprint = config_fp;
-  core.data_fingerprint = data_fp;
-  core.n_estimators = config_.n_estimators;
-  core.include_bootstrap = config_.include_bootstrap_model;
-  core.next_iteration = next_iteration;
-  core.prob_count = prob_count;
+  // prob_count counts f0 plus one vote per completed iteration, so it is
+  // also the iteration to resume at.
+  state.next_iteration = prob_count;
+  state.prob_count = prob_count;
   {
     std::ostringstream os;
     os << rng.engine();
-    core.rng_state = os.str();
+    state.rng_state = os.str();
   }
   if (validation_tracker_ != nullptr) {
-    core.has_validation = true;
-    core.best_auc = validation_tracker_->best_auc;
-    core.best_size = validation_tracker_->best_size;
-    core.scored_members = validation_tracker_->scored_members;
+    state.has_validation = true;
+    state.best_auc = validation_tracker_->best_auc;
+    state.best_size = validation_tracker_->best_size;
+    state.scored_members = validation_tracker_->scored_members;
   }
-  publisher.Publish(core);
+  checkpoint::PublishCheckpoint(path, state, member_blobs);
   if (obs::Enabled()) {
     obs::MetricsRegistry::Global()
         .GetCounter("spe_fit_checkpoints_total")

@@ -172,17 +172,15 @@ class SelfPacedEnsemble final : public VotingClassifier,
                                   std::uint64_t config_fp,
                                   std::uint64_t data_fp) const;
 
-  /// Publishes the current fit state as the checkpoint for resuming at
-  /// `next_iteration`. Only the manifest is framed here (scalars + RNG +
-  /// early-stop state); the member bytes were already staged into the
-  /// publisher's append-only log as they were trained, and the
-  /// probability accumulators are recomputed at resume, never stored.
-  /// `publisher` performs the actual file publish off the training
-  /// thread.
-  void WriteCheckpoint(checkpoint::AsyncCheckpointPublisher& publisher,
-                       std::uint64_t config_fp, std::uint64_t data_fp,
-                       std::size_t next_iteration, std::size_t prob_count,
-                       Rng& rng);
+  /// Publishes the current fit state to `path`, on the training
+  /// thread: `state`'s run-constant fields plus the counters, RNG and
+  /// early-stop state filled in here, and the members' cached
+  /// SaveClassifier bytes. The probability accumulators are recomputed
+  /// at resume, never stored.
+  void WriteCheckpoint(const std::string& path,
+                       checkpoint::TrainerStateCore& state,
+                       std::size_t prob_count, Rng& rng,
+                       const std::vector<std::string>& member_blobs);
 
   /// Re-bins the hardness of `train`'s label-0 rows under the current
   /// ensemble into training_hardness_ (the drift baseline of v3

@@ -19,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include "spe/checkpoint/checkpoint.h"
+#include "spe/common/crc32.h"
 #include "spe/common/fault.h"
+#include "spe/common/frame.h"
 #include "spe/common/parallel.h"
 #include "spe/common/retry.h"
 #include "spe/core/self_paced_ensemble.h"
@@ -153,10 +155,8 @@ void WriteRealCheckpoint(const std::string& dir, const Dataset& data,
   model.Fit(data);
 }
 
-/// Re-publishes a loaded state through the writer Fit uses: a fresh
-/// member log of (bootstrap, members), one commit record, drained. A
-/// write that fails past its retries surfaces from Drain() as
-/// TransientIoError.
+/// Re-publishes a loaded state through the writer Fit uses. A write
+/// that fails past its retries throws TransientIoError.
 void Republish(const checkpoint::LoadResult& loaded, const std::string& path,
                const RetryPolicy& retry = {}) {
   std::vector<std::string> blobs;
@@ -165,11 +165,7 @@ void Republish(const checkpoint::LoadResult& loaded, const std::string& path,
     SaveClassifier(loaded.members.member(i), os);
     blobs.push_back(os.str());
   }
-  checkpoint::AsyncCheckpointPublisher publisher(path, retry);
-  publisher.BeginLog(loaded.core.bootstrap_blob, blobs,
-                     /*adopt_existing=*/false);
-  publisher.Publish(loaded.core);
-  publisher.Drain();
+  checkpoint::PublishCheckpoint(path, loaded.core, blobs, retry);
 }
 
 TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
@@ -179,7 +175,7 @@ TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
 
   const std::string path = checkpoint::CheckpointPath(dir);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(loaded.ok()) << loaded.error.message;
   EXPECT_EQ(loaded.core.next_iteration, 5u);
   EXPECT_EQ(loaded.core.prob_count, 5u);  // f0 + iterations 1..4
   EXPECT_EQ(loaded.members.size(), 4u);   // f0 votes but is not a member
@@ -191,22 +187,12 @@ TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
   EXPECT_EQ(loaded.core.data_fingerprint,
             checkpoint::DatasetFingerprint(data));
 
-  // Load -> save must reproduce the state byte for byte; any drift here
+  // Load -> save must reproduce the file byte for byte; any drift here
   // would break the kill-resume-kill-resume chains the chaos harness
-  // runs, where later checkpoints descend from restored state. The live
-  // manifest is append-only (and how many of its records coalesced is a
-  // scheduling accident), so the resaved single-record manifest must
-  // equal its *newest* record — i.e. its byte suffix — exactly.
+  // runs, where later checkpoints descend from restored state.
   const std::string resaved = dir + "/resaved.ckpt";
   Republish(loaded, resaved);
-  const std::string real_manifest = ReadFile(path);
-  const std::string resaved_manifest = ReadFile(resaved);
-  ASSERT_GE(real_manifest.size(), resaved_manifest.size());
-  EXPECT_EQ(real_manifest.substr(real_manifest.size() -
-                                 resaved_manifest.size()),
-            resaved_manifest);
-  EXPECT_EQ(ReadFile(checkpoint::MemberLogPath(path)),
-            ReadFile(checkpoint::MemberLogPath(resaved)));
+  EXPECT_EQ(ReadFile(resaved), ReadFile(path));
   std::filesystem::remove_all(dir);
 }
 
@@ -230,62 +216,80 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   corrupt[corrupt.size() - 3] ^= 0x01;
   WriteFile(path, corrupt);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_NE(loaded.error.find("crc32 mismatch"), std::string::npos)
-      << loaded.error;
+  EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kCorrupt);
+  EXPECT_NE(loaded.error.message.find("crc32 mismatch"), std::string::npos)
+      << loaded.error.message;
 
-  // Cut inside the *first* record so no complete record survives: that
-  // is unrecoverable truncation. (Cutting the file elsewhere may leave
-  // an earlier record intact, which is legitimate fallback, not error.)
-  const std::size_t first_payload = bytes.find('\n') + 1;
-  WriteFile(path, bytes.substr(0, first_payload + 3));
+  // The file is one frame, so a cut payload has no earlier state to
+  // fall back to.
+  WriteFile(path, bytes.substr(0, bytes.size() / 2));
   loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_NE(loaded.error.find("truncated"), std::string::npos)
-      << loaded.error;
+  EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kTruncated);
+  EXPECT_NE(loaded.error.message.find("truncated"), std::string::npos)
+      << loaded.error.message;
 
   WriteFile(path, "hello world\n");
   loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_NE(loaded.error.find("bad magic"), std::string::npos)
-      << loaded.error;
+  EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kBadMagic);
+  EXPECT_NE(loaded.error.message.find("bad magic"), std::string::npos)
+      << loaded.error.message;
 
-  // A torn *manifest* tail — the prefix of a commit record that never
-  // finished — must fall back to the newest complete record, while
-  // complete garbage after a valid record can only be bit rot and must
-  // be refused.
-  WriteFile(path, bytes + "spe-checkpoint 1 payload_bytes 999 crc32 0000");
+  // A version 1 record (commit records beside a member log) is refused
+  // as an unsupported version, and says so.
+  const std::string v2 = "spe-checkpoint 2 ";
+  ASSERT_EQ(bytes.rfind(v2, 0), 0u);
+  WriteFile(path, "spe-checkpoint 1 " + bytes.substr(v2.size()));
   loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_TRUE(loaded.ok()) << loaded.error;
-  WriteFile(path,
-            bytes + "spe-checkpoint 1 payload_bytes 4 crc32 00000000\nto");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_TRUE(loaded.ok()) << loaded.error;
-  WriteFile(path, bytes + "not-a-record 9 payload_bytes 4 crc32 0\nrotted\n");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_NE(loaded.error.find("malformed record after a valid checkpoint"),
+  EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kUnsupportedVersion);
+  EXPECT_NE(loaded.error.message.find("unsupported checkpoint version"),
             std::string::npos)
-      << loaded.error;
+      << loaded.error.message;
 
-  // The manifest CRCs the member-log prefix it vouches for, so bit rot
-  // in the log (not just the manifest) must also be refused.
+  // A payload that passes its CRC is still parsed, not trusted: a record
+  // count past the payload's end, a member that is no model and an
+  // unknown record kind are each refused as malformed. The real state
+  // lines alone decode, so each refusal is its record's.
+  const auto framed = [](const std::string& payload) {
+    return "spe-checkpoint 2 payload_bytes " + std::to_string(payload.size()) +
+           " crc32 " + frame::CrcHex(Crc32(payload)) + "\n" + payload;
+  };
+  const std::size_t header_end = bytes.find('\n') + 1;
+  const std::string state =
+      bytes.substr(header_end, bytes.find("\nbootstrap ") + 1 - header_end);
+  ASSERT_TRUE(checkpoint::DecodeTrainerState(framed(state)).ok());
+  const struct {
+    const char* records;
+    const char* reason;
+  } handmade[] = {
+      {"member 18446744073709551615\nxx", "bad model record"},
+      {"member 5\nhello", "bad member model"},
+      {"bogus 3\nabc", "bad model record"},
+  };
+  for (const auto& c : handmade) {
+    loaded = checkpoint::DecodeTrainerState(framed(state + c.records));
+    EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kMalformed) << c.records;
+    EXPECT_NE(loaded.error.message.find(c.reason), std::string::npos)
+        << loaded.error.message;
+    EXPECT_EQ(loaded.members.size(), 0u) << c.records;
+  }
+
+  // A publish killed before its rename leaves a partial tmp file beside
+  // the last good checkpoint. Nothing reads it: the run resumes from the
+  // checkpoint, lands on the uninterrupted run's bytes, and its next
+  // publish replaces the tmp file.
   WriteFile(path, bytes);
-  const std::string log_path = checkpoint::MemberLogPath(path);
-  const std::string log_bytes = ReadFile(log_path);
-  std::string log_corrupt = log_bytes;
-  log_corrupt[log_corrupt.size() / 2] ^= 0x01;
-  WriteFile(log_path, log_corrupt);
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_NE(loaded.error.find("member log corrupted"), std::string::npos)
-      << loaded.error;
-
-  WriteFile(log_path, log_bytes.substr(0, log_bytes.size() / 2));
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_NE(loaded.error.find("member log truncated"), std::string::npos)
-      << loaded.error;
-
-  // A torn tail past the vouched prefix is a normal crash artifact,
-  // not corruption: the loader must ignore it.
-  WriteFile(log_path, log_bytes + "garbage from a torn append");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_TRUE(loaded.ok()) << loaded.error;
+  WriteFile(path + ".tmp", bytes.substr(0, bytes.size() / 3));
+  SelfPacedEnsemble truth(TestConfig());
+  truth.Fit(data);
+  SelfPacedEnsemble resumed(TestConfig());
+  FitCheckpointOptions options;
+  options.directory = dir;
+  options.resume = true;
+  resumed.set_checkpoint_options(options);
+  EXPECT_TRUE(resumed.CheckResumable(data).empty());
+  resumed.Fit(data);
+  EXPECT_EQ(BundleBytes(resumed), BundleBytes(truth));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove_all(dir);
 }
 
@@ -467,7 +471,7 @@ TEST(CheckpointFaultTest, WriteFaultsExhaustRetriesThenThrow) {
   WriteRealCheckpoint(dir, data, 2);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
       checkpoint::CheckpointPath(dir));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(loaded.ok()) << loaded.error.message;
 
   FaultConfig faults;
   faults.artifact_write_fail_rate = 1.0;
@@ -487,7 +491,7 @@ TEST(CheckpointFaultTest, FlakyWritesRecoverThroughBackoff) {
   WriteRealCheckpoint(dir, data, 2);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
       checkpoint::CheckpointPath(dir));
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(loaded.ok()) << loaded.error.message;
 
   FaultConfig faults;
   faults.artifact_write_fail_rate = 0.5;
@@ -500,14 +504,8 @@ TEST(CheckpointFaultTest, FlakyWritesRecoverThroughBackoff) {
   Republish(loaded, path, patient);
   Faults().Reset();
   EXPECT_TRUE(std::filesystem::exists(path));
-  // The flaky save carries the same state as the live manifest's newest
-  // commit record (its byte suffix).
-  const std::string real_manifest = ReadFile(checkpoint::CheckpointPath(dir));
-  const std::string flaky_manifest = ReadFile(path);
-  ASSERT_GE(real_manifest.size(), flaky_manifest.size());
-  EXPECT_EQ(
-      real_manifest.substr(real_manifest.size() - flaky_manifest.size()),
-      flaky_manifest);
+  // The flaky save is the live checkpoint, byte for byte.
+  EXPECT_EQ(ReadFile(path), ReadFile(checkpoint::CheckpointPath(dir)));
   std::filesystem::remove_all(dir);
 }
 
@@ -531,6 +529,16 @@ TEST(CheckpointFaultTest, CrashAtIterationDeliversARealSigkill) {
   // The kill fires only after the iteration's checkpoint published.
   EXPECT_TRUE(std::filesystem::exists(checkpoint::CheckpointPath(dir)));
   std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointFaultTest, HaltWithoutACheckpointDirectoryStopsTheFit) {
+  // The in-process crash stand-in needs no checkpoint to stop after.
+  SelfPacedEnsemble model(TestConfig());
+  FitCheckpointOptions options;
+  options.halt_after_iteration = 3;
+  model.set_checkpoint_options(options);
+  model.Fit(OverlappingBlobs(120, 20, 3));
+  EXPECT_EQ(model.NumMembers(), 3u);
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
 // Property suite for the shared artifact frame (spe/common/frame.h), run
-// on real artifacts through the decoders that use it: a v3 model bundle
-// (DecodeModelBundle) and one checkpoint manifest record
-// (frame::DecodeHeader + frame::CheckPayload, as the checkpoint scanner
-// calls them). Every damaged input — torn tails, one bit flip per
-// header byte and per sampled payload byte, length lies, version skew,
-// a non-hex crc — must come back as its expected error class; none may
-// abort or throw. The scanner's torn-tail-versus-corruption policy is
-// checkpoint_test's job, not this suite's.
+// on real artifacts through the production decoders that use it: a v3
+// model bundle (DecodeModelBundle) and a training checkpoint
+// (checkpoint::DecodeTrainerState). Every damaged input — torn tails,
+// one bit flip per header byte and per sampled payload byte, length
+// lies, version skew, a non-hex crc — must come back as its expected
+// error class; none may abort or throw.
 
 #include <sys/resource.h>
 
@@ -50,12 +48,6 @@ const char* Name(ErrorClass cls) {
   return "?";
 }
 
-// The checkpoint record's wire identity (spe/checkpoint/checkpoint.cc);
-// the messages do not matter here, only the classes.
-constexpr frame::Format kCheckpointFormat = {
-    "spe-checkpoint", 1, 1, "bad magic", "malformed", "unsupported",
-    "checkpoint"};
-
 // What a byte of the pristine header lines is, which decides the class
 // a flip there must produce.
 enum class Role {
@@ -93,14 +85,10 @@ struct Artifact {
       EXPECT_EQ(error.ok(), decoded.model != nullptr);
       return error.cls;
     }
-    frame::Header header;
-    frame::Error error = frame::DecodeHeader(input, kCheckpointFormat, &header);
-    if (error.ok() && !header.fields.empty()) return ErrorClass::kMalformed;
-    if (error.ok()) {
-      error = frame::CheckPayload(header, input.substr(header.size),
-                                  kCheckpointFormat);
-    }
-    return error.cls;
+    const checkpoint::LoadResult decoded =
+        checkpoint::DecodeTrainerState(input);
+    EXPECT_EQ(decoded.error.ok(), decoded.members.size() > 0);
+    return decoded.error.cls;
   }
 };
 
@@ -251,8 +239,8 @@ std::vector<Artifact> BuildArtifacts() {
   std::vector<Artifact> artifacts;
   artifacts.push_back(Describe("bundle", true, bundle.str()));
 
-  // A real checkpoint manifest, left behind by a run halted after its
-  // third iteration; its first commit record is the input.
+  // A real checkpoint, left behind by a run halted after its third
+  // iteration.
   const auto dir =
       std::filesystem::temp_directory_path() / "spe_frame_test_checkpoint";
   std::filesystem::remove_all(dir);
@@ -263,14 +251,10 @@ std::vector<Artifact> BuildArtifacts() {
   options.halt_after_iteration = 3;
   halted.set_checkpoint_options(options);
   halted.Fit(data);
-  const std::string manifest =
-      ReadFile(checkpoint::CheckpointPath(dir.string()));
-  std::filesystem::remove_all(dir);
-  frame::Header header;
-  EXPECT_TRUE(frame::DecodeHeader(manifest, kCheckpointFormat, &header).ok());
   artifacts.push_back(Describe(
       "checkpoint", false,
-      manifest.substr(0, header.size + header.payload_bytes)));
+      ReadFile(checkpoint::CheckpointPath(dir.string()))));
+  std::filesystem::remove_all(dir);
   return artifacts;
 }
 
@@ -282,7 +266,8 @@ const std::vector<Artifact>& Artifacts() {
 TEST(FrameTest, PristineArtifactsDecode) {
   for (const Artifact& a : Artifacts()) {
     EXPECT_EQ(a.Decode(a.bytes), ErrorClass::kNone) << a.name;
-    // Bytes past the payload belong to the caller (the next record).
+    // Bytes past the payload are not the frame's; neither decoder reads
+    // them.
     EXPECT_EQ(a.Decode(a.bytes + "trailing"), ErrorClass::kNone) << a.name;
   }
   EXPECT_GT(Artifacts().front().header_end,
@@ -362,8 +347,10 @@ TEST(FrameTest, LengthLiesAreClassified) {
 
 TEST(FrameTest, VersionSkewIsUnsupported) {
   for (const Artifact& a : Artifacts()) {
-    const int current = a.bundle ? 3 : 1;
-    for (const int version : {0, current + 1}) {
+    // A checkpoint's version 1 was the retired manifest + member log.
+    const std::vector<int> versions =
+        a.bundle ? std::vector<int>{0, 4} : std::vector<int>{0, 1, 3};
+    for (const int version : versions) {
       EXPECT_EQ(a.Decode(WithToken(a, Role::kVersion, std::to_string(version))),
                 ErrorClass::kUnsupportedVersion)
           << a.name << " version " << version;
@@ -392,21 +379,24 @@ TEST(FrameTest, FalseHistogramBinCountIsMalformed) {
 }
 
 TEST(FrameTest, EncodeHeaderRoundTrips) {
+  constexpr frame::Format kFormat = {"spe-test", 1, 1, "bad magic",
+                                     "malformed", "unsupported", "test"};
   const std::string payload = "some payload\n";
-  const std::string header =
-      frame::EncodeHeader(kCheckpointFormat, "key 7", payload);
-  EXPECT_EQ(header.rfind("spe-checkpoint 1 key 7 payload_bytes 13 crc32 ", 0),
-            0u);
+  const std::string header = frame::EncodeHeader(kFormat, "key 7", payload);
+  EXPECT_EQ(header.rfind("spe-test 1 key 7 payload_bytes 13 crc32 ", 0), 0u);
   const std::string bytes = header + payload;
   frame::Header decoded;
-  ASSERT_TRUE(frame::DecodeHeader(bytes, kCheckpointFormat, &decoded).ok());
+  ASSERT_TRUE(frame::DecodeHeader(bytes, kFormat, &decoded).ok());
   EXPECT_EQ(decoded.version, 1);
   EXPECT_EQ(decoded.fields, "key 7");
   EXPECT_EQ(decoded.size, header.size());
   EXPECT_TRUE(frame::CheckPayload(decoded, std::string_view(bytes).substr(
                                                decoded.size),
-                                  kCheckpointFormat)
+                                  kFormat)
                   .ok());
+  // A payload given as ranges frames exactly like its concatenation.
+  const std::string_view parts[] = {"", "some ", "", "payload\n"};
+  EXPECT_EQ(frame::EncodeHeader(kFormat, "key 7", parts), header);
 }
 
 TEST(FrameTest, PublishAtomicallyReplacesWholeFiles) {

@@ -7,9 +7,11 @@
 #
 #   1. truth: train straight through, no checkpointing involved
 #   2. kill chain: SIGKILL the trainer at three distinct iterations
-#      (2, 5, 8 of 10), resuming from the checkpoint each time; the
-#      final resumed run's artifact must be BYTE-IDENTICAL to truth,
-#      and the checkpoint must be retired once the artifact publishes
+#      (2, 5, 8 of 10), resuming from the checkpoint each time; every
+#      kill leaves exactly one file, spe_train.ckpt, the final resumed
+#      run's artifact must be BYTE-IDENTICAL to truth, and the
+#      checkpoint must be retired once the artifact publishes, leaving
+#      the checkpoint directory empty
 #   3. same chain under SPE_THREADS=8 with --checkpoint-every 2, so a
 #      resume replays an uncheckpointed iteration — still byte-identical
 #   4. a corrupted checkpoint and a checkpoint from a different trainer
@@ -63,7 +65,8 @@ function(run_ok threads faults)
 endfunction()
 
 # Runs spe_cli expecting the process to die by SIGKILL at iteration
-# `at`; asserts the fault announced itself and a checkpoint survived.
+# `at`; asserts the fault announced itself and that the checkpoint, one
+# file, survived alone.
 function(run_killed threads at ckpt_dir)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env SPE_THREADS=${threads}
@@ -79,6 +82,12 @@ function(run_killed threads at ckpt_dir)
   if(NOT EXISTS ${ckpt_dir}/spe_train.ckpt)
     message(FATAL_ERROR
       "no checkpoint survived the SIGKILL at iteration ${at}")
+  endif()
+  file(GLOB left RELATIVE ${ckpt_dir} ${ckpt_dir}/*)
+  if(NOT left STREQUAL "spe_train.ckpt")
+    message(FATAL_ERROR
+      "the SIGKILL at iteration ${at} left '${left}' in ${ckpt_dir}, not "
+      "just spe_train.ckpt")
   endif()
   set(last_err "${err}" PARENT_SCOPE)
 endfunction()
@@ -115,6 +124,10 @@ if(NOT last_err MATCHES "checkpoint .* retired")
 endif()
 if(EXISTS ${dir}/ckpt/spe_train.ckpt)
   message(FATAL_ERROR "retired checkpoint still on disk")
+endif()
+file(GLOB left ${dir}/ckpt/*)
+if(left)
+  message(FATAL_ERROR "retirement left files behind: ${left}")
 endif()
 
 execute_process(
@@ -160,11 +173,10 @@ endif()
 run_killed(1 2 ${dir}/ckpt_corrupt train --data ${dir}/train.csv --n 5
            --seed 3 --model ${dir}/c.model
            --checkpoint-dir ${dir}/ckpt_corrupt)
-# The payload carries raw binary accumulator bytes, so the corruption
-# has to happen at the byte level (CMake's string-based file(READ) +
-# file(WRITE) cannot round-trip embedded NULs). Length-preserving bit
-# rot: overwrite the third-from-last byte with NUL via dd — the file
-# tail is member text, never NUL, so the byte always changes.
+# Length-preserving bit rot at the byte level, via dd: overwrite the
+# third-from-last byte with NUL. The payload is text and ends with the
+# last member's record, so that byte is member text, never NUL, and
+# always changes; the CRC-32 over the payload must catch it.
 execute_process(
   COMMAND bash -c "f='${dir}/ckpt_corrupt/spe_train.ckpt'; \
     pos=$(( $(stat -c %s \"$f\") - 3 )); \

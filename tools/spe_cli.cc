@@ -183,6 +183,21 @@ Options Parse(int argc, char** argv) {
   return options;
 }
 
+// The CSV label column: --label-column, or by default the last column.
+// LoadCsv needs the index up front, so "last" is resolved by counting
+// the commas of the first line.
+std::size_t LabelColumn(const Options& options, const std::string& path) {
+  const long label_column = options.GetInt("label-column", -1);
+  if (label_column >= 0) return static_cast<std::size_t>(label_column);
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) throw spe::TransientIoError("cannot open " + path);
+  int c = 0;
+  std::size_t commas = 0;
+  while ((c = std::fgetc(f)) != EOF && c != '\n') commas += (c == ',');
+  std::fclose(f);
+  return commas;
+}
+
 spe::Dataset LoadData(const Options& options) {
   const std::string path = options.Get("data", "");
   if (path.empty()) Usage("--data is required");
@@ -198,29 +213,17 @@ spe::Dataset LoadData(const Options& options) {
     return spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + path,
                                  [&] { return spe::LoadLibsvm(path); });
   }
-  // Default label column: the last one. Peek at the header row width by
-  // loading with column 0 would be wasteful; LoadCsv needs the index up
-  // front, so resolve "last" via a tiny pre-scan.
-  long label_column = options.GetInt("label-column", -1);
-  if (label_column < 0) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) throw spe::TransientIoError("cannot open " + path);
-    int c = 0;
-    long columns = 1;
-    while ((c = std::fgetc(f)) != EOF && c != '\n') columns += (c == ',');
-    std::fclose(f);
-    label_column = columns - 1;
-  }
+  const std::size_t label_column = LabelColumn(options, path);
   // CSV goes through the sidecar cache: first load parses and publishes
   // `<path>.spmc`, repeat loads mmap it (same values, no re-parse).
   // --no-cache forces a plain parse and touches no sidecar.
   if (options.flags.count("no-cache") > 0) {
     return spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + path, [&] {
-      return spe::LoadCsv(path, static_cast<std::size_t>(label_column));
+      return spe::LoadCsv(path, label_column);
     });
   }
   return spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + path, [&] {
-    return spe::LoadCsvCached(path, static_cast<std::size_t>(label_column));
+    return spe::LoadCsvCached(path, label_column);
   });
 }
 
@@ -317,9 +320,8 @@ int Train(const Options& options) {
   std::fprintf(stderr, "model written to %s\n", model_path.c_str());
   if (!checkpoint_file.empty() && std::remove(checkpoint_file.c_str()) == 0) {
     // The published artifact supersedes the checkpoint; retiring it
-    // (manifest first, then its member log) keeps a later run with the
-    // same directory from resuming stale state after a config change.
-    std::remove(spe::checkpoint::MemberLogPath(checkpoint_file).c_str());
+    // keeps a later run with the same directory from resuming stale
+    // state after a config change.
     std::fprintf(stderr, "checkpoint %s retired\n", checkpoint_file.c_str());
   }
   return 0;
@@ -398,18 +400,8 @@ int CrossValidateCommand(const Options& options) {
 // is valid (mmap-reusable), stale (source changed), corrupt, or absent.
 int InspectSidecarReport(const Options& options) {
   const std::string path = options.Get("data", "");
-  long label_column = options.GetInt("label-column", -1);
-  if (label_column < 0) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) throw spe::TransientIoError("cannot open " + path);
-    int c = 0;
-    long columns = 1;
-    while ((c = std::fgetc(f)) != EOF && c != '\n') columns += (c == ',');
-    std::fclose(f);
-    label_column = columns - 1;
-  }
   const spe::SidecarInfo info =
-      spe::InspectSidecar(path, static_cast<std::size_t>(label_column));
+      spe::InspectSidecar(path, LabelColumn(options, path));
   std::printf("data:          %s\n", path.c_str());
   std::printf("sidecar:       %s\n", info.sidecar_path.c_str());
   std::printf("sidecar_state: %s (%s)\n", spe::SidecarStatusName(info.status),
