@@ -1,5 +1,6 @@
 #include "spe/classifiers/adaboost.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -8,6 +9,56 @@
 #include "spe/common/math.h"
 
 namespace spe {
+
+double BoostedClassifier::PredictRow(std::span<const double> x) const {
+  SPE_CHECK(!stages_.empty()) << "predict before fit";
+  double score = 0.0;
+  for (const auto& stage : stages_) score += HalfLogOdds(stage->PredictRow(x));
+  return Sigmoid(2.0 * learning_rate() * score);
+}
+
+std::vector<double> BoostedClassifier::PredictProba(
+    const DatasetView& data) const {
+  return PredictProbaStaged(data, stages_.size());
+}
+
+void BoostedClassifier::AccumulateProbaInto(const DatasetView& data,
+                                            std::span<double> acc) const {
+  AccumulateViaPredictProba(data, acc);
+}
+
+std::vector<double> BoostedClassifier::PredictProbaStaged(
+    const DatasetView& data, std::size_t k) const {
+  SPE_CHECK(!stages_.empty()) << "predict before fit";
+  const std::size_t use = std::min(k, stages_.size());
+  SPE_CHECK_GT(use, 0u);
+  std::vector<double> score(data.num_rows(), 0.0);
+  for (std::size_t m = 0; m < use; ++m) {
+    const std::vector<double> p = stages_[m]->PredictProba(data);
+    for (std::size_t i = 0; i < score.size(); ++i) score[i] += HalfLogOdds(p[i]);
+  }
+  const double lr = learning_rate();
+  for (double& s : score) s = Sigmoid(2.0 * lr * s);
+  return score;
+}
+
+bool BoostedClassifier::AddStage(std::unique_ptr<Classifier> stage,
+                                 const DatasetView& train,
+                                 std::vector<double>& weights) {
+  const std::vector<double> probs = stage->PredictProba(train);
+  SPE_CHECK_EQ(weights.size(), probs.size());
+  stages_.push_back(std::move(stage));
+  const double lr = learning_rate();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const double y = train.Label(i) == 1 ? 1.0 : -1.0;
+    weights[i] *= std::exp(-y * lr * HalfLogOdds(probs[i]));
+    sum += weights[i];
+  }
+  if (sum <= 0.0 || !std::isfinite(sum)) return false;
+  for (double& w : weights) w /= sum;
+  return true;
+}
 
 AdaBoost::AdaBoost(const AdaBoostConfig& config) : config_(config) {
   SPE_CHECK_GT(config.n_estimators, 0u);
@@ -51,45 +102,8 @@ void AdaBoost::FitWeighted(const DatasetView& train,
     }
     stage->Reseed(config_.seed + m);
     stage->FitWeighted(train, w);
-
-    const std::vector<double> probs = stage->PredictProba(train);
-    stages_.push_back(std::move(stage));
-
-    // w_i *= exp(-y'_i * lr * h(x_i)) with y' in {-1, +1}, then normalize.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double y = train.Label(i) == 1 ? 1.0 : -1.0;
-      w[i] *= std::exp(-y * config_.learning_rate * HalfLogOdds(probs[i]));
-      sum += w[i];
-    }
-    if (sum <= 0.0 || !std::isfinite(sum)) break;  // degenerate stage
-    for (double& v : w) v /= sum;
+    if (!AddStage(std::move(stage), train, w)) break;  // degenerate stage
   }
-}
-
-double AdaBoost::PredictRow(std::span<const double> x) const {
-  SPE_CHECK(!stages_.empty()) << "predict before fit";
-  double score = 0.0;
-  for (const auto& stage : stages_) score += HalfLogOdds(stage->PredictRow(x));
-  return Sigmoid(2.0 * config_.learning_rate * score);
-}
-
-std::vector<double> AdaBoost::PredictProba(const DatasetView& data) const {
-  SPE_CHECK(!stages_.empty()) << "predict before fit";
-  std::vector<double> score(data.num_rows(), 0.0);
-  for (const auto& stage : stages_) {
-    const std::vector<double> p = stage->PredictProba(data);
-    for (std::size_t i = 0; i < score.size(); ++i) score[i] += HalfLogOdds(p[i]);
-  }
-  for (double& s : score) s = Sigmoid(2.0 * config_.learning_rate * s);
-  return score;
-}
-
-void AdaBoost::AccumulateProbaInto(const DatasetView& data,
-                                   std::span<double> acc) const {
-  // PredictProba is a staged vote reduction, not a PredictRow loop;
-  // keep that path so the accumulated bits match it.
-  AccumulateViaPredictProba(data, acc);
 }
 
 std::unique_ptr<AdaBoost> AdaBoost::FromTrainedStages(

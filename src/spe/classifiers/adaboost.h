@@ -10,6 +10,49 @@
 
 namespace spe {
 
+/// The one real-boosting classifier (binary SAMME.R): each stage
+/// contributes the half-log-odds of its probability estimate, and
+/// PredictRow returns sigmoid(2 * learning_rate * sum_m h_m(x)), the
+/// additive-logistic probability, so boosters compose cleanly with
+/// AUCPRC-style metrics and with SPE's hardness functions. AdaBoost,
+/// RusBoost and SmoteBoost derive from it and keep only how each stage's
+/// rows and weights are chosen; how a booster scores, answers stage
+/// prefixes, re-weights the training set after a stage and persists
+/// (SaveClassifier writes its stages under the AdaBoost tag) is defined
+/// here, once.
+class BoostedClassifier : public Classifier {
+ public:
+  double PredictRow(std::span<const double> x) const final;
+  std::vector<double> PredictProba(const DatasetView& data) const final;
+  /// PredictProba is a staged vote reduction, not a PredictRow loop, so
+  /// this adds the batch path's result to keep its bits.
+  void AccumulateProbaInto(const DatasetView& data,
+                           std::span<double> acc) const final;
+
+  /// Prediction using only the first min(k, NumStages()) stages — lets
+  /// the Fig. 7 bench trace performance vs ensemble size from one fit.
+  /// Requires k >= 1 and a fitted model.
+  std::vector<double> PredictProbaStaged(const DatasetView& data,
+                                         std::size_t k) const;
+
+  std::size_t NumStages() const { return stages_.size(); }
+  const Classifier& stage(std::size_t i) const { return *stages_[i]; }
+  /// The shrinkage of every stage's contribution, read from the config.
+  virtual double learning_rate() const = 0;
+
+ protected:
+  /// Appends a fitted stage, then applies the real-boosting update on
+  /// `train`: w_i *= exp(-y_i * lr * HalfLogOdds(p_i)) with y in
+  /// {-1, +1} and p the stage's probabilities, and normalizes `weights`
+  /// (one per row of `train`, checked).
+  /// Returns false when their sum is not positive and finite (a
+  /// degenerate stage): Fit stops boosting there.
+  bool AddStage(std::unique_ptr<Classifier> stage, const DatasetView& train,
+                std::vector<double>& weights);
+
+  std::vector<std::unique_ptr<Classifier>> stages_;
+};
+
 struct AdaBoostConfig {
   std::size_t n_estimators = 10;  // the paper's AdaBoost10
   double learning_rate = 1.0;
@@ -19,13 +62,9 @@ struct AdaBoostConfig {
   std::uint64_t seed = 0;
 };
 
-/// Real AdaBoost (binary SAMME.R): each stage fits a weight-supporting
-/// base learner on re-weighted data and contributes the half-log-odds of
-/// its probability estimate. PredictRow returns
-/// sigmoid(2 * learning_rate * sum_m h_m(x)), the additive-logistic
-/// probability, so AdaBoost composes cleanly with AUCPRC-style metrics
-/// and with SPE's hardness functions.
-class AdaBoost final : public Classifier {
+/// Real AdaBoost: each stage fits a weight-supporting base learner on
+/// the whole training set under the current boosting weights.
+class AdaBoost final : public BoostedClassifier {
  public:
   explicit AdaBoost(const AdaBoostConfig& config = {});
   /// Boosts clones of `base_prototype` (must support sample weights).
@@ -35,17 +74,10 @@ class AdaBoost final : public Classifier {
   void FitWeighted(const DatasetView& train,
                    const std::vector<double>& weights) override;
   bool SupportsSampleWeights() const override { return true; }
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
-
-  std::size_t NumStages() const { return stages_.size(); }
-  const Classifier& stage(std::size_t i) const { return *stages_[i]; }
-  double learning_rate() const { return config_.learning_rate; }
+  double learning_rate() const override { return config_.learning_rate; }
 
   /// Reassembles a trained booster from previously trained stages
   /// (model persistence; the stages must all be fitted).
@@ -56,7 +88,6 @@ class AdaBoost final : public Classifier {
  private:
   AdaBoostConfig config_;
   std::unique_ptr<Classifier> base_prototype_;  // null => default tree
-  std::vector<std::unique_ptr<Classifier>> stages_;
 };
 
 }  // namespace spe

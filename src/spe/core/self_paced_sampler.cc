@@ -233,17 +233,6 @@ std::vector<std::size_t> SelfPacedUnderSample(
 }
 
 std::vector<std::size_t> SelfPacedUnderSample(
-    const MajorityHardness& majority_hardness, double alpha,
-    std::size_t num_bins, std::size_t target_count, Rng& rng,
-    std::vector<std::size_t>* bin_population_out) {
-  const std::size_t n = majority_hardness.size();
-  return majority_hardness.Visit([&](auto at) {
-    return UnderSample(n, at, Ordinals{n}, alpha, num_bins, target_count, rng,
-                       bin_population_out);
-  });
-}
-
-std::vector<std::size_t> SelfPacedUnderSample(
     const MajorityHardness& majority_hardness, const DatasetView& rows,
     double alpha, std::size_t num_bins, std::size_t target_count, Rng& rng,
     std::vector<std::size_t>* bin_population_out) {

@@ -1,11 +1,10 @@
 #include "spe/imbalance/rus_boost.h"
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 
 #include "spe/classifiers/decision_tree.h"
 #include "spe/common/check.h"
-#include "spe/common/math.h"
 #include "spe/common/rng.h"
 
 namespace spe {
@@ -74,50 +73,8 @@ void RusBoost::Fit(const DatasetView& train) {
     stage->FitWeighted(base.WithIndices(subset_abs), subset_weights);
 
     // Real-boosting update on the full training set.
-    const std::vector<double> probs = stage->PredictProba(train);
-    stages_.push_back(std::move(stage));
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double y = train.Label(i) == 1 ? 1.0 : -1.0;
-      weights[i] *=
-          std::exp(-y * config_.learning_rate * HalfLogOdds(probs[i]));
-      sum += weights[i];
-    }
-    if (sum <= 0.0 || !std::isfinite(sum)) break;
-    for (double& w : weights) w /= sum;
+    if (!AddStage(std::move(stage), train, weights)) break;
   }
-}
-
-std::vector<double> RusBoost::PredictProbaStaged(const DatasetView& data,
-                                                 std::size_t stages) const {
-  SPE_CHECK(!stages_.empty()) << "predict before fit";
-  const std::size_t use = std::min(stages, stages_.size());
-  SPE_CHECK_GT(use, 0u);
-  std::vector<double> score(data.num_rows(), 0.0);
-  for (std::size_t m = 0; m < use; ++m) {
-    const std::vector<double> p = stages_[m]->PredictProba(data);
-    for (std::size_t i = 0; i < score.size(); ++i) score[i] += HalfLogOdds(p[i]);
-  }
-  for (double& s : score) s = Sigmoid(2.0 * config_.learning_rate * s);
-  return score;
-}
-
-std::vector<double> RusBoost::PredictProba(const DatasetView& data) const {
-  return PredictProbaStaged(data, stages_.size());
-}
-
-void RusBoost::AccumulateProbaInto(const DatasetView& data,
-                                   std::span<double> acc) const {
-  // PredictProba is a staged vote reduction, not a PredictRow loop;
-  // keep that path so the accumulated bits match it.
-  AccumulateViaPredictProba(data, acc);
-}
-
-double RusBoost::PredictRow(std::span<const double> x) const {
-  SPE_CHECK(!stages_.empty()) << "predict before fit";
-  double score = 0.0;
-  for (const auto& stage : stages_) score += HalfLogOdds(stage->PredictRow(x));
-  return Sigmoid(2.0 * config_.learning_rate * score);
 }
 
 std::unique_ptr<Classifier> RusBoost::Clone() const {

@@ -4,9 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "spe/classifiers/classifier.h"
+#include "spe/classifiers/adaboost.h"
 
 namespace spe {
 
@@ -20,32 +19,22 @@ struct RusBoostConfig {
 /// inside every boosting iteration. Each stage trains the (weight-
 /// supporting) base on a balanced subset using the boosting weights of
 /// the surviving rows, then performs the usual real-boosting weight
-/// update on the full training set.
-class RusBoost final : public Classifier {
+/// update on the full training set (BoostedClassifier::AddStage).
+class RusBoost final : public BoostedClassifier {
  public:
   /// Default base model: a depth-10 decision tree.
   explicit RusBoost(const RusBoostConfig& config = {});
   RusBoost(const RusBoostConfig& config, std::unique_ptr<Classifier> base_prototype);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
-
-  /// Prediction using only the first `stages` boosting stages — lets the
-  /// Fig. 7 bench trace performance vs ensemble size from one fit.
-  std::vector<double> PredictProbaStaged(const DatasetView& data,
-                                         std::size_t stages) const;
-  std::size_t NumStages() const { return stages_.size(); }
+  double learning_rate() const override { return config_.learning_rate; }
 
  private:
   RusBoostConfig config_;
   std::unique_ptr<Classifier> base_prototype_;
-  std::vector<std::unique_ptr<Classifier>> stages_;
 };
 
 }  // namespace spe

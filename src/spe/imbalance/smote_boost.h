@@ -4,9 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "spe/classifiers/classifier.h"
+#include "spe/classifiers/adaboost.h"
 
 namespace spe {
 
@@ -21,9 +20,10 @@ struct SmoteBoostConfig {
 /// first augments the training set with |P| fresh SMOTE-synthesized
 /// minority samples (the paper's §VI-C.2 description). Synthetic rows
 /// carry the mean minority weight during the stage fit and are discarded
-/// before the boosting weight update, which runs on the original rows.
-/// Distance-based, so it inherits SMOTE's restriction to numerical data.
-class SmoteBoost final : public Classifier {
+/// before the boosting weight update, which runs on the original rows
+/// (BoostedClassifier::AddStage). Distance-based, so it inherits SMOTE's
+/// restriction to numerical data.
+class SmoteBoost final : public BoostedClassifier {
  public:
   /// Default base model: a depth-10 decision tree.
   explicit SmoteBoost(const SmoteBoostConfig& config = {});
@@ -31,18 +31,10 @@ class SmoteBoost final : public Classifier {
              std::unique_ptr<Classifier> base_prototype);
 
   void Fit(const DatasetView& train) override;
-  double PredictRow(std::span<const double> x) const override;
-  std::vector<double> PredictProba(const DatasetView& data) const override;
-  void AccumulateProbaInto(const DatasetView& data,
-                           std::span<double> acc) const override;
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
-
-  /// Prediction with only the first `stages` stages (Fig. 7 tracing).
-  std::vector<double> PredictProbaStaged(const DatasetView& data,
-                                         std::size_t stages) const;
-  std::size_t NumStages() const { return stages_.size(); }
+  double learning_rate() const override { return config_.learning_rate; }
 
   /// Total rows used to fit all stages (the Table VI "#Sample" column).
   std::size_t TotalTrainingRows() const { return total_training_rows_; }
@@ -50,7 +42,6 @@ class SmoteBoost final : public Classifier {
  private:
   SmoteBoostConfig config_;
   std::unique_ptr<Classifier> base_prototype_;
-  std::vector<std::unique_ptr<Classifier>> stages_;
   std::size_t total_training_rows_ = 0;
 };
 

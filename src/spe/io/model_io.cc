@@ -142,7 +142,7 @@ void SaveClassifier(const Classifier& model, std::ostream& os) {
     lr->SaveModel(os);
     return;
   }
-  if (const auto* boost = dynamic_cast<const AdaBoost*>(&model)) {
+  if (const auto* boost = dynamic_cast<const BoostedClassifier*>(&model)) {
     SPE_CHECK_GT(boost->NumStages(), 0u) << "cannot save an unfitted booster";
     os.precision(std::numeric_limits<double>::max_digits10);
     os << "AdaBoost\n";

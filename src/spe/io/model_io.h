@@ -48,7 +48,11 @@ class VotingEnsembleModel final : public VotingClassifier,
 ///
 /// Supported:
 ///   - DecisionTree, Gbdt, LogisticRegression (full state);
-///   - AdaBoost (stages serialized recursively);
+///   - every BoostedClassifier (AdaBoost, RusBoost, SmoteBoost) —
+///     persisted as its learning rate and stages (serialized
+///     recursively) under the AdaBoost tag; loading returns an AdaBoost
+///     that scores identically, because a trained real booster is
+///     exactly its stages;
 ///   - every VotingClassifier (SelfPacedEnsemble, UnderBagging /
 ///     EasyEnsemble, BalanceCascade, Bagging, RandomForest, SmoteBagging
 ///     and VotingEnsembleModel) — persisted as its member list; loading

@@ -16,7 +16,6 @@ class AllKnnSampler final : public Sampler {
  public:
   explicit AllKnnSampler(std::size_t max_k = 3);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

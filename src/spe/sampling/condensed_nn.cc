@@ -37,10 +37,4 @@ bool CondensedNnSampler::SelectIndices(const Dataset& data, Rng& rng,
   return true;
 }
 
-Dataset CondensedNnSampler::Resample(const Dataset& data, Rng& rng) const {
-  std::vector<std::size_t> keep;
-  SelectIndices(data, rng, &keep);
-  return data.Subset(keep);
-}
-
 }  // namespace spe

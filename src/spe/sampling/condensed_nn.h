@@ -17,7 +17,6 @@ class CondensedNnSampler final : public Sampler {
  public:
   CondensedNnSampler() = default;
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

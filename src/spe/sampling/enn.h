@@ -23,7 +23,6 @@ class EnnSampler final : public Sampler {
  public:
   explicit EnnSampler(std::size_t k = 3, bool majority_only = true);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

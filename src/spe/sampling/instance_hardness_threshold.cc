@@ -72,11 +72,4 @@ bool InstanceHardnessThresholdSampler::SelectIndices(
   return true;
 }
 
-Dataset InstanceHardnessThresholdSampler::Resample(const Dataset& data,
-                                                   Rng& rng) const {
-  std::vector<std::size_t> keep;
-  SelectIndices(data, rng, &keep);
-  return data.Subset(keep);
-}
-
 }  // namespace spe

@@ -27,7 +27,6 @@ class InstanceHardnessThresholdSampler final : public Sampler {
   explicit InstanceHardnessThresholdSampler(
       std::unique_ptr<Classifier> probe = nullptr, std::size_t folds = 3);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   std::string Name() const override { return "IHT"; }

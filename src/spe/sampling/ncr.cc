@@ -41,10 +41,4 @@ bool NcrSampler::SelectIndices(const Dataset& data, Rng& /*rng*/,
   return true;
 }
 
-Dataset NcrSampler::Resample(const Dataset& data, Rng& rng) const {
-  std::vector<std::size_t> keep;
-  SelectIndices(data, rng, &keep);
-  return data.Subset(keep);
-}
-
 }  // namespace spe

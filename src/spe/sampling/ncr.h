@@ -19,7 +19,6 @@ class NcrSampler final : public Sampler {
  public:
   explicit NcrSampler(std::size_t k = 3);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

@@ -43,10 +43,4 @@ bool NearMissSampler::SelectIndices(const Dataset& data, Rng& rng,
   return true;
 }
 
-Dataset NearMissSampler::Resample(const Dataset& data, Rng& rng) const {
-  std::vector<std::size_t> keep;
-  SelectIndices(data, rng, &keep);
-  return data.Subset(keep);
-}
-
 }  // namespace spe

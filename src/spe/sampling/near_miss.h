@@ -14,7 +14,6 @@ class NearMissSampler final : public Sampler {
  public:
   explicit NearMissSampler(std::size_t k = 3);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

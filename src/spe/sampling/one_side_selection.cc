@@ -64,10 +64,4 @@ bool OneSideSelectionSampler::SelectIndices(const Dataset& data, Rng& rng,
   return true;
 }
 
-Dataset OneSideSelectionSampler::Resample(const Dataset& data, Rng& rng) const {
-  std::vector<std::size_t> keep;
-  SelectIndices(data, rng, &keep);
-  return data.Subset(keep);
-}
-
 }  // namespace spe

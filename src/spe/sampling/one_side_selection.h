@@ -15,7 +15,6 @@ class OneSideSelectionSampler final : public Sampler {
  public:
   explicit OneSideSelectionSampler(std::size_t seeds = 1);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

@@ -27,10 +27,4 @@ bool RandomUnderSampler::SelectIndices(const Dataset& data, Rng& rng,
   return true;
 }
 
-Dataset RandomUnderSampler::Resample(const Dataset& data, Rng& rng) const {
-  std::vector<std::size_t> keep;
-  SelectIndices(data, rng, &keep);
-  return data.Subset(keep);
-}
-
 }  // namespace spe

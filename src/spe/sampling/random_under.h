@@ -14,7 +14,6 @@ class RandomUnderSampler final : public Sampler {
  public:
   explicit RandomUnderSampler(double ratio = 1.0);
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   std::string Name() const override { return "RandUnder"; }

@@ -20,8 +20,11 @@ class Sampler {
   /// Produces the re-sampled training set. Deterministic samplers ignore
   /// `rng`. Distance-based samplers abort on categorical features — the
   /// exact inapplicability the paper marks with "- -" in Table IV; use
-  /// RequiresNumericalFeatures() to pre-check.
-  virtual Dataset Resample(const Dataset& data, Rng& rng) const = 0;
+  /// RequiresNumericalFeatures() to pre-check. The default is every pure
+  /// under-sampler's: `data.Subset()` of the rows SelectIndices keeps.
+  /// Samplers that synthesize rows override it (the default aborts,
+  /// naming the sampler, when SelectIndices returns false).
+  virtual Dataset Resample(const Dataset& data, Rng& rng) const;
 
   /// Zero-copy fast path for pure under-samplers: when the resampled set
   /// is exactly a row subset of `data`, fills `keep` with the selected

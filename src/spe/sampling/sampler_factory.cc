@@ -23,6 +23,13 @@ namespace spe {
 
 Sampler::~Sampler() = default;
 
+Dataset Sampler::Resample(const Dataset& data, Rng& rng) const {
+  std::vector<std::size_t> keep;
+  const bool subset = SelectIndices(data, rng, &keep);
+  SPE_CHECK(subset) << Name() << " synthesizes rows and must override Resample";
+  return data.Subset(keep);
+}
+
 std::unique_ptr<Sampler> MakeSampler(const std::string& name) {
   if (name == "RandUnder") return std::make_unique<RandomUnderSampler>();
   if (name == "NearMiss") return std::make_unique<NearMissSampler>();

@@ -22,7 +22,6 @@ class TomekLinksSampler final : public Sampler {
  public:
   TomekLinksSampler() = default;
 
-  Dataset Resample(const Dataset& data, Rng& rng) const override;
   bool SelectIndices(const Dataset& data, Rng& rng,
                      std::vector<std::size_t>* keep) const override;
   bool RequiresNumericalFeatures() const override { return true; }

@@ -26,6 +26,7 @@
 #include "spe/common/retry.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/io/model_io.h"
+#include "spe/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace spe {
@@ -493,16 +494,22 @@ TEST(CheckpointFaultTest, FlakyWritesRecoverThroughBackoff) {
       checkpoint::CheckpointPath(dir));
   ASSERT_TRUE(loaded.ok()) << loaded.error.message;
 
+  // Under seed 23 the first two write draws fail and the third succeeds,
+  // so the publish lands only through the backoff loop.
   FaultConfig faults;
   faults.artifact_write_fail_rate = 0.5;
-  faults.seed = 3;
+  faults.seed = 23;
   Faults().Configure(faults);
   RetryPolicy patient;
   patient.max_attempts = 8;
   patient.initial_backoff_ms = 1;
   const std::string path = dir + "/flaky.ckpt";
+  const obs::Counter& retries =
+      obs::MetricsRegistry::Global().GetCounter("spe_io_retries_total");
+  const std::uint64_t retries_before = retries.value();
   Republish(loaded, path, patient);
   Faults().Reset();
+  EXPECT_GE(retries.value(), retries_before + 1) << "the publish never retried";
   EXPECT_TRUE(std::filesystem::exists(path));
   // The flaky save is the live checkpoint, byte for byte.
   EXPECT_EQ(ReadFile(path), ReadFile(checkpoint::CheckpointPath(dir)));

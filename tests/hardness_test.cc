@@ -243,7 +243,9 @@ TEST(SelfPacedSamplerTest, AlphaControlsTrivialSampleShare) {
 // used to keep, fn(prob_sum[m] / prob_count, 0), bit for bit: the same
 // bins from ComputeHardnessBins, the same picks, quotas and Rng state
 // from SelfPacedUnderSample, for every built-in kind (inlined) and for
-// a custom closure (called through its HardnessFn).
+// a custom closure (called through its HardnessFn). The row form runs
+// on a view whose rows all have label 0, where row m is sample m, so
+// its picks compare with the span form's directly.
 TEST(MajorityHardnessTest, MatchesTheStoredHardnessVector) {
   const HardnessFn custom = [](double prob, int label) {
     return std::sqrt(std::abs(prob - label));
@@ -257,6 +259,11 @@ TEST(MajorityHardnessTest, MatchesTheStoredHardnessVector) {
     for (double& s : prob_sum) {
       s = gen.Uniform() < 0.5 ? std::floor(gen.Uniform(0.0, 4.0)) / 3.0 * count
                               : gen.Uniform(0.0, static_cast<double>(count));
+    }
+    Dataset majority(1);
+    majority.Reserve(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      majority.AddRow(std::vector<double>{static_cast<double>(m)}, 0);
     }
     for (int kind = 0; kind < 4; ++kind) {
       MajorityHardness accessor{prob_sum, count,
@@ -281,8 +288,8 @@ TEST(MajorityHardnessTest, MatchesTheStoredHardnessVector) {
       Rng got_rng(trial);
       std::vector<std::size_t> expected_bins;
       std::vector<std::size_t> got_bins;
-      ASSERT_EQ(SelfPacedUnderSample(accessor, alpha, 20, target, got_rng,
-                                     &got_bins),
+      ASSERT_EQ(SelfPacedUnderSample(accessor, majority, alpha, 20, target,
+                                     got_rng, &got_bins),
                 SelfPacedUnderSample(stored, alpha, 20, target, expected_rng,
                                      &expected_bins))
           << trial << "/" << kind;
@@ -293,11 +300,12 @@ TEST(MajorityHardnessTest, MatchesTheStoredHardnessVector) {
 }
 
 // The row form keys sample m to the m-th label-0 row of a view. Pick r
-// must be the label-0 row of the ordinal form's pick r, with the same
-// quotas and Rng state, on a view whose label-0 rows are shuffled,
-// repeated and interleaved with positives; the take-everything and
-// all-trivial fallback paths included. SampleMajorityRows must return
-// the rows at Rng::SampleWithoutReplacement's ordinals.
+// must be the label-0 row of the ordinal (span) form's pick r on the
+// stored AE values, with the same quotas and Rng state, on a view whose
+// label-0 rows are shuffled, repeated and interleaved with positives;
+// the take-everything and all-trivial fallback paths included.
+// SampleMajorityRows must return the rows at
+// Rng::SampleWithoutReplacement's ordinals.
 TEST(MajorityHardnessTest, RowFormPicksTheOrdinalFormsRows) {
   Rng gen(13);
   for (int trial = 0; trial < 40; ++trial) {
@@ -326,6 +334,11 @@ TEST(MajorityHardnessTest, RowFormPicksTheOrdinalFormsRows) {
       }
     }
     const MajorityHardness hardness{prob_sum, count};
+    std::vector<double> stored(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      stored[m] = AbsoluteErrorHardness(
+          prob_sum[m] / static_cast<double>(count), 0);
+    }
     const double alpha = trivial ? 0.0 : gen.Uniform(0.0, 3.0);
     const std::size_t target = 1 + gen.Index(n + 5);
     Rng ordinal_rng(trial);
@@ -333,7 +346,7 @@ TEST(MajorityHardnessTest, RowFormPicksTheOrdinalFormsRows) {
     std::vector<std::size_t> ordinal_bins;
     std::vector<std::size_t> row_bins;
     const std::vector<std::size_t> ordinal = SelfPacedUnderSample(
-        hardness, alpha, 20, target, ordinal_rng, &ordinal_bins);
+        stored, alpha, 20, target, ordinal_rng, &ordinal_bins);
     const std::vector<std::size_t> rows = SelfPacedUnderSample(
         hardness, view, alpha, 20, target, row_rng, &row_bins);
     ASSERT_EQ(rows.size(), ordinal.size()) << trial;

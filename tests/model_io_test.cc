@@ -18,7 +18,9 @@
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/imbalance/balance_cascade.h"
 #include "spe/imbalance/easy_ensemble.h"
+#include "spe/imbalance/rus_boost.h"
 #include "spe/imbalance/smote_bagging.h"
+#include "spe/imbalance/smote_boost.h"
 #include "spe/io/model_io.h"
 #include "spe/kernels/flat_forest.h"
 #include "tests/test_util.h"
@@ -183,6 +185,62 @@ TEST(ModelIoTest, EveryVotingClassifierBehavesAsItsMembers) {
     EXPECT_TRUE(SameBytes(acc, proba));
     EXPECT_STREQ("flat", kernels::ActiveKernel(*model));
     EXPECT_STREQ("flat", kernels::ActiveKernel(*loaded));
+  }
+}
+
+// Every real booster is one BoostedClassifier: trained or reloaded from
+// its saved stages (RUSBoost and SMOTEBoost load back as AdaBoost), it
+// scores the same bytes, answers every stage prefix alike, ends its
+// prefixes at its full score, accumulates exactly its batch scores, and
+// scores each row alone as the batch does.
+TEST(ModelIoTest, EveryBoostedClassifierBehavesAsItsStages) {
+  const Dataset train = OverlappingBlobs(300, 40, 23);
+  const Dataset test = OverlappingBlobs(80, 20, 24);
+  const auto tree = [] {
+    DecisionTreeConfig config;
+    config.max_depth = 4;
+    return std::make_unique<DecisionTree>(config);
+  };
+  AdaBoostConfig ada;
+  ada.n_estimators = 5;
+  RusBoostConfig rus;
+  rus.n_estimators = 5;
+  SmoteBoostConfig smote;
+  smote.n_estimators = 5;
+  std::vector<std::unique_ptr<BoostedClassifier>> models;
+  models.push_back(std::make_unique<AdaBoost>(ada, tree()));
+  models.push_back(std::make_unique<RusBoost>(rus, tree()));
+  models.push_back(std::make_unique<SmoteBoost>(smote, tree()));
+
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->Name());
+    model->Fit(train);
+    std::stringstream stream;
+    SaveClassifier(*model, stream);
+    const std::unique_ptr<Classifier> loaded = LoadClassifier(stream);
+    const auto* reloaded = dynamic_cast<const AdaBoost*>(loaded.get());
+    ASSERT_NE(reloaded, nullptr);
+
+    const std::vector<double> proba = model->PredictProba(test);
+    EXPECT_TRUE(SameBytes(proba, reloaded->PredictProba(test)));
+    ASSERT_EQ(reloaded->NumStages(), model->NumStages());
+    for (std::size_t k = 1; k <= model->NumStages(); ++k) {
+      EXPECT_TRUE(SameBytes(model->PredictProbaStaged(test, k),
+                            reloaded->PredictProbaStaged(test, k)))
+          << "k=" << k;
+    }
+    EXPECT_TRUE(
+        SameBytes(model->PredictProbaStaged(test, model->NumStages()), proba));
+    std::vector<double> acc(test.num_rows(), 0.0);
+    model->AccumulateProbaInto(test, acc);
+    EXPECT_TRUE(SameBytes(acc, proba));
+    std::vector<double> row(test.num_features());
+    std::vector<double> by_row(test.num_rows());
+    for (std::size_t i = 0; i < test.num_rows(); ++i) {
+      test.CopyRowTo(i, row);
+      by_row[i] = model->PredictRow(row);
+    }
+    EXPECT_TRUE(SameBytes(by_row, proba));
   }
 }
 

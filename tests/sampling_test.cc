@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -337,6 +338,40 @@ TEST_P(SamplerFactoryTest, DeterministicGivenSeed) {
     EXPECT_EQ(a.Label(i), b.Label(i));
     EXPECT_DOUBLE_EQ(a.At(i, 0), b.At(i, 0));
   }
+}
+
+// The nine pure under-samplers keep a row subset (SelectIndices returns
+// true) and the eight synthesizers do not. Where SelectIndices answers,
+// Resample is Subset(keep) byte for byte and leaves the Rng where
+// SelectIndices left it.
+TEST_P(SamplerFactoryTest, ResampleIsTheSubsetSelectIndicesKeeps) {
+  const std::set<std::string> under_samplers = {
+      "RandUnder", "NearMiss", "Clean", "ENN", "TomekLink",
+      "AllKNN",    "OSS",      "CNN",   "IHT"};
+  const Dataset data = OverlappingBlobs(200, 25, 38);
+  auto sampler = MakeSampler(GetParam());
+  Rng select_rng(39);
+  std::vector<std::size_t> keep;
+  const bool subset = sampler->SelectIndices(data, select_rng, &keep);
+  ASSERT_EQ(subset, under_samplers.count(GetParam()) > 0);
+  if (!subset) {
+    EXPECT_TRUE(keep.empty());
+    return;
+  }
+  Rng resample_rng(39);
+  const Dataset out = sampler->Resample(data, resample_rng);
+  const Dataset expected = data.Subset(keep);
+  ASSERT_EQ(out.num_rows(), expected.num_rows());
+  ASSERT_EQ(out.num_features(), expected.num_features());
+  for (std::size_t j = 0; j < out.num_features(); ++j) {
+    EXPECT_EQ(std::memcmp(out.Column(j).values.data(),
+                          expected.Column(j).values.data(),
+                          out.num_rows() * sizeof(double)),
+              0)
+        << "column " << j;
+  }
+  EXPECT_EQ(out.labels(), expected.labels());
+  EXPECT_EQ(resample_rng.Index(1u << 30), select_rng.Index(1u << 30));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSamplers, SamplerFactoryTest,

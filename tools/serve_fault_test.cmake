@@ -277,6 +277,23 @@ if(NOT rc EQUAL 2 OR NOT err MATCHES "--n expects an integer")
   message(FATAL_ERROR "garbage --n not rejected with exit 2: rc=${rc} ${err}")
 endif()
 
+# A negative --label-column is a usage error, not "the last column".
+execute_process(
+  COMMAND ${SPE_CLI} train --data ${dir}/train.csv --label-column -7
+    --model ${dir}/ignored.model
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--label-column expects an integer >= 0")
+  message(FATAL_ERROR
+    "negative --label-column not rejected by train with exit 2: rc=${rc} ${err}")
+endif()
+execute_process(
+  COMMAND ${SPE_CLI} inspect --data ${dir}/train.csv --label-column -7
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--label-column expects an integer >= 0")
+  message(FATAL_ERROR
+    "negative --label-column not rejected by inspect with exit 2: rc=${rc} ${err}")
+endif()
+
 # Missing data file: an I/O failure (3), not a generic crash.
 execute_process(
   COMMAND ${SPE_CLI} train --data ${dir}/no_such_file.csv --n 5

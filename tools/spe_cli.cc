@@ -189,6 +189,9 @@ Options Parse(int argc, char** argv) {
 std::size_t LabelColumn(const Options& options, const std::string& path) {
   const long label_column = options.GetInt("label-column", -1);
   if (label_column >= 0) return static_cast<std::size_t>(label_column);
+  if (options.flags.count("label-column") > 0) {
+    Usage("--label-column expects an integer >= 0");
+  }
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) throw spe::TransientIoError("cannot open " + path);
   int c = 0;

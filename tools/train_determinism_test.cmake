@@ -12,6 +12,9 @@
 #   3. byte-compare the three model bundles
 #   4. spe_cli predict --scores-only with each artifact under each
 #      thread count; byte-compare all score files
+#   5. the boosted path: EasyEnsemble (AdaBoost10 members) and SPE over
+#      an AdaBoost10 base, each trained and scored under SPE_THREADS=1
+#      and 8; byte-compare their artifacts and score files
 
 foreach(var SPE_CLI WORK_DIR)
   if(NOT DEFINED ${var})
@@ -84,8 +87,9 @@ foreach(other m_8t m_nocache)
 endforeach()
 
 # Scoring: every (artifact, thread count) combination must emit the same
-# bytes. Scores are printed at max_digits10, so byte equality is bit
-# equality of the probabilities.
+# bytes. spe_cli predict prints scores with %.6f, so equal score files
+# mean scores equal to 6 decimals; the artifact comparison above is the
+# bit-level check.
 function(run_predict threads model out)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env SPE_THREADS=${threads}
@@ -113,5 +117,32 @@ foreach(other scores_8t scores_8t_model8)
   endif()
 endforeach()
 
+# Trains `name` with the given method flags under SPE_THREADS=1 and 8,
+# scores each artifact under the thread count that trained it, and
+# byte-compares the two artifacts and the two score files.
+function(check_threads_agree name)
+  foreach(threads 1 8)
+    run_cli(${threads} train --data ${dir}/train.csv ${ARGN} --seed 3
+            --model ${dir}/${name}_${threads}t.model)
+    run_predict(${threads} ${dir}/${name}_${threads}t.model
+                ${dir}/${name}_scores_${threads}t.txt)
+  endforeach()
+  foreach(one ${name}_1t.model ${name}_scores_1t.txt)
+    string(REPLACE "_1t." "_8t." eight ${one})
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files ${dir}/${one} ${dir}/${eight}
+      RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+      message(FATAL_ERROR
+        "${eight} differs from ${one} (${ARGN}) — the determinism contract "
+        "is broken across thread counts")
+    endif()
+  endforeach()
+endfunction()
+
+check_threads_agree(easy --method Easy --base AdaBoost10 --n 4)
+check_threads_agree(spe_adaboost --method SPE --base AdaBoost10 --n 5)
+
 message(STATUS "train determinism ok: artifacts and scores byte-identical "
-               "for SPE_THREADS=1 vs 8 and for cold, warm and uncached loads")
+               "for SPE_THREADS=1 vs 8 and for cold, warm and uncached loads, "
+               "for SPE over DT, Easy and SPE over AdaBoost10")
