@@ -3,6 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,6 +14,7 @@
 
 #include "spe/classifiers/classifier.h"
 #include "spe/classifiers/factory.h"
+#include "spe/common/parse.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/data/dataset.h"
 #include "spe/imbalance/balance_cascade.h"
@@ -19,6 +24,38 @@
 
 namespace spe {
 namespace bench {
+
+/// The value after flag `name` (e.g. "--out") in argv, or `fallback`
+/// when the flag is absent. A flag with no value after it exits 2
+/// naming the flag.
+inline const char* StringFlag(int argc, char** argv, const char* name,
+                              const char* fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], name) != 0) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "error: %s expects a value\n", name);
+      std::exit(2);
+    }
+    return argv[i + 1];
+  }
+  return fallback;
+}
+
+/// StringFlag parsed as a whole integer (spe::ParseInt64). A value that
+/// is not one, such as "abc" or "1x", exits 2 naming the flag instead of
+/// running with a silent 0 or 1.
+inline long FlagValue(int argc, char** argv, const char* name, long fallback) {
+  const char* text = StringFlag(argc, argv, name, nullptr);
+  if (text == nullptr) return fallback;
+  const std::optional<long long> value = ParseInt64(text);
+  if (!value || *value < std::numeric_limits<long>::min() ||
+      *value > std::numeric_limits<long>::max()) {
+    std::fprintf(stderr, "error: %s expects an integer, got '%s'\n", name,
+                 text);
+    std::exit(2);
+  }
+  return static_cast<long>(*value);
+}
 
 /// The value at fraction `p` (0..1) of `values` sorted ascending: index
 /// floor(p * size), clamped to the last; 0 when empty.

@@ -28,13 +28,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/gbdt/gbdt.h"
 #include "spe/classifiers/random_forest.h"
@@ -47,20 +47,8 @@
 
 namespace {
 
-long FlagValue(int argc, char** argv, const char* name, long fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atol(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* StringFlag(int argc, char** argv, const char* name,
-                       const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
+using spe::bench::FlagValue;
+using spe::bench::StringFlag;
 
 struct Run {
   double rows_per_sec_best = 0.0;    // fastest pass (min wall time)

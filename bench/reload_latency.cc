@@ -20,8 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -37,22 +35,9 @@
 
 namespace {
 
+using spe::bench::FlagValue;
 using spe::bench::Percentile;
-
-long FlagValue(int argc, char** argv, const char* name, long fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atol(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* StringFlag(int argc, char** argv, const char* name,
-                       const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
+using spe::bench::StringFlag;
 
 double ElapsedMs(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(

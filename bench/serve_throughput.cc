@@ -38,6 +38,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +50,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bench/bench_util.h"
 #include "spe/classifiers/decision_tree.h"
+#include "spe/common/parse.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/data/synthetic.h"
 #include "spe/obs/trace.h"
@@ -60,20 +63,8 @@
 
 namespace {
 
-long FlagValue(int argc, char** argv, const char* name, long fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atol(argv[i + 1]);
-  }
-  return fallback;
-}
-
-const char* FlagString(int argc, char** argv, const char* name,
-                       const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
+using spe::bench::FlagValue;
+using spe::bench::StringFlag;
 
 // ---- forked TCP server ---------------------------------------------
 
@@ -366,7 +357,7 @@ int main(int argc, char** argv) {
   const long n_estimators = FlagValue(argc, argv, "--n-estimators", 10);
   const long conn_rows = FlagValue(argc, argv, "--conn-rows", 40'000);
   const std::string connections_spec =
-      FlagString(argc, argv, "--connections", "16,256,2048,10000");
+      StringFlag(argc, argv, "--connections", "16,256,2048,10000");
 
   spe::BatchScorerConfig config;
   config.max_batch_size = static_cast<std::size_t>(
@@ -383,7 +374,16 @@ int main(int argc, char** argv) {
     const std::size_t comma = connections_spec.find(',', at);
     const std::string token = connections_spec.substr(
         at, comma == std::string::npos ? std::string::npos : comma - at);
-    if (!token.empty()) connection_counts.push_back(std::atol(token.c_str()));
+    if (!token.empty()) {
+      const std::optional<long long> count = spe::ParseInt64(token);
+      if (!count) {
+        std::fprintf(stderr,
+                     "error: --connections expects integers, got '%s'\n",
+                     token.c_str());
+        std::exit(2);
+      }
+      connection_counts.push_back(static_cast<long>(*count));
+    }
     if (comma == std::string::npos) break;
     at = comma + 1;
   }

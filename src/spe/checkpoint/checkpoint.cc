@@ -1,6 +1,5 @@
 #include "spe/checkpoint/checkpoint.h"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -17,23 +16,14 @@ namespace checkpoint {
 namespace {
 
 // Version 1 was a manifest of append-only commit records beside a
-// member log; this build reads and writes only the one-file version 2.
+// member log, and version 2 also carried FitWithValidation's early-stop
+// state; this build reads and writes only version 3.
 constexpr frame::Format kCheckpointFormat = {
-    "spe-checkpoint", 2, 2,
+    "spe-checkpoint", 3, 3,
     "checkpoint has bad magic (not an spe-checkpoint file)",
     "checkpoint header malformed",
-    "unsupported checkpoint version: this build reads only version 2, the "
-    "single-file checkpoint",
+    "unsupported checkpoint version: this build reads only version 3",
     "checkpoint"};
-
-std::string FormatDouble(double value) {
-  // %.17g round-trips doubles exactly (model_io.cc idiom) — best_auc
-  // must come back bit-identical or a resumed early-stop run could pick
-  // a different prefix than the uninterrupted one.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 bool Expect(std::istream& is, std::string_view keyword) {
   std::string token;
@@ -41,21 +31,14 @@ bool Expect(std::istream& is, std::string_view keyword) {
   return !is.fail() && token == keyword;
 }
 
-// Scalars, RNG state and early-stop state: the payload up to its first
-// model record.
+// Fingerprints, next iteration and RNG state: the payload up to its
+// first model record.
 std::string SerializeState(const TrainerStateCore& core) {
   std::ostringstream os;
   os << "config_fingerprint " << core.config_fingerprint
      << " data_fingerprint " << core.data_fingerprint << "\n";
-  os << "n_estimators " << core.n_estimators << " include_bootstrap "
-     << (core.include_bootstrap ? 1 : 0) << " next_iteration "
-     << core.next_iteration << " prob_count " << core.prob_count << "\n";
+  os << "next_iteration " << core.next_iteration << "\n";
   os << "rng " << core.rng_state << "\n";
-  os << "validation " << (core.has_validation ? 1 : 0) << "\n";
-  if (core.has_validation) {
-    os << "best_auc " << FormatDouble(core.best_auc) << " best_size "
-       << core.best_size << " scored_members " << core.scored_members << "\n";
-  }
   return os.str();
 }
 
@@ -71,35 +54,18 @@ void ParsePayload(std::string payload, LoadResult* result) {
                      std::string("checkpoint payload malformed: ") + what};
     result->members = VotingEnsemble();
   };
-  int include_bootstrap = 0;
   if (!Expect(is, "config_fingerprint") || !(is >> core.config_fingerprint) ||
       !Expect(is, "data_fingerprint") || !(is >> core.data_fingerprint) ||
-      !Expect(is, "n_estimators") || !(is >> core.n_estimators) ||
-      !Expect(is, "include_bootstrap") || !(is >> include_bootstrap) ||
-      !Expect(is, "next_iteration") || !(is >> core.next_iteration) ||
-      !Expect(is, "prob_count") || !(is >> core.prob_count)) {
+      !Expect(is, "next_iteration") || !(is >> core.next_iteration)) {
     return fail("bad scalar block");
   }
-  core.include_bootstrap = include_bootstrap != 0;
   if (!Expect(is, "rng")) return fail("missing rng state");
   std::getline(is, core.rng_state);
+  if (is.eof()) return fail("unterminated state lines");
   if (!core.rng_state.empty() && core.rng_state.front() == ' ') {
     core.rng_state.erase(0, 1);
   }
   if (core.rng_state.empty()) return fail("empty rng state");
-  int has_validation = 0;
-  if (!Expect(is, "validation") || !(is >> has_validation)) {
-    return fail("bad validation flag");
-  }
-  core.has_validation = has_validation != 0;
-  if (core.has_validation) {
-    if (!Expect(is, "best_auc") || !(is >> core.best_auc) ||
-        !Expect(is, "best_size") || !(is >> core.best_size) ||
-        !Expect(is, "scored_members") || !(is >> core.scored_members)) {
-      return fail("bad validation block");
-    }
-  }
-  if (is.get() != '\n') return fail("unterminated state lines");
   // The model records run to the end of the payload.
   while (is.peek() != std::char_traits<char>::eof()) {
     std::string kind;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -17,41 +18,44 @@ namespace checkpoint {
 
 /// Everything SelfPacedEnsemble::Fit needs, beyond the members trained
 /// so far, to continue a run as if it had never stopped: the exact RNG
-/// engine state, the next iteration to execute, the bootstrap model f0
-/// when it is not an ensemble member, and — when training under
-/// FitWithValidation — the early-stop bookkeeping. The fingerprints pin
-/// the checkpoint to one (config, dataset) pair so a stale file from a
+/// engine state, the next iteration to execute and the bootstrap model
+/// f0 when it is not an ensemble member. The fingerprints pin the
+/// checkpoint to one (config, dataset) pair so a stale file from a
 /// different run is refused instead of silently resumed.
 ///
-/// Deliberately absent: the running probability accumulators. They are
-/// pure functions of (members, dataset) — resume replays each restored
+/// Deliberately absent: the running probability accumulator. It is a
+/// pure function of (members, dataset) — resume replays each restored
 /// member's PredictProba in vote order, which is bit-identical to the
-/// original accumulation by the determinism contract. Storing them
-/// would make every checkpoint O(dataset rows); recomputing keeps the
-/// file O(model) and moves the cost to the rare resume path.
+/// original accumulation by the determinism contract. Storing it would
+/// make every checkpoint O(dataset rows); recomputing keeps the file
+/// O(model) and moves the cost to the rare resume path. Also absent:
+/// any validation state. FitWithValidation trains the same members as
+/// Fit and scores them only after the last one, so a checkpoint does
+/// not depend on which entry point wrote it.
 struct TrainerStateCore {
   std::uint64_t config_fingerprint = 0;
   std::uint64_t data_fingerprint = 0;
-  std::size_t n_estimators = 0;
-  bool include_bootstrap = false;
   /// 1-based self-paced iteration to run next; n_estimators + 1 means
-  /// every iteration finished and only post-processing remains.
+  /// every iteration finished and only post-processing remains. It is
+  /// also the number of votes in the training accumulator (f0 plus one
+  /// per finished iteration).
   std::size_t next_iteration = 1;
-  /// Members folded into the training accumulator (bootstrap f0
-  /// included), the divisor of the hardness average.
-  std::size_t prob_count = 0;
   /// std::mt19937_64 textual state (operator<< / operator>> round-trip
   /// exactly, per the standard).
   std::string rng_state;
-  /// SaveClassifier bytes of the bootstrap model f0 when
-  /// include_bootstrap is false (f0 seeds the hardness average but does
-  /// not vote, so it lives nowhere else). Empty when f0 is members[0].
+  /// SaveClassifier bytes of the bootstrap model f0 when it does not
+  /// vote (include_bootstrap_model off): f0 seeds the hardness average
+  /// but lives nowhere else. Empty when f0 is members[0].
   std::string bootstrap_blob;
-  // FitWithValidation early-stop state; meaningful iff has_validation.
-  bool has_validation = false;
-  double best_auc = -1.0;
-  std::size_t best_size = 0;
-  std::size_t scored_members = 0;
+};
+
+/// Thrown by SelfPacedEnsemble::Fit when the checkpoint it was told to
+/// resume from cannot seed the run: damaged, of another format version,
+/// or written by a different configuration or dataset. what() reads
+/// "cannot resume from PATH: REASON"; spe_cli exits 4 on it.
+class ResumeRefused : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Outcome of a non-aborting checkpoint load. `missing` (no file) is a
@@ -68,8 +72,10 @@ struct LoadResult {
 /// The one file a training run keeps in its checkpoint directory, a
 /// single frame of the artifact family (spe/common/frame.h):
 ///
-///   spe-checkpoint 2 payload_bytes B crc32 HHHHHHHH
-///   <trainer-state lines>
+///   spe-checkpoint 3 payload_bytes B crc32 HHHHHHHH
+///   config_fingerprint F data_fingerprint D
+///   next_iteration I
+///   rng <engine state>
 ///   bootstrap <size>\n<blob>      at most one, first: f0 when not a member
 ///   member <size>\n<blob>         one per ensemble member, in vote order
 ///

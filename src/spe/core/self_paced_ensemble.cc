@@ -13,6 +13,7 @@
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
 #include "spe/common/parallel.h"
+#include "spe/common/parse.h"
 #include "spe/common/rng.h"
 #include "spe/core/self_paced_sampler.h"
 #include "spe/io/model_io.h"
@@ -98,6 +99,64 @@ void ForEachMajorityBlock(const DatasetView& train, Score score) {
   });
 }
 
+// `train` when it is columnar; otherwise its Materialize() in `owned`.
+// Row-major views have no parent matrix to stack an index view on.
+DatasetView Columnar(const DatasetView& train, Dataset& owned) {
+  if (!train.row_major()) return train;
+  owned = train.Materialize();
+  return DatasetView(owned);
+}
+
+// "" when `loaded` can seed a resume of a fit under `config` whose
+// fingerprints are `expected`'s; otherwise the refusal reason.
+std::string ValidateLoadedState(const checkpoint::LoadResult& loaded,
+                                const SelfPacedEnsembleConfig& config,
+                                const checkpoint::TrainerStateCore& expected) {
+  if (!loaded.error.ok()) return loaded.error.message;
+  const checkpoint::TrainerStateCore& core = loaded.core;
+  if (core.config_fingerprint != expected.config_fingerprint) {
+    return "checkpoint was written by a different trainer configuration";
+  }
+  if (core.data_fingerprint != expected.data_fingerprint) {
+    return "checkpoint was written against different training data";
+  }
+  if (core.next_iteration < 1 ||
+      core.next_iteration > config.n_estimators + 1) {
+    return "checkpoint iteration out of range";
+  }
+  const std::size_t expected_members =
+      core.next_iteration - 1 + (config.include_bootstrap_model ? 1 : 0);
+  if (loaded.members.size() != expected_members) {
+    return "checkpoint member count does not match its iteration";
+  }
+  // Resume replays f0 to rebuild the accumulator, so its bytes must be
+  // present exactly when f0 is not members[0].
+  if (config.include_bootstrap_model != core.bootstrap_blob.empty()) {
+    return core.bootstrap_blob.empty()
+               ? "checkpoint is missing the bootstrap model"
+               : "checkpoint carries a bootstrap model it should not";
+  }
+  return "";
+}
+
+// Publishes `state`, with the RNG's engine state, and the members'
+// cached SaveClassifier bytes to `path`, on the training thread. The
+// probability accumulator is recomputed at resume, never stored.
+void PublishFitState(const std::string& path,
+                     checkpoint::TrainerStateCore& state, Rng& rng,
+                     const std::vector<std::string>& member_blobs) {
+  const obs::TraceSpan span("spe.fit.checkpoint");
+  std::ostringstream os;
+  os << rng.engine();
+  state.rng_state = os.str();
+  checkpoint::PublishCheckpoint(path, state, member_blobs);
+  if (obs::Enabled()) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("spe_fit_checkpoints_total")
+        .Add(1);
+  }
+}
+
 }  // namespace
 
 SelfPacedEnsemble::SelfPacedEnsemble(const SelfPacedEnsembleConfig& config)
@@ -150,20 +209,19 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   // determinism contract (docs/performance.md).
   const obs::TraceSpan fit_span("spe.fit");
   train.CheckAlive();
+  Dataset owned;
+  const DatasetView base = Columnar(train, owned);
+  FitMembers(base);
+  RecordHardnessBaseline(base);
+}
 
+void SelfPacedEnsemble::FitMembers(const DatasetView& base) {
   ensemble_ = VotingEnsemble();
   training_hardness_ = HardnessHistogram();
   Rng rng(config_.seed);
   // The whole self-paced loop runs on index arithmetic: the minority
   // prefix and every per-iteration majority pick are parent-absolute
-  // row indices stacked into views — no row is ever copied. Row-major
-  // views have no parent matrix to index into; materialize those once.
-  Dataset owned;
-  DatasetView base = train;
-  if (train.row_major()) {
-    owned = train.Materialize();
-    base = DatasetView(owned);
-  }
+  // row indices stacked into views — no row is ever copied.
   // Majority sample m is the m-th label-0 row of `base`: prob_sum is
   // keyed by m, the sampler returns rows of `base`, and the scoring
   // passes walk `base` in blocks (ForEachMajorityBlock).
@@ -202,33 +260,27 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   const std::size_t n = config_.n_estimators;
   const bool checkpointing = !checkpoint_.directory.empty();
   std::string checkpoint_path;
-  // The checkpoint's run-constant fields; WriteCheckpoint fills in the
-  // rest at each publish. state.bootstrap_blob holds f0's bytes when f0
-  // votes but is not a member (the default): resume replays f0's
-  // probabilities to rebuild prob_sum, and f0 lives nowhere else. It is
-  // empty whenever f0 is members[0] or checkpointing is off.
+  // The checkpoint's fingerprints; each publish fills in the rest.
+  // state.bootstrap_blob holds f0's bytes when f0 votes but is not a
+  // member (the default): resume replays f0's probabilities to rebuild
+  // prob_sum, and f0 lives nowhere else. It is empty whenever f0 is
+  // members[0] or checkpointing is off.
   checkpoint::TrainerStateCore state;
   if (checkpointing) {
     SPE_CHECK_GT(checkpoint_.every, 0u) << "checkpoint interval must be >= 1";
     checkpoint_path = checkpoint::CheckpointPath(checkpoint_.directory);
     state.config_fingerprint = ConfigFingerprint();
-    state.data_fingerprint = checkpoint::DatasetFingerprint(train);
-    if (validation_tracker_ != nullptr) {
-      state.data_fingerprint = checkpoint::HashCombine(
-          state.data_fingerprint, validation_tracker_->data_fingerprint);
-    }
-    state.n_estimators = n;
-    state.include_bootstrap = config_.include_bootstrap_model;
+    state.data_fingerprint = checkpoint::DatasetFingerprint(base);
   }
 
   // Running sum of member probabilities over the majority set, keyed by
-  // m: F_i is the average of f_0 .. f_{i-1} (Algorithm 1 line 4).
-  // PredictProba chunks each block's rows across threads, bit-identically
-  // for any thread count because each element is touched by exactly one
-  // fixed computation. Hardness is never stored: the sampler evaluates
-  // fn(prob_sum[m] / prob_count, 0) where it reads it (MajorityHardness).
+  // m: F_i is the average of f_0 .. f_{i-1} (Algorithm 1 line 4), so at
+  // iteration i it holds i votes. PredictProba chunks each block's rows
+  // across threads, bit-identically for any thread count because each
+  // element is touched by exactly one fixed computation. Hardness is
+  // never stored: the sampler evaluates fn(prob_sum[m] / i, 0) where it
+  // reads it (MajorityHardness).
   std::vector<double> prob_sum;
-  std::size_t prob_count = 0;
   std::size_t start_iteration = 1;
 
   // Pre-serialized member bytes in vote order. Members are immutable
@@ -251,21 +303,31 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       std::fprintf(stderr, "[spe] no checkpoint at %s; training from scratch\n",
                    checkpoint_path.c_str());
     } else {
-      const std::string reason = ValidateLoadedState(
-          loaded, state.config_fingerprint, state.data_fingerprint);
-      SPE_CHECK(reason.empty())
-          << "cannot resume from " << checkpoint_path << ": " << reason;
+      // Everything that can refuse the checkpoint runs before any of it
+      // is adopted, so a refused resume leaves no members behind.
+      std::unique_ptr<Classifier> f0_replay;
+      std::string reason = ValidateLoadedState(loaded, config_, state);
+      if (reason.empty()) {
+        std::istringstream rng_in(loaded.core.rng_state);
+        rng_in >> rng.engine();
+        if (rng_in.fail()) reason = "bad rng state";
+      }
+      if (reason.empty() && !config_.include_bootstrap_model) {
+        std::istringstream blob_in(loaded.core.bootstrap_blob);
+        if (!DecodeClassifier(blob_in, kAnyWidth, &f0_replay).ok()) {
+          reason = "bad bootstrap model";
+        }
+      }
+      if (!reason.empty()) {
+        throw checkpoint::ResumeRefused("cannot resume from " +
+                                        checkpoint_path + ": " + reason);
+      }
       ensemble_ = std::move(loaded.members);
       for (std::size_t m = 0; m < ensemble_.size(); ++m) {
         append_member_blob(ensemble_.member(m));
       }
       state.bootstrap_blob = std::move(loaded.core.bootstrap_blob);
-      prob_count = loaded.core.prob_count;
       start_iteration = loaded.core.next_iteration;
-      std::istringstream rng_in(loaded.core.rng_state);
-      rng_in >> rng.engine();
-      SPE_CHECK(!rng_in.fail())
-          << "cannot resume from " << checkpoint_path << ": bad rng state";
 
       // Rebuild the training accumulator by replaying every voter in its
       // original order: assign f0's probabilities, then += each member's.
@@ -273,17 +335,9 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       // uninterrupted run performed, so the result is bit-identical — the
       // checkpoint stores no accumulator at all (TrainerStateCore docs).
       // The members were checked for NaN when they were trained.
-      std::unique_ptr<Classifier> f0_replay;
-      const Classifier* first = nullptr;
-      std::size_t member_start = 0;
-      if (config_.include_bootstrap_model) {
-        first = &ensemble_.member(0);
-        member_start = 1;
-      } else {
-        std::istringstream blob_in(state.bootstrap_blob);
-        f0_replay = LoadClassifier(blob_in);
-        first = f0_replay.get();
-      }
+      const Classifier* first =
+          f0_replay != nullptr ? f0_replay.get() : &ensemble_.member(0);
+      const std::size_t member_start = f0_replay != nullptr ? 0 : 1;
       {
         const obs::TraceSpan span("spe.fit.resume_replay");
         prob_sum.resize(num_neg);
@@ -297,33 +351,12 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
           }
         });
       }
-
-      if (validation_tracker_ != nullptr) {
-        ValidationTracker& tracker = *validation_tracker_;
-        tracker.best_auc = loaded.core.best_auc;
-        tracker.best_size = loaded.core.best_size;
-        // Same replay for the early-stop accumulator: re-score the member
-        // prefix the original run had folded in, in order, with the exact
-        // serial inner loop FitWithValidation's callback uses.
-        SPE_CHECK(tracker.data != nullptr);
-        SPE_CHECK_LE(loaded.core.scored_members, ensemble_.size());
-        for (tracker.scored_members = 0;
-             tracker.scored_members < loaded.core.scored_members;
-             ++tracker.scored_members) {
-          const std::vector<double> p =
-              ensemble_.member(tracker.scored_members)
-                  .PredictProba(*tracker.data);
-          for (std::size_t r = 0; r < tracker.prob_sum.size(); ++r) {
-            tracker.prob_sum[r] += p[r];
-          }
-        }
-      }
       std::fprintf(stderr, "[spe] resumed from %s at iteration %zu/%zu\n",
                    checkpoint_path.c_str(), start_iteration, n);
     }
   }
 
-  if (prob_count == 0) {
+  if (prob_sum.empty()) {
     // Line 2: bootstrap model f0 on a random balanced subset. It seeds the
     // hardness estimates; whether it votes in the final ensemble is the
     // include_bootstrap_model ablation. A resumed run skips all of this —
@@ -347,7 +380,6 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       });
     }
     CheckProbsAreNotNan(prob_sum, 0);
-    prob_count = 1;
     if (config_.include_bootstrap_model) {
       ensemble_.Add(std::move(bootstrap));
       append_member_blob(ensemble_.member(ensemble_.size() - 1));
@@ -364,7 +396,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // Lines 4-9: hardness of each majority sample w.r.t. the ensemble,
     // then self-paced under-sampling with alpha_i.
     const MajorityHardness hardness{
-        prob_sum, prob_count, config_.hardness,
+        prob_sum, i, config_.hardness,
         config_.custom_hardness ? &config_.custom_hardness : nullptr};
     const double alpha = AlphaAt(config_.schedule, i, n);
     std::vector<std::size_t> pick;
@@ -406,31 +438,24 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       });
     }
     CheckProbsAreNotNan(prob_sum, i);
-    ++prob_count;
 
     ensemble_.Add(std::move(member));
     append_member_blob(ensemble_.member(ensemble_.size() - 1));
-    if (callback_) {
-      callback_(IterationInfo{i, ensemble_, subset});
-    }
-
-    // Checkpoint after the callback so FitWithValidation's early-stop
-    // state for this iteration is already folded in. The final
-    // iteration always checkpoints regardless of `every`, covering a
-    // crash between the last member and the artifact publish.
+    // The final iteration always checkpoints regardless of `every`,
+    // covering a crash between the last member and the artifact publish.
     if (checkpointing && (i % checkpoint_.every == 0 || i == n)) {
-      WriteCheckpoint(checkpoint_path, state, prob_count, rng, member_blobs);
+      state.next_iteration = i + 1;
+      PublishFitState(checkpoint_path, state, rng, member_blobs);
     }
     // Chaos crash point: SIGKILL here models preemption right after the
     // iteration's state was (or was not) persisted.
     Faults().MaybeCrashAtIteration(i);
-    if (checkpoint_.halt_after_iteration == i) return;  // simulated crash
+    // The observer runs last, so one that throws leaves this iteration
+    // resumable.
+    if (callback_) {
+      callback_(IterationInfo{i, ensemble_, subset});
+    }
   }
-
-  // The loop's per-majority-row state is dead; free it before the
-  // baseline pass allocates its own.
-  std::vector<double>().swap(prob_sum);
-  RecordHardnessBaseline(base);
 }
 
 std::uint64_t SelfPacedEnsemble::ConfigFingerprint() const {
@@ -445,90 +470,6 @@ std::uint64_t SelfPacedEnsemble::ConfigFingerprint() const {
   // at least refuses resumes across custom/named hardness swaps.
   h = checkpoint::HashCombine(h, config_.custom_hardness ? 1u : 0u);
   return checkpoint::HashCombine(h, Crc32(base_prototype_->Name()));
-}
-
-std::string SelfPacedEnsemble::ValidateLoadedState(
-    const checkpoint::LoadResult& loaded, std::uint64_t config_fp,
-    std::uint64_t data_fp) const {
-  if (!loaded.error.ok()) return loaded.error.message;
-  const checkpoint::TrainerStateCore& core = loaded.core;
-  if (core.config_fingerprint != config_fp) {
-    return "checkpoint was written by a different trainer configuration";
-  }
-  if (core.data_fingerprint != data_fp) {
-    return "checkpoint was written against different training data";
-  }
-  if (core.has_validation != (validation_tracker_ != nullptr)) {
-    return core.has_validation
-               ? "checkpoint carries validation state but plain Fit was called"
-               : "checkpoint has no validation state but FitWithValidation "
-                 "was called";
-  }
-  if (core.next_iteration < 1 ||
-      core.next_iteration > config_.n_estimators + 1) {
-    return "checkpoint iteration out of range";
-  }
-  const std::size_t expected_members =
-      core.next_iteration - 1 + (config_.include_bootstrap_model ? 1 : 0);
-  if (loaded.members.size() != expected_members) {
-    return "checkpoint member count does not match its iteration";
-  }
-  // prob_count counts f0 plus one vote per completed iteration.
-  if (core.prob_count != core.next_iteration) {
-    return "checkpoint probability accumulator is inconsistent";
-  }
-  // Resume replays f0 to rebuild the accumulator, so its bytes must be
-  // present exactly when f0 is not members[0].
-  if (config_.include_bootstrap_model != core.bootstrap_blob.empty()) {
-    return core.bootstrap_blob.empty()
-               ? "checkpoint is missing the bootstrap model"
-               : "checkpoint carries a bootstrap model it should not";
-  }
-  if (core.scored_members > loaded.members.size()) {
-    return "checkpoint validation state scored more members than exist";
-  }
-  return "";
-}
-
-std::string SelfPacedEnsemble::CheckResumable(const DatasetView& train) const {
-  if (checkpoint_.directory.empty()) return "";
-  const checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
-      checkpoint::CheckpointPath(checkpoint_.directory));
-  if (loaded.missing) return "";
-  std::uint64_t data_fp = checkpoint::DatasetFingerprint(train);
-  if (validation_tracker_ != nullptr) {
-    data_fp =
-        checkpoint::HashCombine(data_fp, validation_tracker_->data_fingerprint);
-  }
-  return ValidateLoadedState(loaded, ConfigFingerprint(), data_fp);
-}
-
-void SelfPacedEnsemble::WriteCheckpoint(
-    const std::string& path, checkpoint::TrainerStateCore& state,
-    std::size_t prob_count, Rng& rng,
-    const std::vector<std::string>& member_blobs) {
-  const obs::TraceSpan span("spe.fit.checkpoint");
-  // prob_count counts f0 plus one vote per completed iteration, so it is
-  // also the iteration to resume at.
-  state.next_iteration = prob_count;
-  state.prob_count = prob_count;
-  {
-    std::ostringstream os;
-    os << rng.engine();
-    state.rng_state = os.str();
-  }
-  if (validation_tracker_ != nullptr) {
-    state.has_validation = true;
-    state.best_auc = validation_tracker_->best_auc;
-    state.best_size = validation_tracker_->best_size;
-    state.scored_members = validation_tracker_->scored_members;
-  }
-  checkpoint::PublishCheckpoint(path, state, member_blobs);
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("spe_fit_checkpoints_total")
-        .Add(1);
-  }
 }
 
 void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& train) {
@@ -564,78 +505,36 @@ void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& train) {
 
 std::size_t SelfPacedEnsemble::FitWithValidation(const DatasetView& train,
                                                  const DatasetView& validation) {
+  const obs::TraceSpan fit_span("spe.fit");
   train.CheckAlive();
   validation.CheckAlive();
   SPE_CHECK_GT(validation.CountPositives(), 0u)
       << "validation set needs positives to score AUCPRC";
+  Dataset owned;
+  const DatasetView base = Columnar(train, owned);
+  FitMembers(base);
+
+  // Score every prefix once the members are trained: each member's
+  // probabilities join the running sum once, in vote order, and the
+  // first best prefix wins.
   const std::vector<int> validation_labels = validation.LabelsVector();
-
-  // Track the running validation score incrementally: each new member
-  // contributes its probabilities once. Lives in a ValidationTracker so
-  // Fit can checkpoint it alongside the training state and restore it
-  // on resume — without it, a resumed early-stop run would forget which
-  // prefix had already won.
-  ValidationTracker tracker;
-  tracker.data = &validation;
-  tracker.prob_sum.assign(validation.num_rows(), 0.0);
-  if (!checkpoint_.directory.empty()) {
-    tracker.data_fingerprint = checkpoint::DatasetFingerprint(validation);
-  }
-  const IterationCallback user_callback = callback_;
-
-  // If a base learner throws out of Fit, callback_ must not keep the
-  // wrapper below — its captured locals die with this frame and the next
-  // Fit would invoke a dangling closure (and validation_tracker_ would
-  // dangle the same way). Scope guard restores both on every exit path.
-  struct CallbackGuard {
-    SelfPacedEnsemble* self;
-    const IterationCallback* user;
-    ~CallbackGuard() {
-      self->callback_ = *user;
-      self->validation_tracker_ = nullptr;
-    }
-  } guard{this, &user_callback};
-  validation_tracker_ = &tracker;
-
-  callback_ = [&](const IterationInfo& info) {
-    // Fold in every member not yet scored, in ensemble order. With
-    // include_bootstrap_model the first callback sees two new members
-    // (f0 joined before f1's callback fired); walking the gap is what
-    // keeps the bootstrap's probabilities from being skipped — the old
-    // newest-member-only update silently disabled truncation for that
-    // ablation.
-    for (; tracker.scored_members < info.ensemble.size();
-         ++tracker.scored_members) {
-      const std::vector<double> p =
-          info.ensemble.member(tracker.scored_members).PredictProba(validation);
-      for (std::size_t i = 0; i < tracker.prob_sum.size(); ++i) {
-        tracker.prob_sum[i] += p[i];
-      }
-    }
-    std::vector<double> average(tracker.prob_sum);
-    const double inv = 1.0 / static_cast<double>(info.ensemble.size());
+  std::vector<double> prob_sum(validation.num_rows(), 0.0);
+  double best_auc = -1.0;
+  std::size_t best_size = 0;
+  for (std::size_t k = 1; k <= ensemble_.size(); ++k) {
+    const std::vector<double> p =
+        ensemble_.member(k - 1).PredictProba(validation);
+    for (std::size_t r = 0; r < prob_sum.size(); ++r) prob_sum[r] += p[r];
+    std::vector<double> average(prob_sum);
+    const double inv = 1.0 / static_cast<double>(k);
     for (double& v : average) v *= inv;
     const double auc = AucPrc(validation_labels, average);
-    if (auc > tracker.best_auc) {
-      tracker.best_auc = auc;
-      tracker.best_size = info.ensemble.size();
+    if (auc > best_auc) {
+      best_auc = auc;
+      best_size = k;
     }
-    if (user_callback) user_callback(info);
-  };
-  Fit(train);
-
-  SPE_CHECK_GT(tracker.best_size, 0u);
-  const std::size_t best_size = tracker.best_size;
-  ensemble_.Truncate(best_size);
-  // The baseline Fit recorded covered the full ensemble; the truncated
-  // prefix is what serves, so re-freeze it against that. Row-major
-  // views are materialized first — they cannot stack an index view.
-  Dataset owned;
-  DatasetView base = train;
-  if (train.row_major()) {
-    owned = train.Materialize();
-    base = DatasetView(owned);
   }
+  ensemble_.Truncate(best_size);
   RecordHardnessBaseline(base);
   return best_size;
 }

@@ -51,15 +51,14 @@ struct SelfPacedEnsembleConfig {
 /// artifact, bit for bit, as an uninterrupted run — under any
 /// SPE_THREADS setting, because the checkpoint captures the exact RNG
 /// engine state and resume replays the deterministic probability
-/// accumulation from the restored members.
+/// accumulation from the restored members. A checkpoint that cannot
+/// seed the resume (damaged, another format version, another
+/// configuration or dataset) makes Fit throw checkpoint::ResumeRefused;
+/// a missing one is a fresh start.
 struct FitCheckpointOptions {
   std::string directory;   ///< empty => checkpointing disabled
   std::size_t every = 1;   ///< checkpoint after every N-th iteration
   bool resume = false;     ///< continue from an existing checkpoint
-  /// Tests only: return from Fit right after iteration N's checkpoint
-  /// publishes — an in-process stand-in for SIGKILL that keeps the
-  /// determinism matrix runnable inside one gtest binary. 0 = off.
-  std::size_t halt_after_iteration = 0;
 };
 
 /// Self-paced Ensemble (Algorithm 1) — the paper's core contribution.
@@ -99,17 +98,23 @@ class SelfPacedEnsemble final : public VotingClassifier,
   /// Fits like Fit, then keeps only the member prefix with the best
   /// AUCPRC on `validation` (which must keep its natural imbalanced
   /// distribution, like the paper's Ddev). Guards against the rare
-  /// late-iteration degradation that Fig. 5 shows for noisy data.
-  /// Applies with include_bootstrap_model too: f0 counts as the first
-  /// prefix member there, so both §VI-C ablation settings run the same
-  /// truncation procedure. Returns the chosen prefix length.
+  /// late-iteration degradation that Fig. 5 shows for noisy data. The
+  /// validation set never steers training: every prefix, from one
+  /// member up, is scored after the last member is trained, and the
+  /// first best one is kept. With include_bootstrap_model, f0 is the
+  /// first prefix member, so both §VI-C ablation settings run the same
+  /// truncation procedure. Checkpointing is Fit's: the same options
+  /// apply, and a checkpoint written by either entry point resumes the
+  /// other. Returns the chosen prefix length.
   std::size_t FitWithValidation(const DatasetView& train, const DatasetView& validation);
 
   std::unique_ptr<Classifier> Clone() const override;
   void Reseed(std::uint64_t seed) override { config_.seed = seed; }
   std::string Name() const override;
 
-  /// Observer called after each self-paced member is trained.
+  /// Observer called after each self-paced member is trained, once the
+  /// iteration's checkpoint (if any) is published. An exception thrown
+  /// from it propagates out of Fit and leaves that iteration resumable.
   void set_iteration_callback(IterationCallback callback) {
     callback_ = std::move(callback);
   }
@@ -121,14 +126,6 @@ class SelfPacedEnsemble final : public VotingClassifier,
   const FitCheckpointOptions& checkpoint_options() const {
     return checkpoint_;
   }
-
-  /// Non-aborting resume preflight: "" when no checkpoint exists in the
-  /// configured directory (fresh start) or when the checkpoint is
-  /// usable for `train` under this configuration; otherwise the reason
-  /// it would be refused (corruption, or a config/data fingerprint
-  /// mismatch). spe_cli calls this before Fit so a broken checkpoint
-  /// maps to the corrupt-artifact exit code instead of an abort.
-  std::string CheckResumable(const DatasetView& train) const;
 
   /// Alpha used at self-paced iteration i (1-based) of n under `schedule`.
   /// Exposed for tests and for the Fig. 3 bench.
@@ -146,47 +143,18 @@ class SelfPacedEnsemble final : public VotingClassifier,
   }
 
  private:
-  /// FitWithValidation's early-stop bookkeeping, lifted into a named
-  /// struct so Fit can checkpoint and restore it: prob_sum accumulates
-  /// member probabilities over the validation set, best_* track the
-  /// best-scoring ensemble prefix, and data_fingerprint pins the
-  /// checkpoint to the exact validation set.
-  struct ValidationTracker {
-    std::uint64_t data_fingerprint = 0;
-    /// The validation set itself, for the resume path: checkpoints store
-    /// only scored_members, and resume rebuilds prob_sum by replaying
-    /// that member prefix over this view.
-    const DatasetView* data = nullptr;
-    std::vector<double> prob_sum;
-    double best_auc = -1.0;
-    std::size_t best_size = 0;
-    std::size_t scored_members = 0;  // ensemble prefix already in prob_sum
-  };
+  /// Algorithm 1 on `base`, a columnar view: trains every member into
+  /// ensemble_, checkpointing and resuming as checkpoint_ says.
+  void FitMembers(const DatasetView& base);
 
   /// 64-bit digest of every config field that changes what Fit computes.
   std::uint64_t ConfigFingerprint() const;
 
-  /// "" when `loaded` can seed a resume under the given fingerprints;
-  /// otherwise the refusal reason.
-  std::string ValidateLoadedState(const checkpoint::LoadResult& loaded,
-                                  std::uint64_t config_fp,
-                                  std::uint64_t data_fp) const;
-
-  /// Publishes the current fit state to `path`, on the training
-  /// thread: `state`'s run-constant fields plus the counters, RNG and
-  /// early-stop state filled in here, and the members' cached
-  /// SaveClassifier bytes. The probability accumulators are recomputed
-  /// at resume, never stored.
-  void WriteCheckpoint(const std::string& path,
-                       checkpoint::TrainerStateCore& state,
-                       std::size_t prob_count, Rng& rng,
-                       const std::vector<std::string>& member_blobs);
-
   /// Re-bins the hardness of `train`'s label-0 rows under the current
   /// ensemble into training_hardness_ (the drift baseline of v3
-  /// artifacts). `train` is columnar. Called at the end of Fit and again
-  /// after validation truncation, so the frozen distribution always
-  /// matches the member set that actually votes.
+  /// artifacts). `train` is columnar. Called once per fit, after any
+  /// validation truncation, so the frozen distribution matches the
+  /// member set that actually votes.
   void RecordHardnessBaseline(const DatasetView& train);
 
   SelfPacedEnsembleConfig config_;
@@ -194,9 +162,6 @@ class SelfPacedEnsemble final : public VotingClassifier,
   IterationCallback callback_;
   HardnessHistogram training_hardness_;
   FitCheckpointOptions checkpoint_;
-  /// Non-null only while FitWithValidation's frame is live; Fit uses it
-  /// to include the early-stop state in checkpoints and restores.
-  ValidationTracker* validation_tracker_ = nullptr;
 };
 
 }  // namespace spe

@@ -5,7 +5,10 @@
 // or the last self-paced iteration and then resumed must produce a
 // model bundle byte-identical to an uninterrupted run, under
 // SetNumThreads(1) and (8), for plain Fit and for FitWithValidation's
-// early-stop truncation. Threaded — carries the `sanitize` ctest label.
+// prefix truncation. A run is halted in process by an iteration
+// observer that throws: Fit publishes each iteration's checkpoint
+// before it runs the observer. Threaded — carries the `sanitize` ctest
+// label.
 
 #include <csignal>
 #include <cstdint>
@@ -68,6 +71,19 @@ SelfPacedEnsembleConfig TestConfig(std::uint64_t seed = 3) {
   config.n_estimators = 10;
   config.seed = seed;
   return config;
+}
+
+/// Thrown by the observer HaltAfter installs.
+struct Halted {};
+
+/// Makes `model`'s fits stop right after iteration `at`: its observer
+/// runs once that iteration's checkpoint has published, and throws. An
+/// in-process stand-in for SIGKILL that keeps the determinism matrix
+/// runnable inside one gtest binary.
+void HaltAfter(SelfPacedEnsemble& model, std::size_t at) {
+  model.set_iteration_callback([at](const IterationInfo& info) {
+    if (info.iteration == at) throw Halted{};
+  });
 }
 
 // ---------------------------------------------------------------------
@@ -151,9 +167,9 @@ void WriteRealCheckpoint(const std::string& dir, const Dataset& data,
   SelfPacedEnsemble model(TestConfig(seed));
   FitCheckpointOptions options;
   options.directory = dir;
-  options.halt_after_iteration = halt_at;
   model.set_checkpoint_options(options);
-  model.Fit(data);
+  HaltAfter(model, halt_at);
+  EXPECT_THROW(model.Fit(data), Halted);
 }
 
 /// Re-publishes a loaded state through the writer Fit uses. A write
@@ -177,14 +193,13 @@ TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
   const std::string path = checkpoint::CheckpointPath(dir);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error.message;
+  // The observer threw after iteration 4's publish: the file holds it.
   EXPECT_EQ(loaded.core.next_iteration, 5u);
-  EXPECT_EQ(loaded.core.prob_count, 5u);  // f0 + iterations 1..4
   EXPECT_EQ(loaded.members.size(), 4u);   // f0 votes but is not a member
   // f0 is not a member, so the checkpoint must carry its bytes for the
   // resume replay (no accumulator is stored at all).
   EXPECT_FALSE(loaded.core.bootstrap_blob.empty());
   EXPECT_FALSE(loaded.core.rng_state.empty());
-  EXPECT_FALSE(loaded.core.has_validation);
   EXPECT_EQ(loaded.core.data_fingerprint,
             checkpoint::DatasetFingerprint(data));
 
@@ -235,23 +250,28 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   EXPECT_NE(loaded.error.message.find("bad magic"), std::string::npos)
       << loaded.error.message;
 
-  // A version 1 record (commit records beside a member log) is refused
-  // as an unsupported version, and says so.
-  const std::string v2 = "spe-checkpoint 2 ";
-  ASSERT_EQ(bytes.rfind(v2, 0), 0u);
-  WriteFile(path, "spe-checkpoint 1 " + bytes.substr(v2.size()));
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
-  EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kUnsupportedVersion);
-  EXPECT_NE(loaded.error.message.find("unsupported checkpoint version"),
-            std::string::npos)
-      << loaded.error.message;
+  // Version 1 (commit records beside a member log) and version 2 (with
+  // FitWithValidation's early-stop state) are refused as unsupported
+  // versions, and say so.
+  const std::string v3 = "spe-checkpoint 3 ";
+  ASSERT_EQ(bytes.rfind(v3, 0), 0u);
+  for (const char* old_version : {"1", "2"}) {
+    WriteFile(path, std::string("spe-checkpoint ") + old_version + " " +
+                        bytes.substr(v3.size()));
+    loaded = checkpoint::LoadTrainerStateFromFile(path);
+    EXPECT_EQ(loaded.error.cls, frame::ErrorClass::kUnsupportedVersion)
+        << "version " << old_version;
+    EXPECT_NE(loaded.error.message.find("unsupported checkpoint version"),
+              std::string::npos)
+        << loaded.error.message;
+  }
 
   // A payload that passes its CRC is still parsed, not trusted: a record
   // count past the payload's end, a member that is no model and an
   // unknown record kind are each refused as malformed. The real state
   // lines alone decode, so each refusal is its record's.
   const auto framed = [](const std::string& payload) {
-    return "spe-checkpoint 2 payload_bytes " + std::to_string(payload.size()) +
+    return "spe-checkpoint 3 payload_bytes " + std::to_string(payload.size()) +
            " crc32 " + frame::CrcHex(Crc32(payload)) + "\n" + payload;
   };
   const std::size_t header_end = bytes.find('\n') + 1;
@@ -287,8 +307,7 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   options.directory = dir;
   options.resume = true;
   resumed.set_checkpoint_options(options);
-  EXPECT_TRUE(resumed.CheckResumable(data).empty());
-  resumed.Fit(data);
+  EXPECT_NO_THROW(resumed.Fit(data));
   EXPECT_EQ(BundleBytes(resumed), BundleBytes(truth));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove_all(dir);
@@ -328,9 +347,9 @@ class ResumeDeterminismTest : public ::testing::Test {
       FitCheckpointOptions options;
       options.directory = dir;
       options.every = every;
-      options.halt_after_iteration = halt_at;
       halted.set_checkpoint_options(options);
-      halted.Fit(data);
+      HaltAfter(halted, halt_at);
+      EXPECT_THROW(halted.Fit(data), Halted);
     }
     SelfPacedEnsemble resumed(TestConfig());
     FitCheckpointOptions options;
@@ -385,9 +404,9 @@ TEST_F(ResumeDeterminismTest, ValidationEarlyStopSurvivesKillAndResume) {
     SelfPacedEnsemble halted(TestConfig());
     FitCheckpointOptions options;
     options.directory = dir;
-    options.halt_after_iteration = 5;
     halted.set_checkpoint_options(options);
-    halted.FitWithValidation(train, validation);
+    HaltAfter(halted, 5);
+    EXPECT_THROW(halted.FitWithValidation(train, validation), Halted);
   }
   SelfPacedEnsemble resumed(TestConfig());
   FitCheckpointOptions options;
@@ -401,8 +420,7 @@ TEST_F(ResumeDeterminismTest, ValidationEarlyStopSurvivesKillAndResume) {
 
   // Crash *after* the last iteration but before the artifact publishes:
   // the final checkpoint (next_iteration = n + 1) restores the full
-  // ensemble and validation history, and the resume only re-runs the
-  // early-stop truncation.
+  // ensemble, and the resume only re-runs the prefix truncation.
   SelfPacedEnsemble post(TestConfig());
   post.set_checkpoint_options(options);
   const std::size_t post_size = post.FitWithValidation(train, validation);
@@ -411,12 +429,51 @@ TEST_F(ResumeDeterminismTest, ValidationEarlyStopSurvivesKillAndResume) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ResumeDeterminismTest, PlainFitCheckpointResumesFitWithValidation) {
+  // Both entry points train the same members, and the validation set is
+  // scored only after the last one, so a checkpoint written by Fit
+  // resumes FitWithValidation onto the uninterrupted run's prefix and
+  // bytes.
+  const Dataset train = OverlappingBlobs(300, 40, 3);
+  const Dataset validation = OverlappingBlobs(80, 12, 17);
+
+  SelfPacedEnsemble truth(TestConfig());
+  const std::size_t truth_size = truth.FitWithValidation(train, validation);
+
+  const std::string dir = TempDir("cross_mode");
+  FitCheckpointOptions options;
+  options.directory = dir;
+  {
+    SelfPacedEnsemble halted(TestConfig());
+    halted.set_checkpoint_options(options);
+    HaltAfter(halted, 4);
+    EXPECT_THROW(halted.Fit(train), Halted);
+  }
+  options.resume = true;
+  SelfPacedEnsemble resumed(TestConfig());
+  resumed.set_checkpoint_options(options);
+  EXPECT_EQ(resumed.FitWithValidation(train, validation), truth_size);
+  EXPECT_EQ(BundleBytes(resumed), BundleBytes(truth));
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Resume refusals
 // ---------------------------------------------------------------------
 
-TEST(ResumeRefusalTest, DifferentTrainingDataAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+/// Fit's refusal reason for the checkpoint in `options.directory`: the
+/// ResumeRefused message, or "" when Fit did not throw. Fit reads the
+/// checkpoint once and refuses it before training anything.
+std::string RefusalOf(SelfPacedEnsemble& model, const Dataset& data) {
+  try {
+    model.Fit(data);
+  } catch (const checkpoint::ResumeRefused& refused) {
+    return refused.what();
+  }
+  return "";
+}
+
+TEST(ResumeRefusalTest, DifferentTrainingDataThrows) {
   const std::string dir = TempDir("wrong_data");
   const Dataset data = OverlappingBlobs(150, 25, 3);
   WriteRealCheckpoint(dir, data, 2);
@@ -427,11 +484,17 @@ TEST(ResumeRefusalTest, DifferentTrainingDataAborts) {
   options.directory = dir;
   options.resume = true;
   model.set_checkpoint_options(options);
-  EXPECT_DEATH(model.Fit(other), "different training data");
+  const std::string reason = RefusalOf(model, other);
+  EXPECT_NE(reason.find("different training data"), std::string::npos)
+      << reason;
+  EXPECT_NE(reason.find("cannot resume from " + checkpoint::CheckpointPath(dir)),
+            std::string::npos)
+      << reason;
+  EXPECT_EQ(model.NumMembers(), 0u);
   std::filesystem::remove_all(dir);
 }
 
-TEST(ResumeRefusalTest, CheckResumableReportsConfigMismatchWithoutAborting) {
+TEST(ResumeRefusalTest, ConfigMismatchThrowsWithoutAborting) {
   const std::string dir = TempDir("wrong_config");
   const Dataset data = OverlappingBlobs(150, 25, 3);
   WriteRealCheckpoint(dir, data, 2, /*seed=*/3);
@@ -441,24 +504,30 @@ TEST(ResumeRefusalTest, CheckResumableReportsConfigMismatchWithoutAborting) {
   options.directory = dir;
   options.resume = true;
   model.set_checkpoint_options(options);
-  const std::string reason = model.CheckResumable(data);
+  const std::string reason = RefusalOf(model, data);
   EXPECT_NE(reason.find("different trainer configuration"),
             std::string::npos)
       << reason;
   std::filesystem::remove_all(dir);
 }
 
-TEST(ResumeRefusalTest, CheckResumableIsQuietWithNoDirOrNoFile) {
+TEST(ResumeRefusalTest, ResumeWithNoDirOrNoFileTrainsFromScratch) {
   const Dataset data = OverlappingBlobs(50, 10, 3);
+  SelfPacedEnsemble truth(TestConfig());
+  truth.Fit(data);
+
   SelfPacedEnsemble model(TestConfig());
-  EXPECT_TRUE(model.CheckResumable(data).empty());
+  FitCheckpointOptions options;
+  options.resume = true;  // no directory: checkpointing is off
+  model.set_checkpoint_options(options);
+  EXPECT_TRUE(RefusalOf(model, data).empty());
+  EXPECT_EQ(BundleBytes(model), BundleBytes(truth));
 
   const std::string dir = TempDir("empty");
-  FitCheckpointOptions options;
   options.directory = dir;
-  options.resume = true;
   model.set_checkpoint_options(options);
-  EXPECT_TRUE(model.CheckResumable(data).empty());
+  EXPECT_TRUE(RefusalOf(model, data).empty());
+  EXPECT_EQ(BundleBytes(model), BundleBytes(truth));
   std::filesystem::remove_all(dir);
 }
 
@@ -541,10 +610,8 @@ TEST(CheckpointFaultTest, CrashAtIterationDeliversARealSigkill) {
 TEST(CheckpointFaultTest, HaltWithoutACheckpointDirectoryStopsTheFit) {
   // The in-process crash stand-in needs no checkpoint to stop after.
   SelfPacedEnsemble model(TestConfig());
-  FitCheckpointOptions options;
-  options.halt_after_iteration = 3;
-  model.set_checkpoint_options(options);
-  model.Fit(OverlappingBlobs(120, 20, 3));
+  HaltAfter(model, 3);
+  EXPECT_THROW(model.Fit(OverlappingBlobs(120, 20, 3)), Halted);
   EXPECT_EQ(model.NumMembers(), 3u);
 }
 

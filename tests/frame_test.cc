@@ -240,7 +240,8 @@ std::vector<Artifact> BuildArtifacts() {
   artifacts.push_back(Describe("bundle", true, bundle.str()));
 
   // A real checkpoint, left behind by a run halted after its third
-  // iteration.
+  // iteration: the observer runs once that iteration has published, and
+  // its throw stops the fit.
   const auto dir =
       std::filesystem::temp_directory_path() / "spe_frame_test_checkpoint";
   std::filesystem::remove_all(dir);
@@ -248,9 +249,12 @@ std::vector<Artifact> BuildArtifacts() {
   SelfPacedEnsemble halted(config);
   FitCheckpointOptions options;
   options.directory = dir.string();
-  options.halt_after_iteration = 3;
   halted.set_checkpoint_options(options);
-  halted.Fit(data);
+  struct Halted {};
+  halted.set_iteration_callback([](const IterationInfo& info) {
+    if (info.iteration == 3) throw Halted{};
+  });
+  EXPECT_THROW(halted.Fit(data), Halted);
   artifacts.push_back(Describe(
       "checkpoint", false,
       ReadFile(checkpoint::CheckpointPath(dir.string()))));
@@ -347,9 +351,10 @@ TEST(FrameTest, LengthLiesAreClassified) {
 
 TEST(FrameTest, VersionSkewIsUnsupported) {
   for (const Artifact& a : Artifacts()) {
-    // A checkpoint's version 1 was the retired manifest + member log.
+    // A checkpoint's version 1 was the retired manifest + member log,
+    // and its version 2 carried FitWithValidation's early-stop state.
     const std::vector<int> versions =
-        a.bundle ? std::vector<int>{0, 4} : std::vector<int>{0, 1, 3};
+        a.bundle ? std::vector<int>{0, 4} : std::vector<int>{0, 1, 2, 4};
     for (const int version : versions) {
       EXPECT_EQ(a.Decode(WithToken(a, Role::kVersion, std::to_string(version))),
                 ErrorClass::kUnsupportedVersion)

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -13,6 +15,7 @@
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/factory.h"
 #include "spe/core/self_paced_ensemble.h"
+#include "spe/data/synthetic.h"
 #include "spe/eval/cross_validation.h"
 #include "spe/io/model_io.h"
 #include "spe/metrics/metrics.h"
@@ -232,6 +235,59 @@ TEST_P(SpeValidationTruncationTest, KeepsArgmaxPrefixOfFullEnsemble) {
 
 INSTANTIATE_TEST_SUITE_P(BootstrapAblation, SpeValidationTruncationTest,
                          ::testing::Bool());
+
+// Base learner whose first Fit across all clones trains a decision tree
+// and whose later fits score a hash of the row: noise. With
+// include_bootstrap_model the tree is f0, so the one-member prefix {f0}
+// is the best prefix there is.
+class TreeThenNoiseBase final : public Classifier {
+ public:
+  explicit TreeThenNoiseBase(std::shared_ptr<std::size_t> fits)
+      : fits_(std::move(fits)) {}
+  void Fit(const DatasetView& train) override {
+    is_tree_ = ++*fits_ == 1;
+    if (is_tree_) tree_.Fit(train);
+  }
+  double PredictRow(std::span<const double> x) const override {
+    if (is_tree_) return tree_.PredictRow(x);
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const double v : x) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      h = (h ^ bits) * 0xbf58476d1ce4e5b9ull;
+      h ^= h >> 31;
+    }
+    return static_cast<double>(h >> 11) * 0x1p-53;
+  }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<TreeThenNoiseBase>(fits_);
+  }
+  std::string Name() const override { return "TreeThenNoiseBase"; }
+
+ private:
+  std::shared_ptr<std::size_t> fits_;
+  bool is_tree_ = false;
+  DecisionTree tree_{DecisionTreeConfig{}};
+};
+
+TEST(SelfPacedEnsembleTest, FitWithValidationScoresTheBootstrapAlone) {
+  CheckerboardConfig data_config;
+  data_config.num_minority = 200;
+  data_config.num_majority = 2000;
+  Rng rng(7);
+  const Dataset train = MakeCheckerboard(data_config, rng);
+  const Dataset validation = MakeCheckerboard(data_config, rng);
+  SelfPacedEnsembleConfig config;
+  config.n_estimators = 6;
+  config.include_bootstrap_model = true;
+  config.seed = 1;
+  SelfPacedEnsemble model(
+      config,
+      std::make_unique<TreeThenNoiseBase>(std::make_shared<std::size_t>(0)));
+  // Every prefix from one member up is scored, so the tree alone wins.
+  EXPECT_EQ(model.FitWithValidation(train, validation), 1u);
+  EXPECT_EQ(model.NumMembers(), 1u);
+}
 
 // Base learner that throws on its Nth Fit across all clones — lets a
 // test blow up ensemble training partway through.

@@ -14,8 +14,9 @@
 #      the checkpoint directory empty
 #   3. same chain under SPE_THREADS=8 with --checkpoint-every 2, so a
 #      resume replays an uncheckpointed iteration — still byte-identical
-#   4. a corrupted checkpoint and a checkpoint from a different trainer
-#      configuration are refused with exit 4 (corrupt artifact)
+#   4. a corrupted checkpoint, a version 2 checkpoint and a checkpoint
+#      from a different trainer configuration are refused with exit 4
+#      (corrupt artifact)
 #   5. injected artifact-write and data-read faults exhaust the retry
 #      budget and exit 5 (injected fault); a 50% flaky data read
 #      recovers via backoff and exits 0
@@ -196,7 +197,29 @@ if(NOT rc EQUAL 4 OR NOT err MATCHES "crc32 mismatch")
     "corrupt checkpoint must exit 4 with a crc error: rc=${rc} ${err}")
 endif()
 
-# ---- 4b. checkpoint from a different config is refused with exit 4 ----
+# ---- 4b. a version 2 checkpoint is refused with exit 4 ----------------
+# Version 2 also carried FitWithValidation's early-stop state; only the
+# header's version token changes, so the refusal is the version's.
+run_killed(1 2 ${dir}/ckpt_v2 train --data ${dir}/train.csv --n 5
+           --seed 3 --model ${dir}/c.model --checkpoint-dir ${dir}/ckpt_v2)
+execute_process(
+  COMMAND sed -i "1s/^spe-checkpoint 3 /spe-checkpoint 2 /"
+          ${dir}/ckpt_v2/spe_train.ckpt
+  RESULT_VARIABLE sedrc)
+file(STRINGS ${dir}/ckpt_v2/spe_train.ckpt header LIMIT_COUNT 1)
+if(NOT sedrc EQUAL 0 OR NOT header MATCHES "^spe-checkpoint 2 ")
+  message(FATAL_ERROR "version rewrite failed (${sedrc}): ${header}")
+endif()
+execute_process(
+  COMMAND ${SPE_CLI} train --data ${dir}/train.csv --n 5 --seed 3
+          --model ${dir}/c.model --checkpoint-dir ${dir}/ckpt_v2 --resume
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 4 OR NOT err MATCHES "unsupported checkpoint version")
+  message(FATAL_ERROR
+    "version 2 checkpoint must exit 4 as unsupported: rc=${rc} ${err}")
+endif()
+
+# ---- 4c. checkpoint from a different config is refused with exit 4 ----
 run_killed(1 2 ${dir}/ckpt_mismatch train --data ${dir}/train.csv --n 5
            --seed 3 --model ${dir}/c.model
            --checkpoint-dir ${dir}/ckpt_mismatch)

@@ -99,8 +99,8 @@ struct Options {
                "[--data FILE] [options]\n"
                "  common     --format csv|libsvm (default csv), "
                "--label-column K (csv; default: last)\n"
-               "  train      --method SPE|Easy|Cascade (default SPE), "
-               "--base NAME (default DT),\n"
+               "  train      --method SPE|Easy|Cascade (default SPE),\n"
+               "             --base NAME (default DT; AdaBoost10 for Easy),\n"
                "             --n N (default 10), --bins K (default 20), "
                "--hardness AE|SE|CE,\n"
                "             --seed S, --model OUT (required),\n"
@@ -240,7 +240,10 @@ spe::HardnessKind ParseHardness(const std::string& name) {
 
 std::unique_ptr<spe::Classifier> BuildMethod(const Options& options) {
   const std::string method = options.Get("method", "SPE");
-  const std::string base = options.Get("base", "DT");
+  // EasyEnsemble is UnderBagging over AdaBoost10 bags (§VI-C.2), so Easy
+  // defaults to that base; over DT it would be plain UnderBagging.
+  const std::string base =
+      options.Get("base", method == "Easy" ? "AdaBoost10" : "DT");
   const auto n = static_cast<std::size_t>(options.GetInt("n", 10));
   const auto seed = static_cast<std::uint64_t>(options.GetInt("seed", 0));
 
@@ -302,15 +305,6 @@ int Train(const Options& options) {
     ::mkdir(checkpoint_dir.c_str(), 0777);  // EEXIST is the common case
     spe_model->set_checkpoint_options(checkpoint);
     checkpoint_file = spe::checkpoint::CheckpointPath(checkpoint_dir);
-    if (checkpoint.resume) {
-      // Preflight so a corrupt or mismatched checkpoint maps onto the
-      // exit taxonomy instead of aborting inside Fit.
-      const std::string reason = spe_model->CheckResumable(data);
-      if (!reason.empty()) {
-        std::fprintf(stderr, "error: cannot resume: %s\n", reason.c_str());
-        return spe::kExitCorruptArtifact;
-      }
-    }
   } else if (options.flags.count("resume") > 0 ||
              options.flags.count("checkpoint-every") > 0) {
     Usage("--resume and --checkpoint-every require --checkpoint-dir");
@@ -488,6 +482,11 @@ int main(int argc, char** argv) {
     if (options.command == "evaluate") return EvaluateCommand(options);
     if (options.command == "cv") return CrossValidateCommand(options);
     if (options.command == "inspect") return InspectCommand(options);
+  } catch (const spe::checkpoint::ResumeRefused& error) {
+    // A damaged, foreign or stale checkpoint: Fit refuses it before
+    // training anything.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return spe::kExitCorruptArtifact;
   } catch (const spe::TransientIoError& error) {
     // Retries already happened (and were logged) wherever the error
     // arose; reaching main means the condition outlived the backoff.

@@ -15,6 +15,8 @@
 #   5. the boosted path: EasyEnsemble (AdaBoost10 members) and SPE over
 #      an AdaBoost10 base, each trained and scored under SPE_THREADS=1
 #      and 8; byte-compare their artifacts and score files
+#   6. --method Easy with no --base is EasyEnsemble: its artifact equals
+#      the --base AdaBoost10 one, and inspect reads AdaBoost10 members
 
 foreach(var SPE_CLI WORK_DIR)
   if(NOT DEFINED ${var})
@@ -143,6 +145,27 @@ endfunction()
 check_threads_agree(easy --method Easy --base AdaBoost10 --n 4)
 check_threads_agree(spe_adaboost --method SPE --base AdaBoost10 --n 5)
 
+run_cli(1 train --data ${dir}/train.csv --method Easy --n 4 --seed 3
+        --model ${dir}/easy_default.model)
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${dir}/easy_1t.model
+          ${dir}/easy_default.model
+  RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+  message(FATAL_ERROR
+    "--method Easy without --base differs from --base AdaBoost10: Easy "
+    "must default to EasyEnsemble's AdaBoost10 bags")
+endif()
+execute_process(
+  COMMAND ${SPE_CLI} inspect --model ${dir}/easy_default.model
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "4 x AdaBoost10")
+  message(FATAL_ERROR
+    "inspect of the default Easy artifact must read 4 x AdaBoost10 (${rc}): "
+    "${out} ${err}")
+endif()
+
 message(STATUS "train determinism ok: artifacts and scores byte-identical "
                "for SPE_THREADS=1 vs 8 and for cold, warm and uncached loads, "
-               "for SPE over DT, Easy and SPE over AdaBoost10")
+               "for SPE over DT, Easy and SPE over AdaBoost10; Easy defaults "
+               "to AdaBoost10 bags")
