@@ -81,10 +81,10 @@ std::unique_ptr<Classifier> LoadClassifier(std::istream& is);
 std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path);
 
 /// A model together with the input schema the serving layer needs to
-/// validate incoming rows, plus the manifest fields the model registry
-/// (spe/lifecycle/model_registry.h) records about the artifact it came
-/// from. Classifiers do not record their feature count, so the trainer
-/// (which knows the dataset width) supplies it at save time.
+/// validate incoming rows, plus the header facts `spe_cli inspect`
+/// prints about the artifact it came from. Classifiers do not record
+/// their feature count, so the trainer (which knows the dataset width)
+/// supplies it at save time.
 struct ModelBundle {
   std::unique_ptr<Classifier> model;
   std::size_t num_features = 0;

@@ -11,21 +11,18 @@ namespace spe {
 namespace lifecycle {
 
 ModelVersion::ModelVersion(std::unique_ptr<Classifier> model,
-                           VersionManifest manifest,
+                           std::uint64_t version, std::size_t num_features,
                            const DriftConfig& drift_config)
-    : model_(std::move(model)), manifest_(std::move(manifest)) {
+    : model_(std::move(model)), version_(version), num_features_(num_features) {
   SPE_CHECK(model_ != nullptr);
-  SPE_CHECK_GT(manifest_.num_features, 0u);
+  SPE_CHECK_GT(num_features_, 0u);
   prefix_voter_ = dynamic_cast<const PrefixVoter*>(model_.get());
   // Resolving the kernel compiles the flat program if the model can
   // lower — deliberately on the loading thread (see class comment).
   kernel_ = kernels::ActiveKernel(*model_);
-  manifest_.kernel = kernel_;
-  manifest_.model_name = model_->Name();
   if (const auto* profiled = dynamic_cast<const HardnessProfiled*>(
           model_.get())) {
     if (const HardnessHistogram* histogram = profiled->training_hardness()) {
-      manifest_.has_hardness_histogram = true;
       drift_ = std::make_unique<HardnessDriftDetector>(*histogram,
                                                        drift_config);
     }
@@ -38,8 +35,6 @@ ModelRegistry::ModelRegistry(DriftConfig drift_config)
           "spe_lifecycle_active_version")),
       shadow_version_gauge_(obs::MetricsRegistry::Global().GetGauge(
           "spe_lifecycle_shadow_version")),
-      versions_loaded_gauge_(obs::MetricsRegistry::Global().GetGauge(
-          "spe_lifecycle_versions_loaded")),
       loads_total_(obs::MetricsRegistry::Global().GetCounter(
           "spe_lifecycle_loads_total")),
       load_failures_total_(obs::MetricsRegistry::Global().GetCounter(
@@ -77,60 +72,45 @@ ModelRegistry::LoadResult ModelRegistry::LoadFromFile(
     result.error_class = error.cls;
     return result;
   }
-  VersionManifest manifest;
-  manifest.source_path = path;
-  manifest.format_version = bundle.format_version;
-  manifest.num_features = bundle.num_features;
-  manifest.payload_bytes = bundle.payload_bytes;
-  manifest.crc32_hex = bundle.crc32_hex;
-  result.version = Register(std::move(bundle.model), std::move(manifest));
+  result.version = Install(std::move(bundle.model), bundle.num_features);
   return result;
 }
 
-std::shared_ptr<const ModelVersion> ModelRegistry::Register(
-    std::unique_ptr<Classifier> model, VersionManifest manifest) {
-  std::lock_guard<std::mutex> lock(mu_);
-  manifest.version = next_version_++;
-  // Construction under the mutex keeps version numbers dense and in
-  // load order; the expensive part (kernel compile) is rare and only
-  // ever contends with another load, never with scoring.
+std::shared_ptr<const ModelVersion> ModelRegistry::Install(
+    std::unique_ptr<Classifier> model, std::size_t num_features) {
+  std::uint64_t number = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    number = next_version_++;
+  }
+  // The kernel compile runs outside the lock: a load never stalls the
+  // scoring workers' per-batch snapshot.
   auto version = std::make_shared<const ModelVersion>(
-      std::move(model), std::move(manifest), drift_config_);
-  versions_.push_back(version);
-  versions_loaded_gauge_.Set(static_cast<double>(versions_.size()));
+      std::move(model), number, num_features, drift_config_);
   loads_total_.Add();
   return version;
-}
-
-std::shared_ptr<const ModelVersion> ModelRegistry::Install(
-    std::unique_ptr<Classifier> model, std::size_t num_features,
-    std::string source_path) {
-  VersionManifest manifest;
-  manifest.source_path = std::move(source_path);
-  manifest.num_features = num_features;
-  return Register(std::move(model), std::move(manifest));
 }
 
 std::string ModelRegistry::Activate(
     std::shared_ptr<const ModelVersion> version) {
   SPE_CHECK(version != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<const ModelVersion> current = active();
-  if (current != nullptr &&
-      current->num_features() != version->num_features()) {
-    return "cannot activate version " + std::to_string(version->version()) +
-           ": feature width " + std::to_string(version->num_features()) +
-           " does not match the serving schema width " +
-           std::to_string(current->num_features());
-  }
-  // The swap itself: one pointer assignment under roles_mu_. Scoring
-  // threads that already snapshotted `current` finish their batch on it;
-  // the next snapshot sees `version`. Nothing drops.
-  active_version_gauge_.Set(static_cast<double>(version->version()));
   {
-    std::lock_guard<std::mutex> roles(roles_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (active_ != nullptr &&
+        active_->num_features() != version->num_features()) {
+      return "cannot activate version " +
+             std::to_string(version->version()) + ": feature width " +
+             std::to_string(version->num_features()) +
+             " does not match the serving schema width " +
+             std::to_string(active_->num_features());
+    }
+    // The swap itself. Scoring threads that already snapshotted the old
+    // version finish their batch on it; the next snapshot sees the new
+    // one. Nothing drops.
+    active_version_gauge_.Set(static_cast<double>(version->version()));
     active_.swap(version);
   }
+  // `version` now holds the retired active, released after the lock.
   activations_total_.Add();
   return "";
 }
@@ -139,23 +119,8 @@ void ModelRegistry::SetShadow(std::shared_ptr<const ModelVersion> version) {
   std::lock_guard<std::mutex> lock(mu_);
   shadow_version_gauge_.Set(
       version == nullptr ? 0.0 : static_cast<double>(version->version()));
-  std::lock_guard<std::mutex> roles(roles_mu_);
+  // The old shadow leaves in `version`, which outlives the lock.
   shadow_.swap(version);
-}
-
-std::vector<ModelRegistry::ManifestEntry> ModelRegistry::Manifests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto active = this->active();
-  const auto shadow = this->shadow();
-  std::vector<ManifestEntry> entries;
-  entries.reserve(versions_.size());
-  for (const auto& v : versions_) {
-    ManifestEntry entry;
-    entry.manifest = v->manifest();
-    entry.role = v == active ? "active" : v == shadow ? "shadow" : "loaded";
-    entries.push_back(std::move(entry));
-  }
-  return entries;
 }
 
 }  // namespace lifecycle

@@ -77,17 +77,19 @@ BatchScorer::BatchScorer(std::shared_ptr<lifecycle::ModelRegistry> registry,
           "spe_lifecycle_shadow_disagree_total")),
       shadow_absdiff_ppm_(obs::MetricsRegistry::Global().GetHistogram(
           "spe_lifecycle_shadow_absdiff_ppm", /*sub_bits=*/3,
-          obs::GeometricHistogram::IndexFor(3, 1'000'000) + 1)) {
+          obs::GeometricHistogram::IndexFor(3, 1'000'000) + 1)),
+      drift_psi_(obs::MetricsRegistry::Global().GetGauge(
+          "spe_lifecycle_drift_psi")),
+      drift_observed_(obs::MetricsRegistry::Global().GetGauge(
+          "spe_lifecycle_drift_observed")),
+      drift_alert_(obs::MetricsRegistry::Global().GetGauge(
+          "spe_lifecycle_drift_alert")) {
   SPE_CHECK(registry_ != nullptr);
   SPE_CHECK(registry_->active() != nullptr)
       << "the registry must have an active version before serving";
   SPE_CHECK_GT(num_features_, 0u);
   SPE_CHECK_GT(config_.max_batch_size, 0u);
   if (config_.degrade_high_watermark > 0) {
-    SPE_CHECK(registry_->active()->prefix_voter() != nullptr)
-        << "degradation watermarks require an ensemble model that supports "
-           "prefix scoring (PrefixVoter); "
-        << registry_->active()->model().Name() << " does not";
     SPE_CHECK_GT(config_.degrade_prefix, 0u);
     SPE_CHECK_LT(config_.degrade_low_watermark, config_.degrade_high_watermark)
         << "degrade_low_watermark must be below degrade_high_watermark";
@@ -230,7 +232,8 @@ void BatchScorer::WorkerLoop() {
     // shadow diffing, drift observation — runs against this version
     // even if a reload swaps the active pointer mid-batch.
     // The shared_ptr keeps the version (and its compiled kernel) alive
-    // until the last in-flight batch lets go.
+    // until the last in-flight batch lets go; if a reload retired it,
+    // that batch frees it.
     const std::shared_ptr<const lifecycle::ModelVersion> version =
         registry_->active();
 
@@ -248,9 +251,7 @@ void BatchScorer::WorkerLoop() {
         mode = false;
       }
       degraded_.store(mode, std::memory_order_relaxed);
-      // A hot-reloaded version might not support prefix scoring even
-      // though the boot-time one did; it serves full ensembles instead
-      // of aborting mid-traffic.
+      // A version that cannot score a prefix serves full fidelity.
       degraded = mode && version->prefix_voter() != nullptr;
     }
 
@@ -301,6 +302,12 @@ void BatchScorer::WorkerLoop() {
         if (auto* drift = version->drift()) {
           drift->ObserveBatch(probs);
           drift->Publish();
+        } else {
+          // No training baseline, no drift: zeroing keeps the gauges
+          // from describing a version that no longer serves.
+          drift_psi_.Set(0.0);
+          drift_observed_.Set(0.0);
+          drift_alert_.Set(0.0);
         }
       }
       const auto done = std::chrono::steady_clock::now();

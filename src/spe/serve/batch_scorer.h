@@ -45,7 +45,8 @@ struct BatchScorerConfig {
   /// (PrefixVoter::PredictProbaPrefix) — a cheaper but still valid SPE
   /// hypothesis — until the backlog falls to `degrade_low_watermark`
   /// (hysteresis, so the mode does not flap around one threshold).
-  /// Requires the model to implement PrefixVoter when enabled.
+  /// A model that cannot score a prefix (no PrefixVoter) is always
+  /// served at full fidelity.
   std::size_t degrade_high_watermark = 0;
   std::size_t degrade_low_watermark = 0;
   /// Ensemble members used while degraded. Clamped to the ensemble size.
@@ -177,14 +178,7 @@ class BatchScorer {
   /// True while the watermark controller has degradation engaged.
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
-  /// The currently active model. The reference stays valid for the
-  /// registry's lifetime (versions are never evicted), but a concurrent
-  /// reload can make it stale — scoring paths snapshot the version
-  /// instead of calling this.
-  const Classifier& model() const { return registry_->active()->model(); }
-  lifecycle::ModelRegistry& registry() { return *registry_; }
   std::size_t num_features() const { return num_features_; }
-  const BatchScorerConfig& config() const { return config_; }
   const ServerStats& stats() const { return stats_; }
 
   /// "flat" or "reference": the inference kernel of the currently
@@ -222,6 +216,11 @@ class BatchScorer {
   obs::Counter& shadow_rows_total_;
   obs::Counter& shadow_disagree_total_;
   obs::GeometricHistogram& shadow_absdiff_ppm_;
+  /// The spe_lifecycle_drift_* gauges, zeroed by full-fidelity batches
+  /// on a version without a drift baseline.
+  obs::Gauge& drift_psi_;
+  obs::Gauge& drift_observed_;
+  obs::Gauge& drift_alert_;
 
   /// Publishes this scorer's stats on the global metrics registry
   /// ("!stats" / --metrics-dump). Declared last so it unregisters

@@ -30,6 +30,12 @@ constexpr std::uint64_t kWakeToken = 1;
 constexpr std::uint64_t kOutputToken = std::uint64_t{1} << 63;
 
 constexpr char kCapacityRefusal[] = "ERR server at connection capacity\n";
+/// Bytes per read(2) into a session's input buffer.
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
+/// Output backlog past which a session stops being read until the peer
+/// drains it: a client that writes but never reads cannot grow server
+/// memory without limit.
+constexpr std::size_t kMaxOutbufBytes = 4 * 1024 * 1024;
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -285,11 +291,7 @@ void EventLoop::RequestDrain() {
 }
 
 std::string EventLoop::GetBuffer() {
-  if (buffer_pool_.empty()) {
-    ++buffers_allocated_;
-    return {};
-  }
-  ++buffers_reused_;
+  if (buffer_pool_.empty()) return {};
   std::string buf = std::move(buffer_pool_.back());
   buffer_pool_.pop_back();
   buf.clear();
@@ -435,14 +437,14 @@ void EventLoop::HandleConnEvent(std::uint64_t token, std::uint32_t events) {
 void EventLoop::HandleReadable(Conn& c) {
   for (;;) {
     if (c.blocked || c.pending.size() >= config_.max_pending_per_conn ||
-        c.out.size() - c.out_pos >= config_.max_outbuf_bytes) {
+        c.out.size() - c.out_pos >= kMaxOutbufBytes) {
       return;  // backpressure: leave the rest in the kernel buffer
     }
     const std::size_t old = c.in.size();
-    c.in.resize(old + config_.read_chunk_bytes);
+    c.in.resize(old + kReadChunkBytes);
     const ssize_t n =
-        c.adopted ? read(c.fd, c.in.data() + old, config_.read_chunk_bytes)
-                  : recv(c.fd, c.in.data() + old, config_.read_chunk_bytes, 0);
+        c.adopted ? read(c.fd, c.in.data() + old, kReadChunkBytes)
+                  : recv(c.fd, c.in.data() + old, kReadChunkBytes, 0);
     if (n > 0) {
       c.in.resize(old + static_cast<std::size_t>(n));
       ParseInput(c);
@@ -877,7 +879,7 @@ void EventLoop::UpdateConn(Conn& c) {
   std::uint32_t want = 0;
   if (c.read_open && !c.blocked && !draining_ &&
       c.pending.size() < config_.max_pending_per_conn &&
-      c.out.size() - c.out_pos < config_.max_outbuf_bytes) {
+      c.out.size() - c.out_pos < kMaxOutbufBytes) {
     want |= EPOLLIN;
   }
   if (has_output) want |= EPOLLOUT;

@@ -29,12 +29,6 @@ struct EventLoopConfig {
   /// the bound the session stops being read (TCP backpressure) until
   /// responses drain.
   std::size_t max_pending_per_conn = 16384;
-  /// Bytes per read(2) into a connection's input buffer.
-  std::size_t read_chunk_bytes = 64 * 1024;
-  /// Output buffer size past which a connection stops being read until
-  /// the peer drains it (a client that writes but never reads cannot
-  /// grow server memory without limit).
-  std::size_t max_outbuf_bytes = 4 * 1024 * 1024;
   int listen_backlog = 256;
 };
 
@@ -69,10 +63,12 @@ struct EventLoopCounters {
 /// and poke the loop through an eventfd; the loop writes responses
 /// strictly in request order per session.
 ///
-/// Memory is pooled, not per-request: input/output byte buffers are
-/// recycled across sessions, and each scored row's feature vector
-/// round-trips through the scorer callback back into a free list, so a
-/// steady-state session allocates nothing on the hot path.
+/// Two kinds of memory are pooled: session input/output byte buffers
+/// are recycled across sessions, and binary requests decode into
+/// feature vectors from a free list that every scored row's vector
+/// returns to through the scorer callback. Each request still allocates
+/// its pending response slot, and a text row parses into a fresh
+/// vector.
 ///
 /// Ordering and lifecycle semantics, per session:
 ///   - responses come back in request order;
@@ -183,8 +179,6 @@ class EventLoop {
   /// Byte-buffer free list for connection input/output buffers
   /// (loop-thread only; capacity-preserving).
   std::vector<std::string> buffer_pool_;
-  std::uint64_t buffers_reused_ = 0;
-  std::uint64_t buffers_allocated_ = 0;
   std::string GetBuffer();
   void PutBuffer(std::string buf);
 

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "spe/classifiers/decision_tree.h"
 #include "spe/common/fault.h"
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/io/model_io.h"
@@ -65,31 +66,66 @@ std::string TempPath(const char* name) {
 
 TEST(ModelRegistryTest, InstallAssignsMonotonicVersionsAndRoles) {
   ModelRegistry registry;
-  auto a = registry.Install(TrainSpe(1), 2, "a.model");
+  auto a = registry.Install(TrainSpe(1), 2);
   auto b = registry.Install(TrainSpe(2), 2);
   auto c = registry.Install(TrainSpe(3), 2);
   EXPECT_EQ(a->version(), 1u);
   EXPECT_EQ(b->version(), 2u);
   EXPECT_EQ(c->version(), 3u);
-  EXPECT_EQ(a->manifest().source_path, "a.model");
-  EXPECT_EQ(a->manifest().model_name, "SPE4");
 
   EXPECT_EQ(registry.active(), nullptr);
+  EXPECT_EQ(registry.shadow(), nullptr);
   EXPECT_TRUE(registry.Activate(a).empty());
   ASSERT_NE(registry.active(), nullptr);
   EXPECT_EQ(registry.active()->version(), 1u);
   registry.SetShadow(b);
+  EXPECT_EQ(registry.active(), a);
+  EXPECT_EQ(registry.shadow(), b);
 
-  const auto manifests = registry.Manifests();
-  ASSERT_EQ(manifests.size(), 3u);
-  EXPECT_EQ(manifests[0].role, "active");
-  EXPECT_EQ(manifests[1].role, "shadow");
-  EXPECT_EQ(manifests[2].role, "loaded");
-
-  // Activating b promotes it and demotes a to a plain loaded version.
+  // Activating b promotes it and leaves a with no role.
   EXPECT_TRUE(registry.Activate(b).empty());
   EXPECT_EQ(registry.active()->version(), 2u);
-  EXPECT_EQ(registry.Manifests()[0].role, "loaded");
+  EXPECT_EQ(registry.shadow(), b);
+  registry.SetShadow(nullptr);
+  EXPECT_EQ(registry.shadow(), nullptr);
+}
+
+TEST(ModelRegistryTest, ARetiredVersionIsFreedWithItsLastHolder) {
+  ModelRegistry registry;
+  std::weak_ptr<const ModelVersion> retired;
+  {
+    auto a = registry.Install(TrainSpe(1), 2);
+    ASSERT_TRUE(registry.Activate(a).empty());
+    retired = a;
+  }
+  // A batch in flight holds its snapshot of the active version while a
+  // reload replaces it: the snapshot alone keeps the old version alive,
+  // and releasing it frees the version.
+  std::shared_ptr<const ModelVersion> batch_snapshot = registry.active();
+  ASSERT_TRUE(registry.Activate(registry.Install(TrainSpe(2), 2)).empty());
+  EXPECT_FALSE(retired.expired());
+  batch_snapshot.reset();
+  EXPECT_TRUE(retired.expired());
+
+  // A version cleared from the shadow role is freed with it.
+  std::weak_ptr<const ModelVersion> shadow;
+  {
+    auto s = registry.Install(TrainSpe(3), 2);
+    registry.SetShadow(s);
+    shadow = s;
+  }
+  EXPECT_FALSE(shadow.expired());
+  registry.SetShadow(nullptr);
+  EXPECT_TRUE(shadow.expired());
+
+  // The registry keeps nothing of a version it refused.
+  std::weak_ptr<const ModelVersion> refused;
+  {
+    auto wide = registry.Install(TrainSpe(4), 3);
+    refused = wide;
+    EXPECT_FALSE(registry.Activate(wide).empty());
+  }
+  EXPECT_TRUE(refused.expired());
 }
 
 TEST(ModelRegistryTest, ActivateRefusesFeatureWidthChange) {
@@ -107,6 +143,7 @@ TEST(ModelRegistryTest, ActivateRefusesFeatureWidthChange) {
 
 TEST(ModelRegistryTest, LoadFromFileRefusesBrokenArtifactsWithoutAborting) {
   ModelRegistry registry;
+  const std::uint64_t loads_before = CounterValue("spe_lifecycle_loads_total");
   const std::uint64_t failures_before =
       CounterValue("spe_lifecycle_load_failures_total");
 
@@ -159,9 +196,8 @@ TEST(ModelRegistryTest, LoadFromFileRefusesBrokenArtifactsWithoutAborting) {
   EXPECT_NE(hist.error.find("malformed bundle header"), std::string::npos)
       << hist.error;
 
-  // A refused load must leave no trace in the version list and count as
-  // a failure, not a load.
-  EXPECT_TRUE(registry.Manifests().empty());
+  // A refused load must count as a failure, not a load.
+  EXPECT_EQ(CounterValue("spe_lifecycle_loads_total"), loads_before);
   EXPECT_EQ(CounterValue("spe_lifecycle_load_failures_total"),
             failures_before + 4);
   std::filesystem::remove(garbage_path);
@@ -231,7 +267,8 @@ TEST(ModelRegistryTest, FlakyArtifactReadEventuallyLoadsAndActivates) {
   registry.set_load_retry(fast);
 
   // Certain failure first: every attempt faults, the retry budget runs
-  // out, and the load is refused without touching the version list.
+  // out, and the load is refused without counting as a load.
+  const std::uint64_t loads_before = CounterValue("spe_lifecycle_loads_total");
   FaultConfig faults;
   faults.artifact_read_fail_rate = 1.0;
   Faults().Configure(faults);
@@ -239,7 +276,7 @@ TEST(ModelRegistryTest, FlakyArtifactReadEventuallyLoadsAndActivates) {
   EXPECT_FALSE(refused.ok());
   EXPECT_NE(refused.error.find("injected fault"), std::string::npos)
       << refused.error;
-  EXPECT_TRUE(registry.Manifests().empty());
+  EXPECT_EQ(CounterValue("spe_lifecycle_loads_total"), loads_before);
 
   // Flaky-then-healthy: at a 50% deterministic fault rate the retries
   // get through well inside 8 attempts, and the loaded version
@@ -255,7 +292,7 @@ TEST(ModelRegistryTest, FlakyArtifactReadEventuallyLoadsAndActivates) {
   std::filesystem::remove(path);
 }
 
-TEST(ModelRegistryTest, LoadFromFileCarriesManifestAndDriftBaseline) {
+TEST(ModelRegistryTest, LoadFromFileCarriesVersionAndDriftBaseline) {
   const std::string path = TempPath("v3.model");
   {
     auto model = TrainSpe(5);
@@ -265,13 +302,9 @@ TEST(ModelRegistryTest, LoadFromFileCarriesManifestAndDriftBaseline) {
   ModelRegistry registry;
   auto loaded = registry.LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  const lifecycle::VersionManifest& manifest = loaded.version->manifest();
-  EXPECT_EQ(manifest.format_version, 3);
-  EXPECT_EQ(manifest.num_features, 2u);
-  EXPECT_GT(manifest.payload_bytes, 0u);
-  EXPECT_EQ(manifest.crc32_hex.size(), 8u);
-  EXPECT_TRUE(manifest.has_hardness_histogram);
-  EXPECT_EQ(manifest.model_name, "VotingEnsemble");
+  EXPECT_EQ(loaded.version->version(), 1u);
+  EXPECT_EQ(loaded.version->num_features(), 2u);
+  EXPECT_STREQ(loaded.version->kernel(), "flat");
   // The v3 histogram becomes a live drift baseline on the version.
   ASSERT_NE(loaded.version->drift(), nullptr);
   EXPECT_FALSE(loaded.version->drift()->baseline().empty());
@@ -452,6 +485,43 @@ TEST(DriftDetectorTest, ScoringThroughRegistryFeedsActiveVersionsDetector) {
   scorer.ScoreBatch(OverlappingBlobs(20, 5, 44));
   scorer.Shutdown();
   EXPECT_EQ(loaded.version->drift()->live_total(), 25u);
+  std::filesystem::remove(path);
+}
+
+TEST(DriftDetectorTest, GaugesClearWhenAVersionWithoutBaselineServes) {
+  const std::string path = TempPath("drift_clear.model");
+  {
+    auto model = TrainSpe(45);
+    SaveModelBundleToFile(*model, 2, path);
+  }
+  DriftConfig drift;
+  drift.min_samples = 8;
+  auto registry = std::make_shared<ModelRegistry>(drift);
+  auto loaded = registry->LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(registry->Activate(loaded.version).empty());
+  ASSERT_NE(loaded.version->drift(), nullptr);
+
+  BatchScorerConfig config;
+  config.num_workers = 1;
+  BatchScorer scorer(registry, config);
+  // Minority-only traffic scores far harder than the majority rows the
+  // baseline was profiled on.
+  scorer.ScoreBatch(OverlappingBlobs(0, 40, 46));
+  ASSERT_EQ(GaugeValue("spe_lifecycle_drift_alert"), 1.0);
+  ASSERT_GT(GaugeValue("spe_lifecycle_drift_observed"), 0.0);
+  ASSERT_GT(GaugeValue("spe_lifecycle_drift_psi"), 0.0);
+
+  // A hot reload to a model without a baseline: the gauges must stop
+  // describing the version that no longer serves.
+  const Dataset train = OverlappingBlobs(300, 40, 47);
+  auto tree = std::make_unique<DecisionTree>();
+  tree->Fit(train);
+  ASSERT_TRUE(registry->Activate(registry->Install(std::move(tree), 2)).empty());
+  scorer.Score({0.5, 0.5});
+  EXPECT_EQ(GaugeValue("spe_lifecycle_drift_alert"), 0.0);
+  EXPECT_EQ(GaugeValue("spe_lifecycle_drift_observed"), 0.0);
+  EXPECT_EQ(GaugeValue("spe_lifecycle_drift_psi"), 0.0);
   std::filesystem::remove(path);
 }
 

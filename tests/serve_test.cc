@@ -561,12 +561,29 @@ TEST(BatchScorerTest, DegradedResultsBitIdenticalToPrefixScoring) {
   EXPECT_EQ(scorer.stats().degraded_rows(), degraded_rows);
 }
 
-TEST(BatchScorerDeathTest, WatermarksRequirePrefixCapableModel) {
+TEST(BatchScorerTest, WatermarksServeAModelWithoutPrefixAtFullFidelity) {
+  // A model that cannot score an ensemble prefix is served at full
+  // fidelity under watermarks and a backlog — at startup just as after a
+  // hot reload to it.
   BatchScorerConfig config;
-  config.degrade_high_watermark = 4;
-  EXPECT_DEATH(
-      BatchScorer(std::make_unique<SlowConstantModel>(), 2, config),
-      "prefix scoring");
+  config.num_workers = 1;
+  config.max_batch_size = 1;
+  config.max_batch_delay_us = 0;
+  config.degrade_high_watermark = 2;
+  config.degrade_low_watermark = 1;
+  BatchScorer scorer(std::make_unique<SlowConstantModel>(), 2, config);
+
+  std::vector<std::future<ScoreResult>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(testing::SubmitFuture(scorer, {0.0, 1.0}));
+  }
+  for (auto& f : futures) {
+    const ScoreResult r = f.get();
+    EXPECT_EQ(r.proba, 0.25);
+    EXPECT_FALSE(r.degraded);
+  }
+  EXPECT_EQ(scorer.stats().rows(), 8u);
+  EXPECT_EQ(scorer.stats().degraded_batches(), 0u);
 }
 
 // ------------------------------------------------------------ protocol

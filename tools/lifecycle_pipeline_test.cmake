@@ -136,7 +136,6 @@ endif()
 file(READ ${dir}/metrics.txt metrics)
 foreach(want
     "spe_lifecycle_active_version 3"
-    "spe_lifecycle_versions_loaded 3"
     "spe_lifecycle_reloads_total 1"
     "spe_lifecycle_loads_total 3"
     "spe_lifecycle_load_failures_total 0"
